@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import FluidParams
-from .spectral import TWO_PI, mode_system, z_weights
+from .spectral import TWO_PI, SpectralTable, nonzero_modes, spectral_table, z_weights
 
 
 def texp(z, T: float):
@@ -42,9 +42,10 @@ def space_overlap(dn, lo: float, hi: float):
 class BranchTable:
     """Flattened spectral data over modal indices a = (n, l), |n| <= N.
 
-    For the mean-corrected subspace "Zm" a single n = 0 row is appended
-    (lambda = 0, adjoint direction (1,0,0)/sqrt(2 pi b)); in "Zmm" there is
-    no n = 0 row.
+    Rows run over the modes of `modes` (-N..-1, 1..N), three consecutive
+    branch rows each.  For the mean-corrected subspace "Zm" a single n = 0
+    row is appended (lambda = 0, adjoint direction (1,0,0)/sqrt(2 pi b)); in
+    "Zmm" there is no n = 0 row.
     """
 
     p: FluidParams
@@ -53,6 +54,7 @@ class BranchTable:
     lam: np.ndarray         # (K,) complex
     alpha: np.ndarray       # (K, 3) complex adjoint coefficient triples
     psi: np.ndarray         # (K,) complex normalizers
+    modes: SpectralTable | None = None  # per-mode data of the n != 0 rows
 
     @property
     def size(self) -> int:
@@ -67,29 +69,20 @@ class BranchTable:
 def build_branch_table(p: FluidParams, N: int, subspace: str = "Zmm") -> BranchTable:
     if subspace not in ("Zm", "Zmm"):
         raise ValidationError("branch table exists for Zm or Zmm only")
-    idx_n, idx_l, lam, alpha, psi = [], [], [], [], []
-    for n in [k for k in range(-N, N + 1) if k != 0]:
-        m = mode_system(p, n)
-        for l in range(3):
-            idx_n.append(n)
-            idx_l.append(l)
-            lam.append(m.lambdas[l])
-            alpha.append(m.xi_star_coeffs[l])
-            psi.append(m.psi[l])
+    modes = spectral_table(p, nonzero_modes(N)).require_simple()
+    idx_n = np.repeat(modes.ns, 3)
+    idx_l = np.tile(np.arange(3), modes.ns.size)
+    lam = modes.lambdas.ravel()
+    alpha = modes.xi_star_coeffs.reshape(-1, 3)
+    psi = modes.psi.ravel()
     if subspace == "Zm":
-        idx_n.append(0)
-        idx_l.append(-1)
-        lam.append(0.0 + 0.0j)
-        alpha.append(np.array([1.0, 0.0, 0.0], dtype=complex))
-        psi.append(complex(np.sqrt(2.0 * p.b_eff * np.pi)))
-    return BranchTable(
-        p=p,
-        idx_n=np.array(idx_n, dtype=int),
-        idx_l=np.array(idx_l, dtype=int),
-        lam=np.array(lam, dtype=complex),
-        alpha=np.array(alpha, dtype=complex),
-        psi=np.array(psi, dtype=complex),
-    )
+        idx_n = np.append(idx_n, 0)
+        idx_l = np.append(idx_l, -1)
+        lam = np.append(lam, 0.0 + 0.0j)
+        alpha = np.vstack([alpha, [1.0, 0.0, 0.0]])
+        psi = np.append(psi, np.sqrt(2.0 * p.b_eff * np.pi))
+    return BranchTable(p=p, idx_n=idx_n, idx_l=idx_l, lam=lam, alpha=alpha,
+                       psi=psi, modes=modes)
 
 
 def terminal_gram(tab: BranchTable) -> np.ndarray:
@@ -135,29 +128,7 @@ def windowed_gram(
 def eigen_coefficients(tab: BranchTable, state) -> np.ndarray:
     """Direct-eigenbasis coordinates d_a = <z, xi*_a>_Z of a SpectralState."""
     w = z_weights(tab.p)
-    d = np.zeros(tab.size, dtype=complex)
+    c = np.array([state.coeff(n) for n in tab.idx_n.tolist()]).reshape(-1, 3)
+    c = c / np.sqrt(TWO_PI)
     star = tab.alpha / tab.psi[:, None]
-    for a in range(tab.size):
-        n = int(tab.idx_n[a])
-        c = state.coeff(n) / np.sqrt(TWO_PI)
-        d[a] = TWO_PI * np.sum(w * c * np.conj(star[a]))
-    return d
-
-
-def state_from_eigen(tab: BranchTable, d: np.ndarray, N: int):
-    """Reassemble a SpectralState from direct-eigenbasis coordinates."""
-    from .dynamics import SpectralState
-    from .spectral import mode_system as _ms
-
-    coeffs: dict[int, np.ndarray] = {}
-    for a in range(tab.size):
-        n = int(tab.idx_n[a])
-        if n == 0:
-            tri = np.array([1.0 / np.sqrt(2.0 * tab.p.b_eff * np.pi), 0.0, 0.0],
-                           dtype=complex)
-        else:
-            m = _ms(tab.p, n)
-            tri = m.xi_coeffs[tab.idx_l[a]]
-        coeffs.setdefault(n, np.zeros(3, dtype=complex))
-        coeffs[n] += d[a] * tri * np.sqrt(TWO_PI)
-    return SpectralState(N=N, coeffs=coeffs, subspace="Z")
+    return TWO_PI * np.sum(w * c * np.conj(star), axis=1)

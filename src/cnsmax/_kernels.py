@@ -1,13 +1,10 @@
-"""Pure-NumPy cubic kernels (fallback when the compiled extension is absent).
+"""Vectorized NumPy cubic kernels.
 
-Both solvers operate on batches of monic cubics x^3 + a2 x^2 + a1 x + a0.
-They are the hot path of the toolkit: every mode of every run needs at least
-one characteristic-cubic solve.
+Both solvers operate on batches of monic cubics x^3 + a2 x^2 + a1 x + a0:
+every mode of every run needs one characteristic-cubic solve.
 """
 
 import numpy as np
-
-BACKEND = "python"
 
 _W = np.exp(2j * np.pi / 3.0)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -126,10 +125,46 @@ def _params_from_config(cfg) -> FluidParams:
     return FluidParams(**{k: block[k] for k in block})
 
 
+def _field(block, key, default, cast, ok, what):
+    """block[key] (default if absent) converted by cast and checked by ok."""
+    value = block.get(key, default)
+    try:
+        converted = cast(value)
+        if ok(converted):
+            return converted
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{key} must be {what}, got {value!r}")
+
+
+def _count(block, key, default, least=1):
+    return _field(block, key, default, int, lambda v: v >= least,
+                  f"an integer >= {least}")
+
+
+def _positive(block, key, default):
+    return _field(block, key, default, float, lambda v: v > 0, "a positive number")
+
+
+def _interval(block):
+    return _field(block, "interval", [0.0, np.pi],
+                  lambda v: tuple(float(x) for x in v),
+                  lambda v: len(v) == 2 and 0.0 <= v[0] < v[1] <= 2 * np.pi,
+                  "[l1, l2] with 0 <= l1 < l2 <= 2*pi")
+
+
+def _kind(block):
+    from .control import check_boundary_kind
+
+    kind = block.get("kind", "density")
+    check_boundary_kind(kind)
+    return kind
+
+
 def _run_spectrum(p, block, out, summary):
     from .spectral import solve_beta_cubic, spectrum_rows
 
-    n_max = int(block.get("n_max", 30))
+    n_max = _count(block, "n_max", 30)
     rows = spectrum_rows(p, n_max)
     write_csv(
         out / "spectrum.csv",
@@ -148,12 +183,17 @@ def _run_spectrum(p, block, out, summary):
 
 
 def _run_simulate(p, block, out, summary, seed):
-    from .dynamics import evolve, random_state, synthesize_physical
+    from .dynamics import SUBSPACES, evolve, random_state, synthesize_physical
 
-    N = int(block.get("N", 16))
-    T = float(block.get("T", 5.0))
-    points = int(block.get("record_points", 65))
-    state0 = random_state(p, N, subspace=block.get("subspace", "Zm"), seed=seed)
+    N = _count(block, "N", 16)
+    T = _positive(block, "T", 5.0)
+    points = _count(block, "record_points", 65, least=2)
+    subspace = _field(block, "subspace", "Zm", str, lambda v: v in SUBSPACES,
+                      f"one of {SUBSPACES}")
+    grid = _count(block, "grid", max(4 * N, 64), least=2 * N + 1)
+    snapshots = _field(block, "snapshots", [T], lambda v: [float(t) for t in v],
+                       lambda v: all(t >= 0 for t in v), "a list of times >= 0")
+    state0 = random_state(p, N, subspace=subspace, seed=seed)
     rec, final = evolve(p, state0, T, record_times=np.linspace(0, T, points))
     write_csv(
         out / "trajectory.csv",
@@ -161,13 +201,11 @@ def _run_simulate(p, block, out, summary, seed):
         zip(rec.times, rec.energies, rec.norm_rho, rec.norm_u, rec.norm_S),
     )
     arts = ["trajectory.csv"]
-    grid = int(block.get("grid", max(4 * N, 64)))
-    for t_snap in block.get("snapshots", [T]):
+    for t_snap in snapshots:
         # exact flow to the snapshot instant
-        _, snap = evolve(p, state0, float(t_snap),
-                         record_times=np.array([0.0, float(t_snap)]))
+        _, snap = evolve(p, state0, t_snap, record_times=np.array([0.0, t_snap]))
         x, fields = synthesize_physical(snap, grid)
-        name = f"snapshot_t{float(t_snap):g}.csv"
+        name = f"snapshot_t{t_snap:g}.csv"
         write_csv(
             out / name,
             ["x", "rho", "u", "S"],
@@ -190,27 +228,25 @@ def _run_control(p, block, out, summary, seed):
     from .dynamics import random_state
 
     variant = block.get("variant", "everywhere")
-    N = int(block.get("N", 16))
-    T = float(block.get("T", 1.0))
+    if variant not in ("everywhere", "boundary", "localized"):
+        raise ValidationError(f"unknown control variant {variant!r}")
+    N = _count(block, "N", 16)
+    T = _positive(block, "T", 1.0)
     summary.update({"variant": variant, "N": N, "T": T})
     if variant == "everywhere":
         state0 = random_state(p, N, subspace="Zm", seed=seed)
         sig, resid, _ = synthesize_everywhere_control(p, state0, T, N)
         cond = None
     elif variant == "boundary":
-        kind = block.get("kind", "density")
+        kind = _kind(block)
         state0 = random_state(p, N, subspace="Zmm", seed=seed)
         sig, resid, cond, _ = synthesize_boundary_control(p, state0, T, N, kind)
         summary["kind"] = kind
-    elif variant == "localized":
-        lo, hi = block.get("interval", [0.0, np.pi])
-        state0 = random_state(p, N, subspace="Zm", seed=seed)
-        sig, resid, cond, _ = synthesize_localized_control(
-            p, state0, T, N, (float(lo), float(hi))
-        )
-        summary["interval"] = [lo, hi]
     else:
-        raise ValidationError(f"unknown control variant {variant!r}")
+        lo, hi = _interval(block)
+        state0 = random_state(p, N, subspace="Zm", seed=seed)
+        sig, resid, cond, _ = synthesize_localized_control(p, state0, T, N, (lo, hi))
+        summary["interval"] = [lo, hi]
 
     if sig.samples.ndim == 1:
         write_csv(out / "control.csv", ["t", "re_q", "im_q"],
@@ -240,15 +276,15 @@ def _run_observability(p, block, out, summary):
         minimal_time,
     )
 
-    N = int(block.get("N", 8))
-    T = float(block.get("T", 1.2 * minimal_time(p)))
+    N = _count(block, "N", 8)
+    T = _positive(block, "T", 1.2 * minimal_time(p))
     payload = {"N": N, "T": T}
     if "interval" in block:
-        lo, hi = (float(v) for v in block["interval"])
+        lo, hi = _interval(block)
         lmin, lmax = interior_observability_constant(p, N, T, (lo, hi))
         payload["interval"] = [lo, hi]
     else:
-        kind = block.get("kind", "density")
+        kind = _kind(block)
         lmin, lmax = boundary_observability_constant(p, N, T, kind)
         payload["kind"] = kind
     payload["lambda_min"] = lmin
@@ -262,8 +298,8 @@ def _run_observability(p, block, out, summary):
 def _run_ingham(p, block, out, summary):
     from .observability import ingham_frame_bounds, minimal_time
 
-    N = int(block.get("N", 12))
-    T = float(block.get("T", 1.1 * minimal_time(p)))
+    N = _count(block, "N", 12)
+    T = _positive(block, "T", 1.1 * minimal_time(p))
     c1, c2 = ingham_frame_bounds(p, N, T)
     payload = {"N": N, "T": T, "C1_hat": c1, "C2_hat": c2,
                "T0": minimal_time(p)}
@@ -274,16 +310,17 @@ def _run_ingham(p, block, out, summary):
 
 def _run_lack(p, block, out, summary):
     from .observability import lack_experiment
-
-    N_list = [int(v) for v in block.get("N_list", [4, 8, 16, 32])]
-    lo, hi = (float(v) for v in block.get("interval", [0.0, np.pi]))
     from .spectral import solve_beta_cubic
 
+    N_list = _field(block, "N_list", [4, 8, 16, 32], lambda v: [int(n) for n in v],
+                    lambda v: min(v) >= 1 and len(set(v)) >= 2,
+                    "a list of at least two distinct integers >= 1")
+    lo, hi = _interval(block)
+    band_mult = _count(block, "band_mult", 4, least=2)
     beta = solve_beta_cubic(p).beta
     bhat = min(abs(b) for b in beta)
-    T = float(block.get("T", 0.8 * (2 * np.pi - hi) / bhat))
-    res = lack_experiment(p, N_list, T, (lo, hi),
-                          band_mult=int(block.get("band_mult", 4)))
+    T = _positive(block, "T", 0.8 * (2 * np.pi - hi) / bhat)
+    res = lack_experiment(p, N_list, T, (lo, hi), band_mult=band_mult)
     write_csv(
         out / "lack.csv",
         ["N", "ratio", "slope"],
@@ -303,10 +340,10 @@ def _run_stabilize(p, block, out, summary, seed):
         growth_threshold,
     )
 
-    N = int(block.get("N", 8))
-    omega = float(block.get("omega", 2.0))
-    kind = block.get("kind", "density")
-    T_end = float(block.get("T_end", 40.0))
+    N = _count(block, "N", 8)
+    omega = _positive(block, "omega", 2.0)
+    kind = _kind(block)
+    T_end = _positive(block, "T_end", 40.0)
     law = build_feedback(p, N, omega, kind)
     z0 = random_state(p, N, subspace="Zmm", seed=seed)
     traj = closed_loop_simulate(p, law, z0, T_end)
@@ -349,11 +386,8 @@ _RUNNERS = {
 
 
 def run(command: str, config_path: str, out_dir: str | None = None,
-        seed: int | None = None, threads: int | None = None) -> int:
+        seed: int | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
     try:
         cfg = json.loads(Path(config_path).read_text())
         if command not in COMMANDS:
@@ -412,10 +446,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--seed", type=int, default=None,
                     help="override the command block's seed")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="hint for BLAS thread pools")
     args = ap.parse_args(argv)
-    return run(args.command, args.config, args.out, args.seed, args.threads)
+    return run(args.command, args.config, args.out, args.seed)
 
 
 if __name__ == "__main__":

@@ -24,10 +24,17 @@ from ._gram import (
     windowed_gram,
 )
 from .dynamics import SpectralState, energy_norm, evolve
-from .errors import IllConditioned, ObservationVanished, RankDeficient
+from .errors import IllConditioned, ObservationVanished, RankDeficient, ValidationError
 from .model import FluidParams
 from .observability import minimal_time
-from .spectral import TWO_PI, ModeEigenSystem, gamma_matrix, mode_system, z_weights
+from .spectral import (
+    TWO_PI,
+    ModeEigenSystem,
+    mode_system,
+    nonzero_modes,
+    spectral_table,
+    z_weights,
+)
 
 COND_LIMIT = 1e14
 BOUNDARY_KINDS = ("density", "velocity", "stress")
@@ -139,33 +146,27 @@ def minimal_control_mode(p: FluidParams, mode: ModeEigenSystem | None, T: float,
 
 def _modal_controls(p, state0, T, N, target=None):
     """Per-mode minimal controls for the everywhere-density actuator."""
-    controls = {}
-    for n in range(-N, N + 1):
-        if n == 0:
-            d0 = np.sqrt(p.b_eff) * state0.coeff(0)[0] / np.sqrt(TWO_PI) * TWO_PI
-            # d_0 = <z, xi*_0>_Z = sqrt(b) * r_0 * sqrt(2 pi) ... computed directly:
-            d0 = complex(
-                p.b_eff * (state0.coeff(0)[0] / np.sqrt(TWO_PI)) * TWO_PI
-                / np.sqrt(2.0 * p.b_eff * np.pi)
-            )
-            d1 = None
-            if target is not None:
-                d1 = complex(
-                    p.b_eff * (target.coeff(0)[0] / np.sqrt(TWO_PI)) * TWO_PI
-                    / np.sqrt(2.0 * p.b_eff * np.pi)
-                )
-            f, data = minimal_control_mode(p, None, T, [d0], None if d1 is None else [d1])
-            controls[0] = (f, data)
-            continue
-        m = mode_system(p, n)
-        gm = gamma_matrix(p, m)
-        w = np.sqrt(z_weights(p))
-        d0 = gm.entries @ (w * state0.coeff(n))
+    # d_0 = <z, xi*_0>_Z of the n = 0 block
+    d0 = complex(
+        p.b_eff * (state0.coeff(0)[0] / np.sqrt(TWO_PI)) * TWO_PI
+        / np.sqrt(2.0 * p.b_eff * np.pi)
+    )
+    d1 = None
+    if target is not None:
+        d1 = complex(
+            p.b_eff * (target.coeff(0)[0] / np.sqrt(TWO_PI)) * TWO_PI
+            / np.sqrt(2.0 * p.b_eff * np.pi)
+        )
+    controls = {0: minimal_control_mode(p, None, T, [d0], None if d1 is None else [d1])}
+    tab = spectral_table(p, nonzero_modes(N)).require_simple()
+    w = np.sqrt(z_weights(p))
+    for i, n in enumerate(tab.ns.tolist()):
+        m = tab.mode(i)
+        d0 = m.gamma @ (w * state0.coeff(n))
         d1 = None
         if target is not None:
-            d1 = gm.entries @ (w * target.coeff(n))
-        f, data = minimal_control_mode(p, m, T, d0, d1)
-        controls[n] = (f, data)
+            d1 = m.gamma @ (w * target.coeff(n))
+        controls[n] = minimal_control_mode(p, m, T, d0, d1)
     return controls
 
 
@@ -224,43 +225,41 @@ def synthesize_everywhere_control(
     return sig, float(resid), final
 
 
-def boundary_observation(kind: str, mode: ModeEigenSystem, l: int, p: FluidParams):
-    """Boundary observation B* xi*_{n,l} for one actuator placement."""
+def check_boundary_kind(kind: str) -> None:
     if kind not in BOUNDARY_KINDS:
-        raise ValueError(f"kind must be one of {BOUNDARY_KINDS}")
-    a = mode.xi_star_coeffs[l]
-    psi = mode.psi[l]
-    b = p.b_eff
-    if kind == "density":
-        val = (b * p.u_s * a[0] + b * p.rho_s * a[1]) / psi
-    elif kind == "velocity":
-        val = (b * p.rho_s * a[0] + p.rho_s * p.u_s * a[1] - a[2]) / psi
-    else:
-        val = -a[1] / psi
-    if abs(val) < 1e-13:
-        raise ObservationVanished(
-            f"boundary observation ({kind}) vanished at n={mode.n}, branch {l + 1}"
-        )
-    return complex(val)
+        raise ValidationError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
 
 
-def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
-    """B* xi*_a over a branch table (boundary placements; no n=0 rows)."""
-    p = tab.p
+def _boundary_values(p: FluidParams, kind: str, a: np.ndarray, psi, ns, ls):
+    """B* xi* of adjoint triples a (K, 3) with normalizers psi (K,) that
+    belong to modes ns and branches ls."""
+    check_boundary_kind(kind)
     b = p.b_eff
-    a = tab.alpha
-    psi = tab.psi
     if kind == "density":
         vals = (b * p.u_s * a[:, 0] + b * p.rho_s * a[:, 1]) / psi
     elif kind == "velocity":
         vals = (b * p.rho_s * a[:, 0] + p.rho_s * p.u_s * a[:, 1] - a[:, 2]) / psi
-    elif kind == "stress":
-        vals = -a[:, 1] / psi
     else:
-        raise ValueError(f"kind must be one of {BOUNDARY_KINDS}")
-    if np.any(np.abs(vals) < 1e-13):
-        raise ObservationVanished("a boundary observation vanished on the table")
+        vals = -a[:, 1] / psi
+    small = np.abs(vals) < 1e-13
+    if np.any(small):
+        i = int(np.argmax(small))
+        raise ObservationVanished(
+            f"boundary observation ({kind}) vanished at n={ns[i]}, branch {ls[i] + 1}"
+        )
     return vals
+
+
+def boundary_observation(kind: str, mode: ModeEigenSystem, l: int, p: FluidParams):
+    """Boundary observation B* xi*_{n,l} for one actuator placement."""
+    vals = _boundary_values(p, kind, mode.xi_star_coeffs[[l]], mode.psi[[l]],
+                            [mode.n], [l])
+    return complex(vals[0])
+
+
+def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
+    """B* xi*_a over a branch table (boundary placements; no n=0 rows)."""
+    return _boundary_values(tab.p, kind, tab.alpha, tab.psi, tab.idx_n, tab.idx_l)
 
 
 def _hum_solve(G, y, what):
@@ -304,18 +303,11 @@ def synthesize_boundary_control(
     def q(t):
         return complex(np.sum(x * bv * np.exp(np.conj(tab.lam) * (T - t))))
 
-    # independent verification through the quadrature evolution oracle
-    per_mode = {}
-    for n in set(tab.idx_n.tolist()):
-        sel = tab.idx_n == n
-        m = mode_system(p, n)
-        gm = gamma_matrix(p, m)
-        ginv = np.linalg.inv(gm.entries)
-        # order conj(b) entries by branch
-        vb = np.zeros(3, dtype=complex)
-        for a in np.nonzero(sel)[0]:
-            vb[tab.idx_l[a]] = np.conj(bv[a])
-        per_mode[n] = (ginv, vb)
+    # independent verification through the quadrature evolution oracle; the
+    # Zmm rows are the three branches of each mode in turn
+    ginv = np.linalg.inv(tab.modes.gamma)
+    vb = np.conj(bv).reshape(-1, 3)
+    per_mode = dict(zip(tab.modes.ns.tolist(), zip(ginv, vb)))
 
     def forcing(n, t):
         item = per_mode.get(n)
@@ -363,7 +355,7 @@ def synthesize_localized_control(
     """
     lo, hi = interval
     if not (0.0 <= lo < hi <= TWO_PI):
-        raise ValueError("interval must satisfy 0 <= l1 < l2 <= 2*pi")
+        raise ValidationError("interval must satisfy 0 <= l1 < l2 <= 2*pi")
     t0 = minimal_time(p)
     if T <= t0 and (hi - lo) < TWO_PI - 1e-12:
         warn(

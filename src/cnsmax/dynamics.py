@@ -17,13 +17,7 @@ from scipy.linalg import expm
 
 from .errors import GridTooCoarse, ValidationError
 from .model import FluidParams
-from .spectral import (
-    TWO_PI,
-    ModeEigenSystem,
-    gamma_matrix,
-    mode_system,
-    z_weights,
-)
+from .spectral import TWO_PI, ModeEigenSystem, mode_matrix, spectral_table, z_weights
 
 SUBSPACES = ("Z", "Zm", "Zmm")
 
@@ -40,7 +34,6 @@ class SpectralState:
     N: int
     coeffs: dict[int, np.ndarray] = field(default_factory=dict)
     subspace: str = "Z"
-    conj_symmetric: bool = False
 
     def __post_init__(self):
         if self.subspace not in SUBSPACES:
@@ -66,7 +59,6 @@ class SpectralState:
             N=self.N,
             coeffs={n: c.copy() for n, c in self.coeffs.items()},
             subspace=self.subspace,
-            conj_symmetric=self.conj_symmetric,
         )
 
 
@@ -121,9 +113,9 @@ class _ModePropagator:
 
     def __init__(self, p: FluidParams, mode: ModeEigenSystem):
         self.p = p
-        self.mode = mode
-        gm = gamma_matrix(p, mode)
-        self.gamma = gm.entries
+        self.n = mode.n
+        self.lambdas = mode.lambdas
+        self.gamma = mode.gamma
         self.cond = float(np.linalg.cond(self.gamma))
         self.use_expm = self.cond > self.COND_LIMIT
         if not self.use_expm:
@@ -131,11 +123,9 @@ class _ModePropagator:
 
     def apply(self, c: np.ndarray, t: float) -> np.ndarray:
         if self.use_expm:
-            from .spectral import mode_matrix
-
-            return expm(t * mode_matrix(self.p, self.mode.n)) @ c
+            return expm(t * mode_matrix(self.p, self.n)) @ c
         d = self.gamma @ c
-        d = np.exp(t * self.mode.lambdas) * d
+        d = np.exp(t * self.lambdas) * d
         return self.gamma_inv @ d
 
 
@@ -180,9 +170,9 @@ def evolve(
     modes = sorted(state0.coeffs)
     if forcing is not None:
         modes = sorted(set(modes) | set(range(-state0.N, state0.N + 1)))
-    props = {
-        n: _ModePropagator(p, mode_system(p, n)) for n in modes if n != 0
-    }
+    nonzero = [n for n in modes if n != 0]
+    tab = spectral_table(p, nonzero).require_simple()
+    props = {n: _ModePropagator(p, tab.mode(i)) for i, n in enumerate(nonzero)}
     xs, ws = leggauss(gl_points)
 
     current = {n: _to_weighted(p, state0.coeff(n)) for n in modes}
@@ -244,16 +234,12 @@ def evolve(
 
 def adjoint_mode_coefficients(p: FluidParams, state: SpectralState) -> dict:
     """Expand a state in the adjoint eigenbasis: c_{n,l} = <z, xi_{n,l}>_Z."""
-    out = {}
-    for n, c in state.coeffs.items():
-        if n == 0:
-            continue
-        m = mode_system(p, n)
-        w = z_weights(p)
-        # state coefficient triple r relates to plain components v by v = r/sqrt(2*pi)
-        v = c / np.sqrt(TWO_PI)
-        out[n] = TWO_PI * np.einsum("p,lp->l", w * v, np.conj(m.xi_coeffs))
-    return out
+    ns = [n for n in state.coeffs if n != 0]
+    xi = spectral_table(p, ns).require_simple().xi_coeffs
+    # state coefficient triple r relates to plain components v by v = r/sqrt(2*pi)
+    v = np.array([state.coeffs[n] for n in ns]).reshape(-1, 3) / np.sqrt(TWO_PI)
+    out = TWO_PI * np.einsum("mp,mlp->ml", z_weights(p) * v, np.conj(xi))
+    return dict(zip(ns, out))
 
 
 def evolve_adjoint(
@@ -273,19 +259,16 @@ def evolve_adjoint(
     record_times = np.asarray(record_times, dtype=float)
 
     dual = adjoint_mode_coefficients(p, terminal_state)
-    systems = {n: mode_system(p, n) for n in dual}
+    tab = spectral_table(p, list(dual)).require_simple()
+    cl = np.array(list(dual.values())).reshape(-1, 3)
+    star = tab.xi_star_coeffs / tab.psi[..., None]
     zero = terminal_state.coeff(0)
 
     states = []
-    w = z_weights(p)
     for t in record_times:
-        coeffs = {}
-        for n, cl in dual.items():
-            m = systems[n]
-            fac = cl * np.exp(np.conj(m.lambdas) * (T - t))
-            star = m.xi_star_coeffs / m.psi[:, None]
-            v = np.einsum("l,lp->p", fac, star)
-            coeffs[n] = v * np.sqrt(TWO_PI)
+        fac = cl * np.exp(np.conj(tab.lambdas) * (T - t))
+        v = np.einsum("ml,mlp->mp", fac, star) * np.sqrt(TWO_PI)
+        coeffs = dict(zip(dual, v))
         if np.any(zero != 0):
             c0 = zero.copy()
             c0[2] = zero[2] * np.exp(-(T - t) / p.kappa)
@@ -351,8 +334,7 @@ def random_state(
         )
     if subspace == "Zm":
         coeffs[0] = np.array([rng.standard_normal(), 0.0, 0.0], dtype=complex)
-    state = SpectralState(N=N, coeffs=coeffs, subspace=subspace,
-                          conj_symmetric=real_valued)
+    state = SpectralState(N=N, coeffs=coeffs, subspace=subspace)
     scale = energy_norm(state, p)
     for c in state.coeffs.values():
         c /= scale

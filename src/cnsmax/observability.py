@@ -22,9 +22,15 @@ from ._gram import (
     texp,
     windowed_gram,
 )
-from .errors import HypothesisViolated, NumericalFailure
+from .errors import HypothesisViolated, NumericalFailure, ValidationError
 from .model import FluidParams
-from .spectral import TWO_PI, mode_eigenvalues_batch, solve_beta_cubic, z_weights
+from .spectral import (
+    TWO_PI,
+    mode_eigenvalues_batch,
+    solve_beta_cubic,
+    spectral_table,
+    z_weights,
+)
 
 
 @dataclass
@@ -195,7 +201,7 @@ def lack_experiment(
     """
     lo, hi = interval
     if not (0.0 <= lo < hi <= TWO_PI):
-        raise ValueError("interval must satisfy 0 <= l1 < l2 <= 2*pi")
+        raise ValidationError("interval must satisfy 0 <= l1 < l2 <= 2*pi")
     roots = solve_beta_cubic(p)
     beta = np.asarray(roots.beta)
     l_hat = int(np.argmin(np.abs(beta)))
@@ -246,17 +252,9 @@ def lack_experiment(
         w /= np.sqrt(2.0 * np.sum(w**2))
         idx = np.concatenate([ns, -ns])
         w2 = np.concatenate([w, w]) ** 2
-        lam = mode_eigenvalues_batch(p, idx)[:, l_hat]
-        lam_b = np.conj(lam)
-        inu = 1j * idx * p.u_s
-        al = np.stack(
-            [
-                np.ones(idx.size, dtype=complex),
-                (lam_b - inu) / (1j * idx * p.rho_s),
-                -p.mu * (lam_b - inu) / (p.rho_s * (1.0 + p.kappa * lam_b)),
-            ],
-            axis=1,
-        )
+        tab = spectral_table(p, idx)
+        lam_b = np.conj(tab.lambdas[:, l_hat])
+        al = tab.xi_star_coeffs[:, l_hat]
         mu_exp = -what - 1j * bhat * idx  # transported-branch exponent
         resid = np.zeros(idx.size)
         for comp in range(3):

@@ -8,6 +8,8 @@ offsets.  This module computes those objects, the direct/adjoint eigenvector
 coefficient triples with their biorthogonal normalization, the basis-change
 matrix between the weighted Fourier frame and the eigenbasis, and the
 eigenvalue-multiplicity detector used to reject degenerate parameter sets.
+Every per-mode quantity comes from `spectral_table`, batched over an array
+of modes; the single-mode functions are one-row slices of it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ class ModeEigenSystem:
     xi_coeffs[l] holds the components of the l-th direct eigenfunction before
     the e^{inx} factor (normalizer theta included); xi_star_coeffs[l] holds
     the raw adjoint coefficient triple (alpha^1, alpha^2, alpha^3), i.e. the
-    adjoint eigenfunction is (1/psi_l) * alpha * e^{inx}.
+    adjoint eigenfunction is (1/psi_l) * alpha * e^{inx}.  gamma is the
+    basis-change matrix Gamma_n (weighted Fourier coords -> eigen coords).
     """
 
     n: int
@@ -54,7 +57,46 @@ class ModeEigenSystem:
     theta: np.ndarray            # (3,) positive real
     xi_star_coeffs: np.ndarray   # (3, 3) complex: row l -> (alpha^1..3)
     psi: np.ndarray              # (3,) complex, nonzero for simple modes
-    multiplicity_flag: bool
+    gamma: np.ndarray            # (3, 3) complex
+
+
+@dataclass(frozen=True)
+class SpectralTable:
+    """The fields of ModeEigenSystem for many modes, with a leading mode axis,
+    plus each mode's multiplicity report (min_gap, min_q, flag)."""
+
+    ns: np.ndarray               # (m,) int
+    lambdas: np.ndarray          # (m, 3)
+    xi_coeffs: np.ndarray        # (m, 3, 3)
+    theta: np.ndarray            # (m, 3)
+    xi_star_coeffs: np.ndarray   # (m, 3, 3)
+    psi: np.ndarray              # (m, 3)
+    gamma: np.ndarray            # (m, 3, 3)
+    min_gap: np.ndarray          # (m,)
+    min_q: np.ndarray            # (m,)
+    flag: np.ndarray             # (m,) bool
+
+    def mode(self, i: int) -> ModeEigenSystem:
+        """Row i as the ModeEigenSystem of mode ns[i]."""
+        return ModeEigenSystem(
+            n=int(self.ns[i]), lambdas=self.lambdas[i], xi_coeffs=self.xi_coeffs[i],
+            theta=self.theta[i], xi_star_coeffs=self.xi_star_coeffs[i],
+            psi=self.psi[i], gamma=self.gamma[i],
+        )
+
+    def require_simple(self, tol_psi: float = TOL_PSI) -> "SpectralTable":
+        """Raise MultiplicityDetected at the first flagged mode or the first
+        with a normalizer |psi| < tol_psi; return the table otherwise."""
+        _reject(self, self.flag | np.any(np.abs(self.psi) < tol_psi, axis=1))
+        return self
+
+
+def _reject(tab: SpectralTable, bad: np.ndarray) -> None:
+    """Raise MultiplicityDetected at the first mode of tab where bad holds."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise MultiplicityDetected(int(tab.ns[i]), float(tab.min_gap[i]),
+                                   float(tab.min_q[i]))
 
 
 @dataclass(frozen=True)
@@ -238,20 +280,17 @@ def mode_eigenvalues_batch(p: FluidParams, ns) -> np.ndarray:
     return lam
 
 
-def mode_eigenvalues(p: FluidParams, n: int, tol_mult: float = TOL_MULT) -> np.ndarray:
-    """Branch-paired eigenvalues of one mode; rejects multiple eigenvalues."""
-    lam = mode_eigenvalues_batch(p, [n])[0]
-    rep = _multiplicity_report(p, n, lam, tol_mult)
-    if rep.flag:
-        raise MultiplicityDetected(n, rep.min_gap, rep.min_q)
-    return lam
+def nonzero_modes(N: int) -> np.ndarray:
+    """Modes -N..-1, 1..N in ascending order."""
+    return np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
 
 
-def q_degeneracy(p: FluidParams, n: int, lam) -> np.ndarray:
+def q_degeneracy(p: FluidParams, n, lam) -> np.ndarray:
     """Double-root indicator: lam is a double characteristic root iff q = 0.
 
     This is also (up to a positive normalizer and conjugation) the adjoint
     normalizer psi, which is why psi doubles as a degeneracy sentinel.
+    n broadcasts against lam.
     """
     lam = np.asarray(lam, dtype=complex)
     b = p.b_eff
@@ -263,35 +302,28 @@ def q_degeneracy(p: FluidParams, n: int, lam) -> np.ndarray:
     )
 
 
-def _multiplicity_report(p, n, lam, tol_mult) -> MultiplicityReport:
-    gaps = [abs(lam[i] - lam[j]) for i in range(3) for j in range(i + 1, 3)]
-    min_gap = float(min(gaps))
-    min_q = float(np.min(np.abs(q_degeneracy(p, n, lam))))
-    scale = 1.0 + float(np.max(np.abs(lam)))
-    flag = (min_gap < tol_mult * scale) or (min_q < tol_mult)
-    return MultiplicityReport(n=n, flag=flag, min_gap=min_gap, min_q=min_q)
+def spectral_table(p: FluidParams, ns, lambdas=None, tol_mult: float = TOL_MULT) -> SpectralTable:
+    """All per-mode spectral data of the nonzero modes ns in one batch.
 
-
-def detect_multiplicity(p: FluidParams, n: int, tol_mult: float = TOL_MULT) -> MultiplicityReport:
-    """Check one mode for (near-)multiple eigenvalues; never raises."""
-    lam = mode_eigenvalues_batch(p, [n])[0]
-    return _multiplicity_report(p, n, lam, tol_mult)
-
-
-def eigenvectors(
-    p: FluidParams, n: int, lambdas=None, tol_psi: float = TOL_PSI
-) -> ModeEigenSystem:
-    """Direct and adjoint eigenvector coefficients of mode n.
-
+    lambdas, if given, replaces the branch-paired eigenvalue rows (m, 3).
     Biorthogonality <xi_{n,l}, xi*_{n,p}>_Z = delta_{lp} is built into the
-    normalizers theta and psi.
+    normalizers theta and psi.  Multiple eigenvalues are flagged, not
+    rejected; see SpectralTable.require_simple.
     """
+    ns = np.asarray(ns, dtype=int).reshape(-1)
     if lambdas is None:
-        lambdas = mode_eigenvalues(p, n)
-    lam = np.asarray(lambdas, dtype=complex)
+        lam = mode_eigenvalues_batch(p, ns)
+    else:
+        lam = np.asarray(lambdas, dtype=complex).reshape(-1, 3)
+    n = ns[:, None]
     b = p.b_eff
     inu = 1j * n * p.u_s
     lam_b = np.conj(lam)
+
+    min_gap = np.abs(lam[:, [0, 0, 1]] - lam[:, [1, 2, 2]]).min(axis=1)
+    q = q_degeneracy(p, n, lam)
+    min_q = np.abs(q).min(axis=1)
+    flag = (min_gap < tol_mult * (1.0 + np.abs(lam).max(axis=1))) | (min_q < tol_mult)
 
     d2 = (
         b
@@ -300,36 +332,47 @@ def eigenvectors(
         / (p.rho_s**2 * np.abs(1.0 + p.kappa * lam) ** 2)
     )
     theta = np.sqrt(TWO_PI * d2)
-    psi = np.sqrt(TWO_PI) * np.conj(q_degeneracy(p, n, lam)) / np.sqrt(d2)
-    if np.any(np.abs(psi) < tol_psi):
-        rep = _multiplicity_report(p, n, lam, TOL_MULT)
-        raise MultiplicityDetected(n, rep.min_gap, rep.min_q)
-
+    psi = np.sqrt(TWO_PI) * np.conj(q) / np.sqrt(d2)
     xi = np.stack(
         [
-            -np.ones(3, dtype=complex),
+            -np.ones_like(lam),
             (lam + inu) / (1j * n * p.rho_s),
             p.mu * (lam + inu) / (p.rho_s * (1.0 + p.kappa * lam)),
         ],
-        axis=1,
-    ) / theta[:, None]
+        axis=2,
+    ) / theta[..., None]
     alpha = np.stack(
         [
-            np.ones(3, dtype=complex),
+            np.ones_like(lam),
             (lam_b - inu) / (1j * n * p.rho_s),
             -p.mu * (lam_b - inu) / (p.rho_s * (1.0 + p.kappa * lam_b)),
         ],
-        axis=1,
+        axis=2,
     )
-    return ModeEigenSystem(
-        n=n,
-        lambdas=lam,
-        xi_coeffs=xi,
-        theta=theta.real,
-        xi_star_coeffs=alpha,
-        psi=psi,
-        multiplicity_flag=False,
-    )
+    gamma = np.sqrt(TWO_PI * z_weights(p)) * np.conj(alpha) / np.conj(psi)[..., None]
+    return SpectralTable(ns=ns, lambdas=lam, xi_coeffs=xi, theta=theta,
+                         xi_star_coeffs=alpha, psi=psi, gamma=gamma,
+                         min_gap=min_gap, min_q=min_q, flag=flag)
+
+
+def mode_eigenvalues(p: FluidParams, n: int, tol_mult: float = TOL_MULT) -> np.ndarray:
+    """Branch-paired eigenvalues of one mode; rejects multiple eigenvalues."""
+    # tol_psi = 0: only the multiplicity flag rejects
+    return spectral_table(p, [n], tol_mult=tol_mult).require_simple(0.0).lambdas[0]
+
+
+def detect_multiplicity(p: FluidParams, n: int, tol_mult: float = TOL_MULT) -> MultiplicityReport:
+    """Check one mode for (near-)multiple eigenvalues; never raises."""
+    tab = spectral_table(p, [n], tol_mult=tol_mult)
+    return MultiplicityReport(n=n, flag=bool(tab.flag[0]),
+                              min_gap=float(tab.min_gap[0]), min_q=float(tab.min_q[0]))
+
+
+def eigenvectors(
+    p: FluidParams, n: int, lambdas=None, tol_psi: float = TOL_PSI
+) -> ModeEigenSystem:
+    """Direct and adjoint eigenvector coefficients of mode n (one table row)."""
+    return spectral_table(p, [n], lambdas).require_simple(tol_psi).mode(0)
 
 
 def mode_system(p: FluidParams, n: int) -> ModeEigenSystem:
@@ -342,32 +385,19 @@ def z_weights(p: FluidParams) -> np.ndarray:
     return np.array([p.b_eff, p.rho_s, p.kappa / p.mu])
 
 
-def mode_inner(p: FluidParams, x, y) -> complex:
-    """Energy inner product of two coefficient triples of the same mode.
+def biorthogonality_matrix(p: FluidParams, mode) -> np.ndarray:
+    """Matrix of <xi_{n,l}, xi*_{n,q}>_Z; identity up to rounding.
 
-    Triples are components before the e^{inx} factor.
+    mode is a ModeEigenSystem, or a SpectralTable for one matrix per mode.
     """
     w = z_weights(p)
-    return TWO_PI * complex(np.sum(w * np.asarray(x) * np.conj(np.asarray(y))))
-
-
-def biorthogonality_matrix(p: FluidParams, mode: ModeEigenSystem) -> np.ndarray:
-    """Matrix of <xi_{n,l}, xi*_{n,q}>_Z; identity up to rounding."""
-    w = z_weights(p)
-    star = mode.xi_star_coeffs / mode.psi[:, None]
-    return TWO_PI * np.einsum("lp,p,qp->lq", mode.xi_coeffs, w, np.conj(star))
+    star = mode.xi_star_coeffs / mode.psi[..., None]
+    return TWO_PI * np.einsum("...lp,p,...qp->...lq", mode.xi_coeffs, w, np.conj(star))
 
 
 def gamma_matrix(p: FluidParams, mode: ModeEigenSystem) -> GammaMatrix:
-    """Basis-change matrix Gamma_n (weighted Fourier coords -> eigen coords)."""
-    w = z_weights(p)
-    entries = (
-        np.sqrt(TWO_PI * w)[None, :]
-        * np.conj(mode.xi_star_coeffs)
-        / np.conj(mode.psi)[:, None]
-    )
-    lam = mode.lambdas
-    l1, l2, l3 = lam
+    """Basis-change matrix Gamma_n with its closed-form determinant."""
+    l1, l2, l3 = mode.lambdas
     kap, n = p.kappa, mode.n
     pref = TWO_PI * kap * np.sqrt(TWO_PI * p.b_eff * p.rho_s * kap * p.mu) / (
         1j * n * p.rho_s**2 * np.prod(np.conj(mode.psi))
@@ -375,7 +405,7 @@ def gamma_matrix(p: FluidParams, mode: ModeEigenSystem) -> GammaMatrix:
     det_cf = pref * (
         (l1 - l2) * (l1 - l3) * (l2 - l3) * (1.0 - kap * 1j * n * p.u_s)
     ) / ((1.0 + kap * l1) * (1.0 + kap * l2) * (1.0 + kap * l3))
-    return GammaMatrix(n=mode.n, entries=entries, det_closed_form=complex(det_cf))
+    return GammaMatrix(n=mode.n, entries=mode.gamma, det_closed_form=complex(det_cf))
 
 
 def riesz_frame_bounds(p: FluidParams, N: int) -> tuple[float, float]:
@@ -384,15 +414,12 @@ def riesz_frame_bounds(p: FluidParams, N: int) -> tuple[float, float]:
     Cross-mode inner products vanish by Fourier orthogonality, so the Gram is
     block diagonal with 3x3 blocks (plus the normalized n = 0 direction).
     """
-    w = z_weights(p)
-    lo, hi = 1.0, 1.0  # the n = 0 block: <xi_0, xi_0>_Z = 1
-    for n in range(1, N + 1):
-        for sign in (n, -n):
-            m = mode_system(p, sign)
-            g = TWO_PI * np.einsum("lp,p,qp->lq", m.xi_coeffs, w, np.conj(m.xi_coeffs))
-            ev = np.linalg.eigvalsh(g)
-            lo = min(lo, float(ev[0]))
-            hi = max(hi, float(ev[-1]))
+    xi = spectral_table(p, nonzero_modes(N)).require_simple().xi_coeffs
+    g = TWO_PI * np.einsum("mlp,p,mqp->mlq", xi, z_weights(p), np.conj(xi))
+    ev = np.linalg.eigvalsh(g)
+    # the n = 0 block: <xi_0, xi_0>_Z = 1
+    lo = float(ev[:, 0].min(initial=1.0))
+    hi = float(ev[:, -1].max(initial=1.0))
     if lo <= 0:
         raise NumericalFailure("eigenbasis Gram lost positivity")
     return lo, hi
@@ -400,8 +427,7 @@ def riesz_frame_bounds(p: FluidParams, N: int) -> tuple[float, float]:
 
 def min_eigenvalue_gap(p: FluidParams, N: int) -> float:
     """Empirical spectral gap: min |lambda_a - lambda_b| over |n| <= N pairs."""
-    ns = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
-    lam = mode_eigenvalues_batch(p, ns).ravel()
+    lam = mode_eigenvalues_batch(p, nonzero_modes(N)).ravel()
     best = np.inf
     chunk = 512
     for s in range(0, lam.size, chunk):
@@ -414,22 +440,21 @@ def min_eigenvalue_gap(p: FluidParams, N: int) -> float:
 
 
 def spectrum_rows(p: FluidParams, N: int, tol_mult: float = TOL_MULT):
-    """Rows (n, branch, re, im, theta, re_psi, im_psi, mult_flag) for |n| <= N."""
-    rows = []
-    for n in range(-N, N + 1):
-        if n == 0:
-            continue
-        lam = mode_eigenvalues_batch(p, [n])[0]
-        rep = _multiplicity_report(p, n, lam, tol_mult)
-        m = eigenvectors(p, n, lam) if not rep.flag else None
-        for l in range(3):
-            theta = m.theta[l] if m else float("nan")
-            psi = m.psi[l] if m else complex("nan")
-            rows.append(
-                (n, l + 1, lam[l].real, lam[l].imag, theta, psi.real, psi.imag,
-                 int(rep.flag))
-            )
-    return rows
+    """Rows (n, branch, re, im, theta, re_psi, im_psi, mult_flag) for |n| <= N.
+
+    Flagged modes are reported with NaN normalizers instead of rejected.
+    """
+    tab = spectral_table(p, nonzero_modes(N), tol_mult=tol_mult)
+    _reject(tab, ~tab.flag & np.any(np.abs(tab.psi) < TOL_PSI, axis=1))
+    flag = tab.flag[:, None]
+    theta = np.where(flag, np.nan, tab.theta)
+    psi = np.where(flag, complex("nan"), tab.psi)
+    cols = (
+        np.repeat(tab.ns, 3), np.tile([1, 2, 3], tab.ns.size),
+        tab.lambdas.real, tab.lambdas.imag, theta, psi.real, psi.imag,
+        np.repeat(tab.flag.astype(int), 3),
+    )
+    return list(zip(*(np.ravel(c).tolist() for c in cols)))
 
 
 def branch_residual_slope(

@@ -26,7 +26,7 @@ from ._gram import build_branch_table, eigen_coefficients, texp
 from .dynamics import SpectralState, TrajectoryRecord
 from .errors import DegenerateWindow, IllConditioned, OmegaTooSmall, StepTooLarge
 from .model import FluidParams
-from .spectral import mode_eigenvalues_batch
+from .spectral import TWO_PI, mode_eigenvalues_batch, nonzero_modes, z_weights
 
 F64_COND_LIMIT = 1e12
 COND_HARD_LIMIT = 1e30
@@ -34,8 +34,7 @@ COND_HARD_LIMIT = 1e30
 
 def growth_threshold(p: FluidParams, N: int) -> float:
     """Numerical growth bound of the reversed flow: max of -Re lambda."""
-    ns = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
-    lam = mode_eigenvalues_batch(p, ns)
+    lam = mode_eigenvalues_batch(p, nonzero_modes(N))
     return float((-lam.real).max())
 
 
@@ -144,30 +143,17 @@ def quadrature_gramian(law: FeedbackLaw, tail_tol: float = 1e-12, points: int = 
     return M
 
 
-def _energy_blocks(law: FeedbackLaw):
-    """Per-mode Gram blocks of the direct eigenbasis (for true Z energies)."""
-    from .spectral import TWO_PI, mode_system, z_weights
+def _state_norms(p: FluidParams, xi: np.ndarray, cs) -> tuple[np.ndarray, np.ndarray]:
+    """Energies (squared Z norms) and plain L^2 component norms (rho, u, S)
+    of the states whose direct-eigenbasis coordinates are the rows of cs.
 
-    tab = law.table
-    p = tab.p
-    w = z_weights(p)
-    blocks = {}
-    for n in sorted(set(tab.idx_n.tolist())):
-        m = mode_system(p, int(n))
-        g = TWO_PI * np.einsum("lp,p,qp->lq", m.xi_coeffs, w, np.conj(m.xi_coeffs))
-        sel = np.nonzero(tab.idx_n == n)[0]
-        order = np.argsort(tab.idx_l[sel])
-        blocks[int(n)] = (sel[order], g)
-    return blocks
-
-
-def _true_energy(blocks, c: np.ndarray) -> float:
-    # ||sum_l v_l xi_l||^2 = sum_{l,q} v_l conj(v_q) <xi_l, xi_q> = v^T G conj(v)
-    e = 0.0
-    for sel, g in blocks.values():
-        v = c[sel]
-        e += float(np.real(v @ g @ np.conj(v)))
-    return max(e, 0.0)
+    xi (M, 3, 3) holds the direct triples of M modes; each mode owns three
+    consecutive coordinates, in branch order.
+    """
+    cs = np.asarray(cs)
+    comps = np.einsum("tml,mlp->tmp", cs.reshape(len(cs), -1, 3), xi)
+    sq = TWO_PI * np.sum(np.abs(comps) ** 2, axis=1)
+    return sq @ z_weights(p), np.sqrt(sq)
 
 
 def closed_loop_simulate(
@@ -194,8 +180,6 @@ def closed_loop_simulate(
         dt = 0.1 / max_rate
     if dt > 0.1 / max_rate * (1.0 + 1e-12):
         raise StepTooLarge(f"dt={dt} does not resolve the fastest mode")
-    blocks = _energy_blocks(law)
-
     if law.precision_dps > 0:
         import mpmath as mp
 
@@ -214,19 +198,25 @@ def closed_loop_simulate(
                 ct = Mmp * xt
                 cs.append(np.array([complex(v) for v in ct]))
                 qs.append(complex(-sum(complex(xt[a]) * law.b_vec[a] for a in range(K))))
-        energies = np.array([_true_energy(blocks, c) for c in cs])
-        comp = np.array([np.linalg.norm(c) for c in cs])
-        rec = TrajectoryRecord(
-            times=times,
-            energies=energies,
-            norm_rho=comp,  # component norms are not tracked on the exact path
-            norm_u=comp,
-            norm_S=comp,
-            control=np.array(qs),
-            log_energies=np.log(np.maximum(energies, 1e-300)),
-        )
-        return rec
+        states, qs = cs, np.array(qs)
+    else:
+        states, qs, times = _integrate(law, c0, T_end, dt, record_every)
+    energies, comp = _state_norms(p, law.table.modes.xi_coeffs, states)
+    return TrajectoryRecord(
+        times=times,
+        energies=energies,
+        norm_rho=comp[:, 0],
+        norm_u=comp[:, 1],
+        norm_S=comp[:, 2],
+        control=qs,
+        log_energies=np.log(np.maximum(energies, 1e-300)),
+    )
 
+
+def _integrate(law: FeedbackLaw, c0, T_end, dt, record_every):
+    """Exponential-integrator route: recorded eigen-coordinate states,
+    controls and times."""
+    lam = law.lam
     g = law.gain_vector()
     bconj = np.conj(law.b_vec)
 
@@ -262,18 +252,7 @@ def closed_loop_simulate(
     keep = np.arange(0, traj.shape[0], stride)
     if keep[-1] != traj.shape[0] - 1:
         keep = np.append(keep, traj.shape[0] - 1)
-    times = keep * h
-    energies = np.array([_true_energy(blocks, traj[k]) for k in keep])
-    comp = np.array([np.linalg.norm(traj[k]) for k in keep])
-    return TrajectoryRecord(
-        times=times,
-        energies=energies,
-        norm_rho=comp,
-        norm_u=comp,
-        norm_S=comp,
-        control=qs[keep],
-        log_energies=np.log(np.maximum(energies, 1e-300)),
-    )
+    return traj[keep], qs[keep], keep * h
 
 
 def spillover_report(
@@ -337,24 +316,9 @@ def spillover_report(
                 row.append(complex(acc))
             extra_c.append(np.array(row))
 
-    blocks = _energy_blocks(law)
-    e_design = np.array([_true_energy(blocks, c) for c in design_c])
-
-    # energy blocks of the extra modes
-    from .spectral import TWO_PI, mode_system, z_weights
-
-    w = z_weights(p)
-    extra_blocks = []
-    idx_ne, idx_le = tab2.idx_n[extra], tab2.idx_l[extra]
-    for n in sorted(set(idx_ne.tolist())):
-        m = mode_system(p, int(n))
-        g = TWO_PI * np.einsum("lp,p,qp->lq", m.xi_coeffs, w, np.conj(m.xi_coeffs))
-        sel = np.nonzero(idx_ne == n)[0]
-        extra_blocks.append((sel[np.argsort(idx_le[sel])], g))
-    e_extra = np.array(
-        [sum(float(np.real(c[sel] @ g @ np.conj(c[sel]))) for sel, g in extra_blocks)
-         for c in extra_c]
-    )
+    e_design = _state_norms(p, law.table.modes.xi_coeffs, design_c)[0]
+    xi_extra = tab2.modes.xi_coeffs[np.abs(tab2.modes.ns) > law.N]
+    e_extra = _state_norms(p, xi_extra, extra_c)[0]
     total = np.maximum(e_design + e_extra, 1e-300)
 
     def rate_of(energies):

@@ -65,6 +65,23 @@ def test_malformed_config_exits_2(tmp_path):
     assert not (tmp_path / "out3" / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("command, block", [
+    ("control", {"variant": "localized", "interval": [3, 1]}),
+    ("control", {"variant": "boundary", "kind": "foo"}),
+    ("stabilize", {"omega": "x"}),
+    ("lack", {"N_list": [1]}),
+    ("spectrum", {"n_max": -3}),
+    ("spectrum", {"n_max": 0}),
+    ("simulate", {"T": -1}),
+])
+def test_invalid_block_field_exits_2(tmp_path, command, block):
+    cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
+    out = tmp_path / "out"
+    assert run(command, cfg, str(out)) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # boundary control far below the waiting time: ill-conditioned Gramian
     cfg = _write_cfg(

@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from cnsmax._kernels import _ref
+from cnsmax import _kernels
 
 
 def _random_real_cubics(m, seed):
@@ -16,7 +15,7 @@ def _random_real_cubics(m, seed):
 
 def test_real_cubic_reference_solver():
     a2, a1, a0, roots = _random_real_cubics(200, 11)
-    got = _ref.real_cubic_roots(a2, a1, a0)
+    got = _kernels.real_cubic_roots(a2, a1, a0)
     assert np.allclose(got, roots, atol=1e-9)
 
 
@@ -26,49 +25,7 @@ def test_complex_cubic_reference_solver():
     a2 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     a1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     a0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    got = _ref.char_roots_batch(a2, a1, a0)
+    got = _kernels.char_roots_batch(a2, a1, a0)
     for i in range(m):
         want = np.sort_complex(np.roots([1.0, a2[i], a1[i], a0[i]]))
         assert np.allclose(np.sort_complex(got[i]), want, atol=1e-8)
-
-
-def test_compiled_backend_matches_reference():
-    fast = pytest.importorskip("cnsmax._kernels._fast")
-    a2, a1, a0, _ = _random_real_cubics(500, 7)
-    assert np.allclose(
-        fast.real_cubic_roots(a2, a1, a0), _ref.real_cubic_roots(a2, a1, a0),
-        atol=1e-12,
-    )
-    rng = np.random.default_rng(19)
-    c2 = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    c1 = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    c0 = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    got_f = np.sort_complex(fast.char_roots_batch(c2, c1, c0).ravel())
-    got_r = np.sort_complex(_ref.char_roots_batch(c2, c1, c0).ravel())
-    assert np.allclose(got_f, got_r, atol=1e-10)
-
-
-def test_pure_python_env_override(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import cnsmax
-
-    # The child must import the same cnsmax as this process, installed or
-    # from source, without relying on the working directory: pass the
-    # environment through with that package's absolute directory first.
-    src = str(Path(cnsmax.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, CNSMAX_PURE_PYTHON="1", PYTHONPATH=path)
-    code = "import cnsmax; print(cnsmax.kernel_backend)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"

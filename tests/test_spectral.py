@@ -14,8 +14,10 @@ from cnsmax.spectral import (
     mode_eigenvalues_batch,
     mode_matrix,
     mode_system,
+    nonzero_modes,
     riesz_frame_bounds,
     solve_beta_cubic,
+    spectral_table,
     z_weights,
     TWO_PI,
 )
@@ -91,6 +93,13 @@ def test_mode_matrix(p1):
     lam = np.sort_complex(np.linalg.eigvals(mode_matrix(p1, 7)))
     lam2 = np.sort_complex(mode_eigenvalues(p1, 7))
     assert np.allclose(lam, lam2, atol=1e-10)
+    # the batched table against a dense eigensolve of every mode |n| <= 512
+    ns = nonzero_modes(512)
+    for p in (p1, make_params(5)):
+        lam = spectral_table(p, ns).lambdas
+        dense = np.linalg.eigvals(np.stack([mode_matrix(p, n) for n in ns]))
+        err = np.abs(lam[:, :, None] - dense[:, None, :]).min(axis=2)
+        assert np.all(err <= 1e-10 * np.abs(lam))
 
 
 def test_mode_eigenvalues_p1_n10(p1):
@@ -114,6 +123,10 @@ def test_biorthogonality(p1):
         err = np.max(np.abs(biorthogonality_matrix(p1, m) - np.eye(3)))
         assert err < 1e-9
         assert np.allclose(m.xi_star_coeffs[:, 0], 1.0)  # alpha^1 = 1 exactly
+    ns = nonzero_modes(512)
+    for p in (p1, make_params(5)):
+        err = biorthogonality_matrix(p, spectral_table(p, ns)) - np.eye(3)
+        assert np.max(np.abs(err)) <= 1e-9
 
 
 def test_normalizer_asymptotics(p1):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cnsmax.control import boundary_observation
-from cnsmax.dynamics import TrajectoryRecord, random_state
+from cnsmax.dynamics import TrajectoryRecord, component_norms, random_state
 from cnsmax.errors import DegenerateWindow, OmegaTooSmall, StepTooLarge
 from cnsmax.spectral import mode_system
 from cnsmax.stabilize import (
@@ -94,6 +94,19 @@ def test_closed_loop_extended_precision_path(p1):
     nu = fit_decay_rate(traj)
     assert nu >= law.omega
     assert law.abscissa <= -law.omega
+
+
+def test_closed_loop_component_norms(p1):
+    # the norm_* columns are the plain L^2 component norms on both routes
+    routes = []
+    for N in (1, 3):
+        law = build_feedback(p1, N, 2.0)
+        routes.append(law.precision_dps > 0)
+        z0 = random_state(p1, N, "Zmm", seed=3)
+        traj = closed_loop_simulate(p1, law, z0, 10.0)
+        got = [traj.norm_rho[0], traj.norm_u[0], traj.norm_S[0]]
+        assert np.allclose(got, component_norms(z0), rtol=1e-12, atol=0)
+    assert routes == [False, True]
 
 
 def test_step_too_large_guard(p1):
