@@ -4,7 +4,12 @@ Per-mode controls use the closed-form 3x3 controllability Gramian; localized
 and boundary controls assemble one dense Hermitian Gramian over all retained
 modal indices and solve the corresponding moment problem.  Every synthesized
 control is re-verified by independently evolving the truncated system with
-the control as a sampled forcing.
+the control as a sampled forcing: each synthesizer hands `evolve` a forcing
+that evaluates the control on a whole array of times, returning the modal
+forcing triples of modes -N..N in weighted Fourier coordinates
+(2N+1, 3, len(ts)), and its control samples come from the same array
+evaluation.  `evolve` integrates that sampled forcing by quadrature; it never
+sees the closed form of the exponential-sum control.
 """
 
 from __future__ import annotations
@@ -128,7 +133,8 @@ def minimal_control_mode(p: FluidParams, mode: ModeEigenSystem | None, T: float,
                          d0, d1=None):
     """Minimal-norm modal control steering eigen-coords d0 to d1 (default 0).
 
-    Returns a callable t -> complex control coefficient of mode n.
+    Returns a callable ts -> complex control coefficients of mode n at the
+    times ts (any shape; a scalar time gives a scalar).
     """
     data = gramian_closed_form(p, mode, T)
     d0 = np.atleast_1d(np.asarray(d0, dtype=complex))
@@ -138,8 +144,9 @@ def minimal_control_mode(p: FluidParams, mode: ModeEigenSystem | None, T: float,
     eta = np.linalg.solve(data.W, y) if mode is not None else y / data.W[0, 0]
     Bn = data.B_n
 
-    def f(t):
-        return complex(np.sum(np.conj(Bn) * np.exp(np.conj(lam) * (T - t)) * eta))
+    def f(ts):
+        tau = T - np.asarray(ts, dtype=float)[..., None]
+        return np.sum(np.conj(Bn) * np.exp(np.conj(lam) * tau) * eta, axis=-1)
 
     return f, data
 
@@ -186,13 +193,16 @@ def synthesize_everywhere_control(
     Returns (ControlSignal, residual, final_state).
     """
     controls = _modal_controls(p, state0, T, N, target)
+    labels = sorted(controls)
     sb = np.sqrt(p.b_eff)
 
-    def forcing(n, t):
-        item = controls.get(n)
-        if item is None:
-            return np.zeros(3, dtype=complex)
-        return np.array([sb * item[0](t), 0.0, 0.0], dtype=complex)
+    def coeffs(ts):
+        return np.array([controls[n][0](ts) for n in labels])
+
+    def forcing(ts):
+        out = np.zeros((len(labels), 3, len(ts)), dtype=complex)
+        out[:, 0] = sb * coeffs(ts)
+        return out
 
     rec, final = evolve(
         p, state0, T, forcing=forcing, panels_per_unit=panels_per_unit
@@ -211,8 +221,7 @@ def synthesize_everywhere_control(
         resid = energy_norm(final, p) / e0
 
     times = np.linspace(0.0, T, samples)
-    labels = sorted(controls)
-    samp = np.array([[controls[n][0](t) for t in times] for n in labels])
+    samp = coeffs(times)
     norm2 = float(np.trapezoid(np.sum(np.abs(samp) ** 2, axis=0), times))
     sig = ControlSignal(
         kind="everywhere_density",
@@ -300,21 +309,22 @@ def synthesize_boundary_control(
     y = d1 - np.exp(T * tab.lam) * d0
     x, cond = _hum_solve(G, y, f"boundary HUM Gramian ({kind})")
 
-    def q(t):
-        return complex(np.sum(x * bv * np.exp(np.conj(tab.lam) * (T - t))))
+    def q(ts):
+        # summed row by row like a single time, so every sample rounds the
+        # same whatever the batch; a BLAS matrix-vector product would not
+        return np.sum(x * bv * np.exp(np.conj(tab.lam) * (T - ts[:, None])), axis=1)
 
     # independent verification through the quadrature evolution oracle; the
-    # Zmm rows are the three branches of each mode in turn
-    ginv = np.linalg.inv(tab.modes.gamma)
-    vb = np.conj(bv).reshape(-1, 3)
-    per_mode = dict(zip(tab.modes.ns.tolist(), zip(ginv, vb)))
+    # Zmm rows are the three branches of each mode in turn, and each mode's
+    # forcing is Gamma_n^{-1} (conj(B* xi*_n) q(t)); the n = 0 row stays zero
+    actuated = np.einsum("mij,mj->mi", np.linalg.inv(tab.modes.gamma),
+                         np.conj(bv).reshape(-1, 3))
+    rows = tab.modes.ns + N
 
-    def forcing(n, t):
-        item = per_mode.get(n)
-        if item is None:
-            return np.zeros(3, dtype=complex)
-        ginv, vb = item
-        return ginv @ (vb * q(t))
+    def forcing(ts):
+        out = np.zeros((2 * N + 1, 3, len(ts)), dtype=complex)
+        out[rows] = actuated[:, :, None] * q(ts)
+        return out
 
     rec, final = evolve(p, state0, T, forcing=forcing,
                         panels_per_unit=panels_per_unit)
@@ -326,7 +336,7 @@ def synthesize_boundary_control(
         resid = float(np.linalg.norm(dfin - d1) / max(np.linalg.norm(d0), 1e-300))
 
     times = np.linspace(0.0, T, samples)
-    qs = np.array([q(t) for t in times])
+    qs = q(times)
     sig = ControlSignal(
         kind=f"boundary_{kind}",
         horizon=T,
@@ -376,19 +386,18 @@ def synthesize_localized_control(
     all_n = np.arange(-N, N + 1)
     si = space_overlap(tab.idx_n[None, :] - all_n[:, None], lo, hi)
 
-    def coeff_row(t):
-        ker = x * weights * np.exp(np.conj(tab.lam) * (T - t))
-        return (si @ ker) / np.sqrt(TWO_PI)
+    def coeff_rows(ts):
+        # a stack of matrix-vector products, one per time, rounds exactly as
+        # evaluating each time alone; one matrix-matrix product would not
+        ker = x * weights * np.exp(np.conj(tab.lam) * (T - ts[:, None]))
+        return (si @ ker[:, :, None])[:, :, 0].T / np.sqrt(TWO_PI)
 
     sb = np.sqrt(p.b_eff)
-    n_to_row = {int(n): i for i, n in enumerate(all_n)}
 
-    def forcing(n, t):
-        row = coeff_row(t)
-        i = n_to_row.get(n)
-        if i is None:
-            return np.zeros(3, dtype=complex)
-        return np.array([sb * row[i], 0.0, 0.0], dtype=complex)
+    def forcing(ts):
+        out = np.zeros((all_n.size, 3, len(ts)), dtype=complex)
+        out[:, 0] = sb * coeff_rows(ts)
+        return out
 
     rec, final = evolve(p, state0, T, forcing=forcing,
                         panels_per_unit=panels_per_unit)
@@ -400,7 +409,7 @@ def synthesize_localized_control(
         resid = float(np.linalg.norm(dfin - d1) / max(np.linalg.norm(d0), 1e-300))
 
     times = np.linspace(0.0, T, samples)
-    samp = np.array([coeff_row(t) for t in times]).T
+    samp = coeff_rows(times)
     sig = ControlSignal(
         kind="localized_density",
         horizon=T,

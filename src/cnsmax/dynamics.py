@@ -2,9 +2,12 @@
 
 States hold Fourier coefficients of (rho, u, S) in the orthonormal scalar
 basis e^{inx}/sqrt(2*pi).  The generator is block diagonal over modes, so
-propagation is exact modal exponentiation; time grids exist only for
-recording trajectories and for the variation-of-constants quadrature of
-forced runs.
+propagation is exact modal exponentiation, done for all modes at once as a
+batch of 3x3 blocks; time grids exist only for recording trajectories and for
+the variation-of-constants quadrature of forced runs.  A forcing is
+array-valued: evolve samples it once per record interval on that interval's
+whole composite Gauss-Legendre grid, as an array (2N+1, 3, nodes) over modes
+-N..N, and sums the quadrature over modes and nodes in one batch.
 """
 
 from __future__ import annotations
@@ -98,52 +101,71 @@ def component_norms(state: SpectralState) -> tuple[float, float, float]:
     return tuple(float(v) for v in np.sqrt(acc))
 
 
-def _to_weighted(p: FluidParams, c: np.ndarray) -> np.ndarray:
-    return np.sqrt(z_weights(p)) * c
-
-
-def _from_weighted(p: FluidParams, c: np.ndarray) -> np.ndarray:
-    return c / np.sqrt(z_weights(p))
-
-
 class _ModePropagator:
-    """Cached eigen-decomposition of one mode's generator block."""
+    """Flow of a batch of mode blocks in weighted Fourier coordinates.
+
+    Nonzero modes are diagonalized through their basis-change matrices
+    Gamma_n.  The n = 0 block is diagonal already (mean density and velocity
+    frozen, stress relaxing): Gamma_0 = I with eigenvalues (0, 0, -1/kappa).
+    A mode whose Gamma_n is too ill-conditioned (not expected for valid
+    parameters, but never silently wrong) is propagated by
+    scaling-and-squaring instead.
+    """
 
     COND_LIMIT = 1e8
 
-    def __init__(self, p: FluidParams, mode: ModeEigenSystem):
-        self.p = p
-        self.n = mode.n
-        self.lambdas = mode.lambdas
-        self.gamma = mode.gamma
-        self.cond = float(np.linalg.cond(self.gamma))
-        self.use_expm = self.cond > self.COND_LIMIT
-        if not self.use_expm:
-            self.gamma_inv = np.linalg.inv(self.gamma)
+    def __init__(self, p: FluidParams, ns, lambdas: np.ndarray, gamma: np.ndarray):
+        ns = np.asarray(ns, dtype=int)
+        self.use_expm = np.linalg.cond(gamma) > self.COND_LIMIT
+        diag = ~self.use_expm
+        self.lambdas = lambdas[diag]
+        self.gamma = gamma[diag]
+        self.gamma_inv = np.linalg.inv(self.gamma)
+        self.blocks = np.array(
+            [mode_matrix(p, n) if n else np.diag(lam)
+             for n, lam in zip(ns[self.use_expm], lambdas[self.use_expm])],
+            dtype=complex,
+        ).reshape(-1, 3, 3)
 
-    def apply(self, c: np.ndarray, t: float) -> np.ndarray:
-        if self.use_expm:
-            return expm(t * mode_matrix(self.p, self.n)) @ c
-        d = self.gamma @ c
-        d = np.exp(t * self.lambdas) * d
-        return self.gamma_inv @ d
+    @classmethod
+    def of_modes(cls, p: FluidParams, ns) -> "_ModePropagator":
+        """Propagator of the modes ns (n = 0 allowed) from the spectral table."""
+        ns = np.asarray(ns, dtype=int)
+        nz = ns != 0
+        lam = np.tile(np.array([0.0, 0.0, -1.0 / p.kappa], dtype=complex), (ns.size, 1))
+        gamma = np.tile(np.eye(3, dtype=complex), (ns.size, 1, 1))
+        tab = spectral_table(p, ns[nz]).require_simple()
+        lam[nz] = tab.lambdas
+        gamma[nz] = tab.gamma
+        return cls(p, ns, lam, gamma)
+
+    def flow(self, g: np.ndarray, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights[k] e^{taus[k] A_n} g[n, :, k] for every mode n.
+
+        g is (modes, 3, len(taus)); the result is (modes, 3).
+        """
+        out = np.empty(g.shape[:2], dtype=complex)
+        diag = ~self.use_expm
+        e = np.exp(self.lambdas[:, :, None] * taus) * weights
+        d = np.einsum("mij,mjk,mik->mi", self.gamma, g[diag], e)
+        out[diag] = np.einsum("mij,mj->mi", self.gamma_inv, d)
+        if self.blocks.size:
+            flows = expm(taus[None, :, None, None] * self.blocks[:, None])
+            out[self.use_expm] = np.einsum(
+                "mkij,mjk,k->mi", flows, g[self.use_expm], weights
+            )
+        return out
 
 
 def propagate_mode(p: FluidParams, mode: ModeEigenSystem, c, t: float) -> np.ndarray:
     """Flow e^{t A_n} c in the weighted Fourier coordinates of mode n.
 
     Diagonalization through the basis-change matrix; scaling-and-squaring
-    fallback when that matrix is too ill-conditioned (not expected for valid
-    parameters, but never silently wrong).
+    fallback when that matrix is too ill-conditioned.
     """
-    return _ModePropagator(p, mode).apply(np.asarray(c, dtype=complex), t)
-
-
-def _zero_mode_flow(p: FluidParams, c0: np.ndarray, t: float) -> np.ndarray:
-    """n = 0 block: mean density and velocity frozen, stress relaxes."""
-    out = c0.copy()
-    out[2] = c0[2] * np.exp(-t / p.kappa)
-    return out
+    prop = _ModePropagator(p, [mode.n], mode.lambdas[None], mode.gamma[None])
+    g = np.asarray(c, dtype=complex).reshape(1, 3, 1)
+    return prop.flow(g, np.array([float(t)]), np.ones(1))[0]
 
 
 def evolve(
@@ -157,9 +179,13 @@ def evolve(
 ):
     """Propagate a state over [0, T], optionally with modal forcing.
 
-    forcing(n, t) must return the forcing triple of mode n at time t in
-    weighted Fourier coordinates; it is sampled on the composite
-    Gauss-Legendre grid.  Returns (TrajectoryRecord, final SpectralState).
+    forcing(ts) must return an array (2N+1, 3, len(ts)): row i holds the
+    forcing triples of mode i - N, in weighted Fourier coordinates, at the
+    times ts.  It is called once per record interval [t0, t1] with dt > 0,
+    with that interval's composite Gauss-Legendre nodes
+    (ceil(dt * panels_per_unit) panels of gl_points nodes each), and the
+    variation-of-constants integral is summed over the nodes for all modes
+    at once.  Returns (TrajectoryRecord, final SpectralState).
     """
     if record_times is None:
         record_times = np.linspace(0.0, T, 65)
@@ -167,67 +193,51 @@ def evolve(
     if record_times[0] != 0.0 or (T > 0 and record_times[-1] != T):
         raise ValidationError("record_times must start at 0 and end at T")
 
-    modes = sorted(state0.coeffs)
-    if forcing is not None:
-        modes = sorted(set(modes) | set(range(-state0.N, state0.N + 1)))
-    nonzero = [n for n in modes if n != 0]
-    tab = spectral_table(p, nonzero).require_simple()
-    props = {n: _ModePropagator(p, tab.mode(i)) for i, n in enumerate(nonzero)}
+    N = state0.N
+    if forcing is None:
+        modes = sorted(state0.coeffs)
+    else:
+        modes = list(range(-N, N + 1))
+    prop = _ModePropagator.of_modes(p, modes)
     xs, ws = leggauss(gl_points)
-
-    current = {n: _to_weighted(p, state0.coeff(n)) for n in modes}
     w = z_weights(p)
+    one = np.ones(1)
 
-    states = [dict(current)]
+    current = np.array([state0.coeff(n) for n in modes], dtype=complex).reshape(-1, 3)
+    current *= np.sqrt(w)
+    power = np.empty((len(record_times), 3))
+    power[0] = np.sum(np.abs(current) ** 2, axis=0)
     for k in range(1, len(record_times)):
         t0, t1 = record_times[k - 1], record_times[k]
         dt = t1 - t0
-        for n in modes:
-            c = current[n]
-            if n == 0:
-                cnew = _zero_mode_flow(p, c, dt)
-            else:
-                cnew = props[n].apply(c, dt)
-            if forcing is not None and dt > 0:
-                npan = max(1, int(np.ceil(dt * panels_per_unit)))
-                acc = np.zeros(3, dtype=complex)
-                for j in range(npan):
-                    a = t0 + dt * j / npan
-                    half = dt / (2 * npan)
-                    mid = a + half
-                    for x_, w_ in zip(xs, ws):
-                        s = mid + half * x_
-                        g = np.asarray(forcing(n, s), dtype=complex)
-                        if n == 0:
-                            acc += half * w_ * _zero_mode_flow(p, g, t1 - s)
-                        else:
-                            acc += half * w_ * props[n].apply(g, t1 - s)
-                cnew = cnew + acc
-            current[n] = cnew
-        states.append(dict(current))
-
-    energies, nr, nu, ns = [], [], [], []
-    for snap in states:
-        e = sum(float(np.sum(np.abs(c) ** 2)) for c in snap.values())
-        energies.append(e)
-        acc = np.zeros(3)
-        for c in snap.values():
-            acc += np.abs(c) ** 2 / w
-        nr.append(np.sqrt(acc[0]))
-        nu.append(np.sqrt(acc[1]))
-        ns.append(np.sqrt(acc[2]))
+        cnew = prop.flow(current[:, :, None], np.array([dt]), one)
+        if forcing is not None and dt > 0:
+            npan = max(1, int(np.ceil(dt * panels_per_unit)))
+            half = dt / (2 * npan)
+            mids = t0 + dt * np.arange(npan) / npan + half
+            s = (mids[:, None] + half * xs).ravel()
+            g = np.asarray(forcing(s), dtype=complex)
+            if g.shape != (2 * N + 1, 3, s.size):
+                raise ValidationError(
+                    f"forcing returned shape {g.shape}, expected "
+                    f"{(2 * N + 1, 3, s.size)}"
+                )
+            cnew += prop.flow(g, t1 - s, np.tile(half * ws, npan))
+        current = cnew
+        power[k] = np.sum(np.abs(current) ** 2, axis=0)
 
     final = SpectralState(
-        N=state0.N,
-        coeffs={n: _from_weighted(p, c) for n, c in current.items()},
+        N=N,
+        coeffs=dict(zip(modes, current / np.sqrt(w))),
         subspace="Z",
     )
+    norms = np.sqrt(power / w)
     rec = TrajectoryRecord(
         times=record_times,
-        energies=np.array(energies),
-        norm_rho=np.array(nr),
-        norm_u=np.array(nu),
-        norm_S=np.array(ns),
+        energies=power.sum(axis=1),
+        norm_rho=norms[:, 0],
+        norm_u=norms[:, 1],
+        norm_S=norms[:, 2],
     )
     return rec, final
 

@@ -13,7 +13,7 @@ from cnsmax.dynamics import (
     synthesize_physical,
 )
 from cnsmax.errors import GridTooCoarse, ValidationError
-from cnsmax.spectral import TWO_PI, mode_system, z_weights
+from cnsmax.spectral import TWO_PI, mode_matrix, mode_system, z_weights
 
 
 def test_energy_constant_density(p1):
@@ -111,9 +111,10 @@ def test_free_flow_zero_mode_invariants(p1):
 def test_forced_evolution_quadrature_self_convergence(p1):
     state0 = random_state(p1, 4, "Zm", seed=2)
 
-    def forcing(n, t):
-        return np.array([np.sin(t) * (1.0 if abs(n) <= 4 else 0.0), 0.0, 0.0],
-                        dtype=complex)
+    def forcing(ts):
+        out = np.zeros((9, 3, len(ts)), dtype=complex)
+        out[:, 0] = np.sin(ts)
+        return out
 
     _, f1 = evolve(p1, state0, 1.5, forcing=forcing, panels_per_unit=32)
     _, f2 = evolve(p1, state0, 1.5, forcing=forcing, panels_per_unit=64)
@@ -121,6 +122,83 @@ def test_forced_evolution_quadrature_self_convergence(p1):
     for n in range(-4, 5):
         diff = max(diff, np.max(np.abs(f1.coeff(n) - f2.coeff(n))))
     assert diff < 1e-10
+
+
+@pytest.mark.parametrize("cond_limit", [None, 0.0])
+def test_forced_evolution_matches_van_loan(p1, monkeypatch, cond_limit):
+    """Forcing e^{mu_n t} v_n on every mode, n = 0 included: the final state
+    is e^{T A_n} c_n + int_0^T e^{(T-s) A_n} v_n e^{mu_n s} ds, read off the
+    augmented exponential expm([[A_n, v_n], [0, mu_n]]) (Van Loan)."""
+    from scipy.linalg import expm
+
+    from cnsmax import dynamics as dyn
+
+    fallbacks = []
+    if cond_limit is not None:
+        monkeypatch.setattr(dyn._ModePropagator, "COND_LIMIT", cond_limit)
+        monkeypatch.setattr(dyn, "expm", lambda a: fallbacks.append(a) or expm(a))
+    N, T = 4, 1.5
+    state0 = random_state(p1, N, "Zm", seed=3, real_valued=False)
+    rng = np.random.default_rng(12)
+    ns = np.arange(-N, N + 1)
+    v = rng.standard_normal((ns.size, 3)) + 1j * rng.standard_normal((ns.size, 3))
+    mu = -0.4 + 0.9j * ns
+
+    def forcing(ts):
+        return v[:, :, None] * np.exp(mu[:, None, None] * ts)
+
+    _, final = evolve(p1, state0, T, forcing=forcing)
+    sw = np.sqrt(z_weights(p1))
+    got = np.array([sw * final.coeff(n) for n in ns])
+    want = []
+    for n, vn, mun in zip(ns, v, mu):
+        A = np.diag([0.0, 0.0, -1.0 / p1.kappa]) if n == 0 else mode_matrix(p1, n)
+        aug = np.zeros((4, 4), dtype=complex)
+        aug[:3, :3], aug[:3, 3], aug[3, 3] = A, vn, mun
+        want.append(expm(T * A) @ (sw * state0.coeff(n)) + expm(T * aug)[:3, 3])
+    want = np.array(want)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    assert (len(fallbacks) > 0) == (cond_limit is not None)
+
+
+def test_evolve_empty_state_gives_complex_zeros(p1):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec, final = evolve(p1, SpectralState(N=2), 1.0)
+        assert final.coeffs == {}
+        assert np.all(rec.energies == 0) and np.all(rec.norm_S == 0)
+        rec, final = evolve(p1, SpectralState(N=2), 1.0,
+                            forcing=lambda ts: np.zeros((5, 3, len(ts))))
+    assert sorted(final.coeffs) == list(range(-2, 3))
+    for c in final.coeffs.values():
+        assert c.dtype == complex and np.all(c == 0)
+    assert np.all(rec.energies == 0)
+
+
+def test_forcing_called_once_per_record_interval(p1):
+    """evolve samples the forcing once per record interval with dt > 0, on
+    that interval's whole composite Gauss-Legendre grid."""
+    N, ppu, gl = 3, 10, 4
+    ts = np.array([0.0, 0.1, 0.1, 0.35, 1.0])
+    calls = []
+
+    def forcing(s):
+        calls.append(np.array(s))
+        return np.zeros((2 * N + 1, 3, len(s)), dtype=complex)
+
+    evolve(p1, random_state(p1, N, seed=1), 1.0, forcing=forcing,
+           record_times=ts, panels_per_unit=ppu, gl_points=gl)
+    spans = [(a, b) for a, b in zip(ts[:-1], ts[1:]) if b > a]
+    assert len(calls) == len(spans)
+    for s, (a, b) in zip(calls, spans):
+        assert s.shape == (int(np.ceil((b - a) * ppu)) * gl,)
+        assert np.all((s > a) & (s < b))
+
+    with pytest.raises(ValidationError):
+        evolve(p1, random_state(p1, N, seed=1), 1.0,
+               forcing=lambda s: np.zeros((2 * N, 3, len(s))))
 
 
 def test_evolve_adjoint_terminal_and_profile(p1):
