@@ -255,12 +255,10 @@ def _run_control(p, block, out, summary, seed):
         header = ["t"]
         for n in sig.mode_labels:
             header += [f"re_f_{n}", f"im_f_{n}"]
-        rows = []
-        for k, t in enumerate(sig.times):
-            row = [t]
-            for i in range(len(sig.mode_labels)):
-                row += [sig.samples[i, k].real, sig.samples[i, k].imag]
-            rows.append(row)
+        rows = np.empty((len(sig.times), 1 + 2 * len(sig.mode_labels)))
+        rows[:, 0] = sig.times
+        rows[:, 1::2] = sig.samples.real.T
+        rows[:, 2::2] = sig.samples.imag.T
         write_csv(out / "control.csv", header, rows)
     summary["residual"] = resid
     summary["control_norm"] = sig.norm_l2

@@ -428,15 +428,8 @@ def admissibility_constant(p: FluidParams, N: int, T: float, kind: str = "densit
     the terminal energy Gram: sup over terminal data of
     int_0^T |B* T*_{T-t} z|^2 dt / ||z||^2.
     """
-    from scipy.linalg import eigh
-
-    from ._gram import terminal_gram
+    from .observability import gram_pencil_eigvals
 
     tab = build_branch_table(p, N, "Zmm")
     bv = boundary_observation_vector(tab, kind)
-    G = kernel_gram(tab, T, bv)
-    R = terminal_gram(tab)
-    vals = eigh(
-        0.5 * (G + G.conj().T), 0.5 * (R + R.conj().T), eigvals_only=True
-    )
-    return float(vals[-1])
+    return float(gram_pencil_eigvals(kernel_gram(tab, T, bv), tab)[-1])

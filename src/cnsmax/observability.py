@@ -137,6 +137,13 @@ def psi_interpolant(p: FluidParams, nj: tuple[int, int], z: complex, K: int) -> 
     return complex(val / ((z - zm) * dP))
 
 
+def gram_pencil_eigvals(M: np.ndarray, tab) -> np.ndarray:
+    """Ascending generalized eigenvalues of the Hermitian part of an
+    observation Gram M against the terminal energy Gram of the same table."""
+    R = terminal_gram(tab)
+    return eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T), eigvals_only=True)
+
+
 def interior_observability_constant(
     p: FluidParams, N: int, T: float, interval: tuple[float, float]
 ):
@@ -145,9 +152,7 @@ def interior_observability_constant(
     velocity/stress subspace.  Returns (lambda_min, lambda_max)."""
     lo, hi = interval
     tab = build_branch_table(p, N, "Zm")
-    M = windowed_gram(tab, T, tab.sigma_coeff, lo, hi)
-    R = terminal_gram(tab)
-    vals = eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T), eigvals_only=True)
+    vals = gram_pencil_eigvals(windowed_gram(tab, T, tab.sigma_coeff, lo, hi), tab)
     return float(vals[0]), float(vals[-1])
 
 
@@ -157,9 +162,7 @@ def boundary_observability_constant(p: FluidParams, N: int, T: float, kind: str)
 
     tab = build_branch_table(p, N, "Zmm")
     bv = boundary_observation_vector(tab, kind)
-    M = kernel_gram(tab, T, bv)
-    R = terminal_gram(tab)
-    vals = eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T), eigvals_only=True)
+    vals = gram_pencil_eigvals(kernel_gram(tab, T, bv), tab)
     return float(vals[0]), float(vals[-1])
 
 

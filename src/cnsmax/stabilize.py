@@ -13,7 +13,18 @@ observation window far below the controllability waiting time.  The solver
 therefore escalates to extended precision when needed; by the Lyapunov
 identity (A + omega)M + M(A + omega)* = B B* the exact closed loop is
 similar to -A* - 2 omega, which pins its spectral abscissa at
--2 omega + max(-Re lambda) regardless of conditioning.
+-2 omega + max(-Re lambda) regardless of conditioning.  In coordinates
+x = M^{-1} c the loop is pure modal decay x(t) = x0 e^{rt} with
+r = -(2 omega + conj lambda), so c(t) = M x(t) and q(t) = -b . x(t) in
+closed form (`_exact_loop`).
+
+The same derivation gives a Sylvester identity for modes outside the
+truncation: an open-loop mode e with eigenvalue lambda_e, driven through
+conj(b_e) by that q, satisfies lambda_e M_e - M_e diag(r) = conj(b_e) b^T
+with M_e[e, a] = conj(b_e) b_a / (lambda_e + 2 omega + conj lambda_a), the
+Gramian's formula extended to the extra rows.  Hence its exact response is
+c_e(t) = M_e x(t) + e^{lambda_e t} (c_e(0) - M_e x0): spillover is the
+rectangular Gramian [M; M_e] applied to the same x(t).
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from .spectral import TWO_PI, mode_eigenvalues_batch, nonzero_modes, z_weights
 
 F64_COND_LIMIT = 1e12
 COND_HARD_LIMIT = 1e30
+RECORD_STRIDE = 16            # integrator steps per recorded sample
 
 
 def growth_threshold(p: FluidParams, N: int) -> float:
@@ -55,24 +67,6 @@ class FeedbackLaw:
         """Exact closed-loop spectral abscissa via the Lyapunov similarity."""
         return float(-2.0 * self.omega + (-self.lam.real).max())
 
-    def _solve(self, c: np.ndarray) -> np.ndarray:
-        if self.precision_dps == 0:
-            return np.linalg.solve(self.M, c)
-        import mpmath as mp
-
-        with mp.workdps(self.precision_dps):
-            Mmp = mp.matrix(
-                [[mp.mpc(self.M[i, j]) for j in range(self.M.shape[1])]
-                 for i in range(self.M.shape[0])]
-            )
-            x = mp.lu_solve(Mmp, mp.matrix([mp.mpc(v) for v in c]))
-        return np.array([complex(v) for v in x])
-
-    def gain(self, c: np.ndarray) -> complex:
-        """Feedback value q for a state with eigenbasis coordinates c."""
-        x = self._solve(np.asarray(c, dtype=complex))
-        return complex(-np.sum(x * self.b_vec))
-
     def gain_vector(self) -> np.ndarray:
         """Row vector g with q = g . c (solved against M^T)."""
         if self.precision_dps == 0:
@@ -80,12 +74,60 @@ class FeedbackLaw:
         import mpmath as mp
 
         with mp.workdps(self.precision_dps):
-            Mt = mp.matrix(
-                [[mp.mpc(self.M[j, i]) for j in range(self.M.shape[0])]
-                 for i in range(self.M.shape[1])]
-            )
-            x = mp.lu_solve(Mt, mp.matrix([mp.mpc(v) for v in self.b_vec]))
+            x = mp.lu_solve(_to_mp(self.M.T), _to_mp(self.b_vec))
         return -np.array([complex(v) for v in x])
+
+
+def _to_mp(a):
+    """mp.matrix holding a complex NumPy array (a vector becomes a column);
+    the conversion is exact, precision is the caller's mp context."""
+    import mpmath as mp
+
+    a = np.asarray(a)
+    if a.ndim == 1:
+        return mp.matrix([mp.mpc(v) for v in a])
+    return mp.matrix([[mp.mpc(v) for v in row] for row in a])
+
+
+def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
+    """Closed-form closed loop of `law` at dps digits (see the module
+    docstring): x0 = M^{-1} c0 once, then x(t) = x0 e^{rt} with
+    r = -(2 omega + conj lambda), c(t) = M x(t) and q(t) = -b . x(t).
+
+    extra = (lam_e, b_e, c0_e) appends E open-loop modes driven by q; their
+    rows are M_e x(t) + e^{lam_e t} (c0_e - M_e x0) (Sylvester identity),
+    with M_e built in mp from the given double-precision lam and b.  That
+    is K + E exponentials per sample.  Returns the states, shape
+    (len(times), K + E), and the controls, shape (len(times),).
+    """
+    import mpmath as mp
+
+    lam, bv = law.lam, law.b_vec
+    K = lam.size
+    with mp.workdps(dps):
+        A = _to_mp(law.M)
+        x0 = mp.lu_solve(A, _to_mp(c0))
+        rates = [mp.mpc(r) for r in -(2.0 * law.omega) - np.conj(lam)]
+        lam_x, free = [], []  # extra modes: lambda_e and c0_e - M_e x0
+        if extra is not None:
+            lam_e, b_e, c0_e = extra
+            A.rows = K + len(lam_e)  # rows K.. take M_e: A = [M; M_e]
+            for e in range(len(lam_e)):
+                le, be = mp.mpc(lam_e[e]), mp.mpc(np.conj(b_e[e]))
+                for a in range(K):
+                    A[K + e, a] = be * mp.mpc(bv[a]) / (le - rates[a])
+                lam_x.append(le)
+                free.append(mp.mpc(c0_e[e])
+                            - mp.fsum(A[K + e, a] * x0[a] for a in range(K)))
+        states, qs = [], []
+        for t in times:
+            xt = mp.matrix([x0[a] * mp.exp(rates[a] * t) for a in range(K)])
+            ct = A * xt
+            for e in range(len(lam_x)):
+                ct[K + e] += free[e] * mp.exp(lam_x[e] * t)
+            states.append([complex(v) for v in ct])
+            qs.append(complex(-sum(complex(xt[a]) * bv[a] for a in range(K))))
+    return np.array(states), np.array(qs)
 
 
 def build_feedback(
@@ -162,7 +204,6 @@ def closed_loop_simulate(
     z0: SpectralState,
     T_end: float,
     dt: float | None = None,
-    record_every: int | None = None,
 ) -> TrajectoryRecord:
     """Closed-loop trajectory of the truncated feedback system.
 
@@ -181,26 +222,11 @@ def closed_loop_simulate(
     if dt > 0.1 / max_rate * (1.0 + 1e-12):
         raise StepTooLarge(f"dt={dt} does not resolve the fastest mode")
     if law.precision_dps > 0:
-        import mpmath as mp
-
-        nrec = max(int(np.ceil(T_end / dt / max(record_every or 16, 1))), 64)
+        nrec = max(int(np.ceil(T_end / dt / RECORD_STRIDE)), 64)
         times = np.linspace(0.0, T_end, nrec + 1)
-        with mp.workdps(law.precision_dps):
-            K = lam.size
-            Mmp = mp.matrix(
-                [[mp.mpc(law.M[i, j]) for j in range(K)] for i in range(K)]
-            )
-            x0 = mp.lu_solve(Mmp, mp.matrix([mp.mpc(v) for v in c0]))
-            rates = [mp.mpc(-(2.0 * law.omega) - np.conj(lam[a])) for a in range(K)]
-            cs, qs = [], []
-            for t in times:
-                xt = mp.matrix([x0[a] * mp.exp(rates[a] * t) for a in range(K)])
-                ct = Mmp * xt
-                cs.append(np.array([complex(v) for v in ct]))
-                qs.append(complex(-sum(complex(xt[a]) * law.b_vec[a] for a in range(K))))
-        states, qs = cs, np.array(qs)
+        states, qs = _exact_loop(law, c0, times, law.precision_dps)
     else:
-        states, qs, times = _integrate(law, c0, T_end, dt, record_every)
+        states, qs, times = _integrate(law, c0, T_end, dt)
     energies, comp = _state_norms(p, law.table.modes.xi_coeffs, states)
     return TrajectoryRecord(
         times=times,
@@ -213,7 +239,7 @@ def closed_loop_simulate(
     )
 
 
-def _integrate(law: FeedbackLaw, c0, T_end, dt, record_every):
+def _integrate(law: FeedbackLaw, c0, T_end, dt):
     """Exponential-integrator route: recorded eigen-coordinate states,
     controls and times."""
     lam = law.lam
@@ -248,8 +274,7 @@ def _integrate(law: FeedbackLaw, c0, T_end, dt, record_every):
         raise StepTooLarge(
             f"dt vs dt/2 self-convergence drift {drift:.3e} exceeds 1e-6"
         )
-    stride = record_every or 16
-    keep = np.arange(0, traj.shape[0], stride)
+    keep = np.arange(0, traj.shape[0], RECORD_STRIDE)
     if keep[-1] != traj.shape[0] - 1:
         keep = np.append(keep, traj.shape[0] - 1)
     return traj[keep], qs[keep], keep * h
@@ -267,22 +292,22 @@ def spillover_report(
 
     The feedback only reads the first-N modal projection, whose closed loop
     stays the exact similarity system; modes with N < |n| <= N2 are driven
-    open-loop by the resulting control, which is an exponential sum, so
-    their response has a closed form.  Returns the fitted rates of the
-    design truncation and of the extended plant.
+    open-loop by the resulting control.  By the Sylvester identity (module
+    docstring) mode e responds exactly as
+    c_e(t) = sum_a M_e[e, a] x_a(t) + e^{lambda_e t} (c_e(0) - sum_a M_e[e, a] x0_a)
+    with M_e[e, a] = conj(b_e) b_a / (lambda_e + 2 omega + conj lambda_a),
+    so design and extra modes are the rows of [M; M_e] applied to the same
+    x(t) (`_exact_loop`).  Returns the fitted rates of the design truncation
+    and of the extended plant.
     """
-    import mpmath as mp
-
     N2 = N2 or 2 * law.N
     if N2 <= law.N:
         raise ValueError("N2 must exceed the design truncation")
     tab2 = build_branch_table(p, N2, "Zmm")
     extra = np.abs(tab2.idx_n) > law.N
-    lam_e = tab2.lam[extra]
     from .control import boundary_observation_vector
 
     bv2 = boundary_observation_vector(tab2, law.kind)
-    bconj_e = np.conj(bv2[extra])
 
     z0_design = SpectralState(
         N=law.N,
@@ -293,32 +318,13 @@ def spillover_report(
     c0_extra = eigen_coefficients(tab2, z0)[extra]
 
     times = np.linspace(0.0, T_end, samples)
-    dps = law.precision_dps or 30
     K = law.lam.size
-    with mp.workdps(dps):
-        Mmp = mp.matrix([[mp.mpc(law.M[i, j]) for j in range(K)] for i in range(K)])
-        x0 = mp.lu_solve(Mmp, mp.matrix([mp.mpc(v) for v in c0]))
-        rates = [mp.mpc(-(2.0 * law.omega) - np.conj(law.lam[a])) for a in range(K)]
-        amp = [-x0[a] * mp.mpc(law.b_vec[a]) for a in range(K)]  # q(t) = sum amp_a e^{rates_a t}
-        design_c, extra_c = [], []
-        for t in times:
-            xt = mp.matrix([x0[a] * mp.exp(rates[a] * t) for a in range(K)])
-            ct = Mmp * xt
-            design_c.append(np.array([complex(v) for v in ct]))
-            row = []
-            for e in range(lam_e.size):
-                le = mp.mpc(lam_e[e])
-                acc = mp.mpc(c0_extra[e]) * mp.exp(le * t)
-                for a in range(K):
-                    den = le - rates[a]
-                    conv = (mp.exp(le * t) - mp.exp(rates[a] * t)) / den
-                    acc += mp.mpc(bconj_e[e]) * amp[a] * conv
-                row.append(complex(acc))
-            extra_c.append(np.array(row))
+    cs, _ = _exact_loop(law, c0, times, law.precision_dps or 30,
+                        extra=(tab2.lam[extra], bv2[extra], c0_extra))
 
-    e_design = _state_norms(p, law.table.modes.xi_coeffs, design_c)[0]
+    e_design = _state_norms(p, law.table.modes.xi_coeffs, cs[:, :K])[0]
     xi_extra = tab2.modes.xi_coeffs[np.abs(tab2.modes.ns) > law.N]
-    e_extra = _state_norms(p, xi_extra, extra_c)[0]
+    e_extra = _state_norms(p, xi_extra, cs[:, K:])[0]
     total = np.maximum(e_design + e_extra, 1e-300)
 
     def rate_of(energies):

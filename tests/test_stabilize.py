@@ -154,3 +154,82 @@ def test_free_decay_contraction(p1):
     rec, _ = evolve(p1, z0, 5.0)
     assert rec.energies[-1] <= 10.0 * rec.energies[0]
     assert rec.energies[-1] < rec.energies[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spillover_matches_expm_oracle(p1, seed):
+    # independent oracle: step the assembled extended closed loop (design
+    # modes under the gain, extra modes driven open-loop by the same control)
+    # with a dense matrix exponential on the report's sample grid
+    from scipy.linalg import expm
+
+    from cnsmax._gram import build_branch_table, eigen_coefficients
+    from cnsmax.control import boundary_observation_vector
+    from cnsmax.dynamics import SpectralState
+    from cnsmax.stabilize import _state_norms, spillover_report
+
+    N, T, samples = 1, 10.0, 129
+    law = build_feedback(p1, N, 2.0)
+    assert law.precision_dps == 0
+    z0 = random_state(p1, 2 * N, "Zmm", seed=seed)  # excites the extra modes too
+    rep = spillover_report(p1, law, z0, T)
+
+    tab2 = build_branch_table(p1, 2 * N, "Zmm")
+    extra = np.abs(tab2.idx_n) > N
+    lam_e = tab2.lam[extra]
+    b_e = boundary_observation_vector(tab2, law.kind)[extra]
+    g = law.gain_vector()
+    K, E = law.lam.size, lam_e.size
+    A = np.zeros((K + E, K + E), dtype=complex)
+    A[:K, :K] = np.diag(law.lam) + np.outer(np.conj(law.b_vec), g)
+    A[K:, :K] = np.outer(np.conj(b_e), g)
+    A[K:, K:] = np.diag(lam_e)
+    design = SpectralState(
+        N=N, coeffs={n: c for n, c in z0.coeffs.items() if abs(n) <= N},
+        subspace="Zmm",
+    )
+    c = np.concatenate([eigen_coefficients(law.table, design),
+                        eigen_coefficients(tab2, z0)[extra]])
+    times = np.linspace(0.0, T, samples)
+    step = expm(A * (times[1] - times[0]))
+    states = [c]
+    for _ in times[1:]:
+        states.append(step @ states[-1])
+    states = np.array(states)
+
+    e_design = _state_norms(p1, law.table.modes.xi_coeffs, states[:, :K])[0]
+    xi_e = tab2.modes.xi_coeffs[np.abs(tab2.modes.ns) > N]
+    e_extra = _state_norms(p1, xi_e, states[:, K:])[0]
+
+    def nu(energies):
+        return fit_decay_rate(TrajectoryRecord(
+            times=times, energies=energies, norm_rho=np.sqrt(energies),
+            norm_u=np.sqrt(energies), norm_S=np.sqrt(energies),
+        ))
+
+    assert rep["spillover_energy_peak"] == pytest.approx(e_extra.max(), rel=1e-9)
+    assert rep["nu_fit_extended"] == pytest.approx(nu(e_design + e_extra), rel=1e-9)
+    assert rep["nu_fit_design"] == pytest.approx(nu(e_design), rel=1e-6)
+
+
+def test_spillover_mp_exponentials_per_sample(p1, monkeypatch):
+    # the closed form needs one exponential per design mode (x(t)) and one per
+    # extra mode (its free response) at each sample: K + E, not K + E(2K + 1)
+    import mpmath
+
+    from cnsmax.stabilize import spillover_report
+
+    calls = [0]
+    exp = mpmath.exp
+
+    def counting_exp(*args, **kwargs):
+        calls[0] += 1
+        return exp(*args, **kwargs)
+
+    law = build_feedback(p1, 2, 2.0)
+    z0 = random_state(p1, 2, "Zmm", seed=2)
+    monkeypatch.setattr(mpmath, "exp", counting_exp)
+    rep = spillover_report(p1, law, z0, 20.0)
+    K = law.lam.size
+    E = 3 * 2 * (rep["N2"] - law.N)
+    assert 0 < calls[0] <= 129 * (K + E) == 3096
