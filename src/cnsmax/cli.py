@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -132,18 +133,39 @@ def _field(block, key, default, cast, ok, what):
         converted = cast(value)
         if ok(converted):
             return converted
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"{key} must be {what}, got {value!r}")
 
 
+def _real(value) -> float:
+    """value as a float; a JSON boolean is not a number."""
+    if isinstance(value, bool):
+        raise TypeError("boolean")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """value as an int; booleans and non-integral numbers are refused."""
+    n = int(value)
+    if n != _real(value):
+        raise ValueError("not integral")
+    return n
+
+
 def _count(block, key, default, least=1):
-    return _field(block, key, default, int, lambda v: v >= least,
+    return _field(block, key, default, _integer, lambda v: v >= least,
                   f"an integer >= {least}")
 
 
 def _positive(block, key, default):
-    return _field(block, key, default, float, lambda v: v > 0, "a positive number")
+    return _field(block, key, default, _real,
+                  lambda v: v > 0 and math.isfinite(v), "a finite positive number")
+
+
+def _flag(block, key, default=False):
+    return _field(block, key, default, lambda v: v,
+                  lambda v: isinstance(v, bool), "true or false")
 
 
 def _interval(block):
@@ -342,6 +364,7 @@ def _run_stabilize(p, block, out, summary, seed):
     omega = _positive(block, "omega", 2.0)
     kind = _kind(block)
     T_end = _positive(block, "T_end", 40.0)
+    spillover = _flag(block, "spillover")
     law = build_feedback(p, N, omega, kind)
     z0 = random_state(p, N, subspace="Zmm", seed=seed)
     traj = closed_loop_simulate(p, law, z0, T_end)
@@ -363,7 +386,7 @@ def _run_stabilize(p, block, out, summary, seed):
         "growth_threshold": growth_threshold(p, N),
         "T_end": T_end,
     }
-    if block.get("spillover", False):
+    if spillover:
         from .stabilize import spillover_report
 
         payload["spillover"] = spillover_report(p, law, z0, T_end)

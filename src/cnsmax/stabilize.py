@@ -25,6 +25,14 @@ with M_e[e, a] = conj(b_e) b_a / (lambda_e + 2 omega + conj lambda_a), the
 Gramian's formula extended to the extra rows.  Hence its exact response is
 c_e(t) = M_e x(t) + e^{lambda_e t} (c_e(0) - M_e x0): spillover is the
 rectangular Gramian [M; M_e] applied to the same x(t).
+
+`_exact_loop` keeps mpmath for the two steps that round: x0 = M^{-1} c0 by
+one mp.lu_solve (its rounding is amplified by about cond(M)^2) and the
+per-sample exponentials.  Every state, every extra-mode response and the
+control q(t) are then rows of one matrix applied to those values, formed as
+exact sums of Python-integer mantissa products, each rounded once at the
+working precision and then to double, as mp.fdot rounds: there is no mp
+matrix product per sample.
 """
 
 from __future__ import annotations
@@ -89,45 +97,92 @@ def _to_mp(a):
     return mp.matrix([[mp.mpc(v) for v in row] for row in a])
 
 
+def _fixed_point(parts, lowest: int) -> list[int]:
+    """Integers n with n 2^lowest equal to the mpf tuples `parts`: exact for
+    a tuple whose exponent is at least `lowest`, truncated toward zero below."""
+    ints = []
+    for sign, man, exp, _ in parts:
+        n = man << (exp - lowest) if exp >= lowest else man >> (lowest - exp)
+        ints.append(-n if sign else n)
+    return ints
+
+
 def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     """Closed-form closed loop of `law` at dps digits (see the module
-    docstring): x0 = M^{-1} c0 once, then x(t) = x0 e^{rt} with
-    r = -(2 omega + conj lambda), c(t) = M x(t) and q(t) = -b . x(t).
+    docstring): x0 = M^{-1} c0 once (mp.lu_solve), then x(t) = x0 e^{rt}
+    with r = -(2 omega + conj lambda), c(t) = M x(t) and q(t) = -b . x(t).
 
     extra = (lam_e, b_e, c0_e) appends E open-loop modes driven by q; their
     rows are M_e x(t) + e^{lam_e t} (c0_e - M_e x0) (Sylvester identity),
-    with M_e built in mp from the given double-precision lam and b.  That
-    is K + E exponentials per sample.  Returns the states, shape
-    (len(times), K + E), and the controls, shape (len(times),).
+    with M_e built in mp from the given double-precision lam and b.
+
+    All rows are one rectangular matrix
+    R = [[M, 0], [M_e, diag(c0_e - M_e x0)], [-b^T, 0]] applied to
+    y(t) = [x0 e^{rt}; e^{lam_e t}], K + E mp.exp values per sample at dps.
+    R is split into re/im integer mantissas at one common exponent, exactly:
+    M and b are doubles, M_e and the free terms mp values.  Each y(t) is
+    split at a block exponent prec + 64 bits below its largest x(t) entry;
+    only bits that far below are dropped.  One product of object arrays of Python integers, for
+    all samples at once, gives every entry as an exact sum.  Each is rounded
+    once at the working precision, then to double, as mp.fdot rounds its
+    exact sum, so the states are the doubles of the mp mat-vec [M; M_e] x(t).
+    Returns the states, shape (len(times), K + E), and the controls, shape
+    (len(times),).
     """
     import mpmath as mp
+    from mpmath.libmp import from_man_exp, mpc_to_complex, round_nearest
 
     lam, bv = law.lam, law.b_vec
     K = lam.size
+    E = 0 if extra is None else len(extra[0])
     with mp.workdps(dps):
-        A = _to_mp(law.M)
-        x0 = mp.lu_solve(A, _to_mp(c0))
+        prec = mp.mp.prec
+        x0 = mp.lu_solve(_to_mp(law.M), _to_mp(c0))
         rates = [mp.mpc(r) for r in -(2.0 * law.omega) - np.conj(lam)]
-        lam_x, free = [], []  # extra modes: lambda_e and c0_e - M_e x0
+        R = np.full((K + E + 1, K + E), mp.mpc(0), dtype=object)
+        R[:K, :K] = np.frompyfunc(mp.mpc, 1, 1)(law.M)
+        R[K + E, :K] = np.frompyfunc(mp.mpc, 1, 1)(-bv)
+        lam_x = []
         if extra is not None:
             lam_e, b_e, c0_e = extra
-            A.rows = K + len(lam_e)  # rows K.. take M_e: A = [M; M_e]
-            for e in range(len(lam_e)):
+            for e in range(E):
                 le, be = mp.mpc(lam_e[e]), mp.mpc(np.conj(b_e[e]))
                 for a in range(K):
-                    A[K + e, a] = be * mp.mpc(bv[a]) / (le - rates[a])
+                    R[K + e, a] = be * mp.mpc(bv[a]) / (le - rates[a])
+                R[K + e, K + e] = (mp.mpc(c0_e[e])
+                                   - mp.fsum(R[K + e, a] * x0[a] for a in range(K)))
                 lam_x.append(le)
-                free.append(mp.mpc(c0_e[e])
-                            - mp.fsum(A[K + e, a] * x0[a] for a in range(K)))
-        states, qs = [], []
-        for t in times:
-            xt = mp.matrix([x0[a] * mp.exp(rates[a] * t) for a in range(K)])
-            ct = A * xt
-            for e in range(len(lam_x)):
-                ct[K + e] += free[e] * mp.exp(lam_x[e] * t)
-            states.append([complex(v) for v in ct])
-            qs.append(complex(-sum(complex(xt[a]) * bv[a] for a in range(K))))
-    return np.array(states), np.array(qs)
+        parts = [p for z in R.flat for p in z._mpc_]
+        r_low = min((e for _, m, e, _ in parts if m), default=0)
+        r_int = np.array(_fixed_point(parts, r_low), dtype=object).reshape(*R.shape, 2)
+        y_int = np.empty((K + E, len(times), 2), dtype=object)
+        y_low = []
+        for j, t in enumerate(times):
+            yt = [x0[a] * mp.exp(rates[a] * t) for a in range(K)]
+            yt += [mp.exp(le * t) for le in lam_x]
+            parts = [p for z in yt for p in z._mpc_]
+            # every row reads x(t); the free responses set the scale only
+            # when x(t) = 0
+            tops = ([e + bc for _, m, e, bc in parts[:2 * K] if m]
+                    or [e + bc for _, m, e, bc in parts if m] or [0])
+            y_low.append(max(tops) - prec - 64)
+            y_int[:, j] = np.array(_fixed_point(parts, y_low[-1]),
+                                   dtype=object).reshape(K + E, 2)
+        r_re, r_im = r_int[..., 0], r_int[..., 1]
+        y_re, y_im = y_int[..., 0], y_int[..., 1]
+        # (a + ib)(c + id) from three real products: (a + b)c shared
+        shared = (r_re + r_im) @ y_re
+        out_re = shared - r_im @ (y_re + y_im)
+        out_im = shared + r_re @ (y_im - y_re)
+        out = np.empty(out_re.shape, dtype=complex)
+        for (i, j), re in np.ndenumerate(out_re):
+            exp = r_low + y_low[j]
+            out[i, j] = mpc_to_complex(
+                (from_man_exp(re, exp, prec, round_nearest),
+                 from_man_exp(out_im[i, j], exp, prec, round_nearest)),
+                rnd=round_nearest,
+            )
+    return out[:K + E].T, out[K + E]
 
 
 def build_feedback(

@@ -73,6 +73,11 @@ def test_malformed_config_exits_2(tmp_path):
     ("spectrum", {"n_max": -3}),
     ("spectrum", {"n_max": 0}),
     ("simulate", {"T": -1}),
+    ("stabilize", {"N": 1, "T_end": float("inf")}),
+    ("stabilize", {"N": 1, "omega": float("inf")}),
+    ("stabilize", {"N": 2.7}),
+    ("stabilize", {"N": True}),
+    ("stabilize", {"N": 1, "spillover": "no"}),
 ])
 def test_invalid_block_field_exits_2(tmp_path, command, block):
     cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})

@@ -214,22 +214,109 @@ def test_spillover_matches_expm_oracle(p1, seed):
 
 def test_spillover_mp_exponentials_per_sample(p1, monkeypatch):
     # the closed form needs one exponential per design mode (x(t)) and one per
-    # extra mode (its free response) at each sample: K + E, not K + E(2K + 1)
+    # extra mode (its free response) at each sample: K + E, not K + E(2K + 1);
+    # the mat-vecs are integer products, so no mp.fdot at all
     import mpmath
 
     from cnsmax.stabilize import spillover_report
 
-    calls = [0]
-    exp = mpmath.exp
+    calls = {"exp": 0, "fdot": 0}
 
-    def counting_exp(*args, **kwargs):
-        calls[0] += 1
-        return exp(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
     law = build_feedback(p1, 2, 2.0)
     z0 = random_state(p1, 2, "Zmm", seed=2)
-    monkeypatch.setattr(mpmath, "exp", counting_exp)
+    monkeypatch.setattr(mpmath, "exp", counting("exp", mpmath.exp))
+    monkeypatch.setattr(mpmath, "fdot", counting("fdot", mpmath.fdot))
+    monkeypatch.setattr(mpmath.mp, "fdot", counting("fdot", mpmath.mp.fdot))
     rep = spillover_report(p1, law, z0, 20.0)
     K = law.lam.size
     E = 3 * 2 * (rep["N2"] - law.N)
-    assert 0 < calls[0] <= 129 * (K + E) == 3096
+    assert 0 < calls["exp"] <= 129 * (K + E) == 3096
+    assert calls["fdot"] == 0
+
+
+def _mp_closed_form(law, c0, times, dps, extra=None):
+    """The mpmath closed form as an oracle for `_exact_loop`: one mp.matrix
+    mat-vec [M; M_e] x(t) per sample (each entry an mp.fdot), the free
+    responses added in mp, and the control summed by mp.fsum at dps + 20."""
+    import mpmath as mp
+
+    from cnsmax.stabilize import _to_mp
+
+    lam, bv = law.lam, law.b_vec
+    K = lam.size
+    with mp.workdps(dps):
+        A = _to_mp(law.M)
+        x0 = mp.lu_solve(A, _to_mp(c0))
+        rates = [mp.mpc(r) for r in -(2.0 * law.omega) - np.conj(lam)]
+        lam_x, free = [], []
+        if extra is not None:
+            lam_e, b_e, c0_e = extra
+            A.rows = K + len(lam_e)
+            for e in range(len(lam_e)):
+                le, be = mp.mpc(lam_e[e]), mp.mpc(np.conj(b_e[e]))
+                for a in range(K):
+                    A[K + e, a] = be * mp.mpc(bv[a]) / (le - rates[a])
+                lam_x.append(le)
+                free.append(mp.mpc(c0_e[e])
+                            - mp.fsum(A[K + e, a] * x0[a] for a in range(K)))
+        states, qs = [], []
+        for t in times:
+            xt = mp.matrix([x0[a] * mp.exp(rates[a] * t) for a in range(K)])
+            ct = A * xt
+            for e in range(len(lam_x)):
+                ct[K + e] += free[e] * mp.exp(lam_x[e] * t)
+            states.append([complex(v) for v in ct])
+            with mp.workdps(dps + 20):
+                qs.append(complex(-mp.fsum(xt[a] * mp.mpc(bv[a]) for a in range(K))))
+    return np.array(states), np.array(qs)
+
+
+@pytest.mark.parametrize("N, seed", [(3, 0), (3, 7), (8, 0), (8, 7)])
+def test_exact_loop_matches_mp_oracle(p1, N, seed):
+    # integer mat-vecs round the same exact sums as mp.fdot: identical
+    # states.  q(t) = -b . x(t) cancels heavily (at N=8, |x_a| ~ 1e17 for
+    # |q| ~ 1e8), so it too must be the exact sum rounded once
+    from cnsmax._gram import eigen_coefficients
+    from cnsmax.stabilize import _exact_loop
+
+    law = build_feedback(p1, N, 2.0)
+    assert law.precision_dps > 0
+    c0 = eigen_coefficients(law.table, random_state(p1, N, "Zmm", seed=seed))
+    times = np.linspace(0.0, 40.0, 33)
+    states, q = _exact_loop(law, c0, times, law.precision_dps)
+    want, want_q = _mp_closed_form(law, c0, times, law.precision_dps)
+    assert np.array_equal(states, want)
+    np.testing.assert_allclose(q.real, want_q.real, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(q.imag, want_q.imag, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_exact_loop_spillover_rows_match_oracle(p1, seed):
+    # the extra rows [M_e, diag(c0_e - M_e x0)] are identical doubles too
+    from cnsmax._gram import build_branch_table, eigen_coefficients
+    from cnsmax.control import boundary_observation_vector
+    from cnsmax.dynamics import SpectralState
+    from cnsmax.stabilize import _exact_loop
+
+    law = build_feedback(p1, 2, 2.0)
+    z0 = random_state(p1, 4, "Zmm", seed=seed)
+    tab2 = build_branch_table(p1, 4, "Zmm")
+    ex = np.abs(tab2.idx_n) > 2
+    design = SpectralState(
+        N=2, coeffs={n: c for n, c in z0.coeffs.items() if abs(n) <= 2},
+        subspace="Zmm",
+    )
+    c0 = eigen_coefficients(law.table, design)
+    extra = (tab2.lam[ex], boundary_observation_vector(tab2, law.kind)[ex],
+             eigen_coefficients(tab2, z0)[ex])
+    times = np.linspace(0.0, 40.0, 129)
+    states, _ = _exact_loop(law, c0, times, 30, extra=extra)
+    want, _ = _mp_closed_form(law, c0, times, 30, extra=extra)
+    assert states.shape == (129, law.lam.size + extra[0].size)
+    assert np.array_equal(states, want)
