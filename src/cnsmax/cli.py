@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure (multiplicity, singular or ill-conditioned Gramian, ...).  A
 summary.json echoing the inputs and key scalars is written for every run
-that gets past configuration validation.
+that gets past configuration validation; a configuration error writes one
+with status validation-error whenever the output directory is known.
 """
 
 from __future__ import annotations
@@ -139,9 +140,9 @@ def _field(block, key, default, cast, ok, what):
 
 
 def _real(value) -> float:
-    """value as a float; a JSON boolean is not a number."""
-    if isinstance(value, bool):
-        raise TypeError("boolean")
+    """value as a float; a JSON boolean or string is not a number."""
+    if isinstance(value, (bool, str)):
+        raise TypeError("not a number")
     return float(value)
 
 
@@ -406,11 +407,33 @@ _RUNNERS = {
 }
 
 
+def _seed(block, override):
+    """The run seed: the --seed override if given, else the block's seed."""
+    source = block if override is None else {"seed": override}
+    return _count(source, "seed", 0, least=0)
+
+
+def _write_early_summary(out, summary) -> None:
+    """summary.json for a configuration error, when the output directory is
+    known and can be made."""
+    if out is None:
+        return
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "summary.json", summary)
+    except OSError:
+        pass
+
+
 def run(command: str, config_path: str, out_dir: str | None = None,
         seed: int | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
+    out = Path(out_dir) if out_dir else None
     try:
         cfg = json.loads(Path(config_path).read_text())
+        if not isinstance(cfg, dict):
+            raise ValidationError("config must be a JSON object")
+        out = Path(out_dir or cfg.get("out", "."))
         if command not in COMMANDS:
             raise ValidationError(f"unknown command {command!r}")
         blocks = [k for k in cfg if k in COMMANDS]
@@ -423,11 +446,14 @@ def run(command: str, config_path: str, out_dir: str | None = None,
         block = cfg[command]
         if not isinstance(block, dict):
             raise ValidationError("command block must be an object")
-        eff_seed = seed if seed is not None else int(block.get("seed", 0))
-        out = Path(out_dir or cfg.get("out", "."))
+        eff_seed = _seed(block, seed)
         out.mkdir(parents=True, exist_ok=True)
     except (ValidationError, json.JSONDecodeError, OSError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        _write_early_summary(out, {
+            "version": __version__, "command": command,
+            "status": "validation-error", "error": str(exc),
+        })
         return 2
 
     dc = derive_constants(p)

@@ -26,13 +26,17 @@ Gramian's formula extended to the extra rows.  Hence its exact response is
 c_e(t) = M_e x(t) + e^{lambda_e t} (c_e(0) - M_e x0): spillover is the
 rectangular Gramian [M; M_e] applied to the same x(t).
 
-`_exact_loop` keeps mpmath for the two steps that round: x0 = M^{-1} c0 by
-one mp.lu_solve (its rounding is amplified by about cond(M)^2) and the
-per-sample exponentials.  Every state, every extra-mode response and the
-control q(t) are then rows of one matrix applied to those values, formed as
-exact sums of Python-integer mantissa products, each rounded once at the
-working precision and then to double, as mp.fdot rounds: there is no mp
-matrix product per sample.
+`_exact_loop` works in Python integers.  x0 = M^{-1} c0 is a fixed-point
+Gaussian elimination with partial pivoting on the exact mantissas of the
+double M and c0 (`_int_solve`), with guard bits for the pivot decay.
+x(t_j) = x0 e^{r t_j} on the uniform sample grid is x0 w^j, w = e^{r s},
+each mode at its own exponent, corrected by a short Taylor series for the
+grid's rounding residue (`_mode_exponentials`).  Every state, every
+extra-mode response and the control q(t) are then rows of one matrix
+applied to those values, formed as exact sums of integer mantissa products,
+each rounded once at the working precision and then to double, as mp.fdot
+rounds.  mpmath is left with one exponential per mode, the rows M_e and the
+final rounding: no mp.lu_solve and nothing per sample.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ from .spectral import TWO_PI, mode_eigenvalues_batch, nonzero_modes, z_weights
 F64_COND_LIMIT = 1e12
 COND_HARD_LIMIT = 1e30
 RECORD_STRIDE = 16            # integrator steps per recorded sample
+SOLVE_GUARD_BITS = 138        # fixed-point bits of _int_solve beyond prec
+SAMPLE_BLOCK = 64             # samples per block of the exact evaluator
 
 
 def growth_threshold(p: FluidParams, N: int) -> float:
@@ -76,25 +82,13 @@ class FeedbackLaw:
         return float(-2.0 * self.omega + (-self.lam.real).max())
 
     def gain_vector(self) -> np.ndarray:
-        """Row vector g with q = g . c (solved against M^T)."""
-        if self.precision_dps == 0:
-            return -np.linalg.solve(self.M.T, self.b_vec)
-        import mpmath as mp
-
-        with mp.workdps(self.precision_dps):
-            x = mp.lu_solve(_to_mp(self.M.T), _to_mp(self.b_vec))
-        return -np.array([complex(v) for v in x])
-
-
-def _to_mp(a):
-    """mp.matrix holding a complex NumPy array (a vector becomes a column);
-    the conversion is exact, precision is the caller's mp context."""
-    import mpmath as mp
-
-    a = np.asarray(a)
-    if a.ndim == 1:
-        return mp.matrix([mp.mpc(v) for v in a])
-    return mp.matrix([[mp.mpc(v) for v in row] for row in a])
+        """Row vector g with q = g . c (solved against M^T), in double
+        precision; a law that needs extended precision has no usable
+        double-precision gain, so it raises IllConditioned."""
+        if self.precision_dps > 0:
+            raise IllConditioned("feedback gain in double precision",
+                                 self.cond_M, F64_COND_LIMIT)
+        return -np.linalg.solve(self.M.T, self.b_vec)
 
 
 def _fixed_point(parts, lowest: int) -> list[int]:
@@ -107,10 +101,144 @@ def _fixed_point(parts, lowest: int) -> list[int]:
     return ints
 
 
+def _floor_scaled(x: float, q: int) -> int:
+    """floor(x 2^q) for a double x, exactly."""
+    n, d = float(x).as_integer_ratio()
+    return (n << q) // d if q >= 0 else n // (d << -q)
+
+
+def _bits(re, im) -> np.ndarray:
+    """Bit length of max(|re|, |im|) for each pair of integer arrays."""
+    return np.array([max(abs(a), abs(b)).bit_length()
+                     for a, b in zip(re.flat, im.flat)]).reshape(np.shape(re))
+
+
+def _int_solve(M, c, prec: int):
+    """x = M^{-1} c for a complex double matrix M and vector c, by Gaussian
+    elimination with partial pivoting on Python integers.
+
+    M and c are each scaled by a power of two to largest entry below 1 and
+    held in fixed point at 2^-F, F = prec + SOLVE_GUARD_BITS: exact except
+    for bits below 2^-F of an entry.  Every product and quotient is
+    truncated at 2^-F, so the guard bits absorb the pivot decay, about
+    log2 cond(M).  Raises IllConditioned when a pivot leaves fewer than
+    prec bits above 2^-F.  Returns integer object arrays re, im
+    and an exponent e with x = (re + i im) 2^e.
+    """
+    F = prec + SOLVE_GUARD_BITS
+    K = len(c)
+    e_M = int(np.frexp(np.abs(M).max())[1])
+    e_c = int(np.frexp(np.abs(c).max())[1])
+    re = np.empty((K, K + 1), dtype=object)
+    im = np.empty((K, K + 1), dtype=object)
+    for i in range(K):
+        re[i, :K] = [_floor_scaled(v, F - e_M) for v in M[i].real]
+        im[i, :K] = [_floor_scaled(v, F - e_M) for v in M[i].imag]
+        re[i, K] = _floor_scaled(c[i].real, F - e_c)
+        im[i, K] = _floor_scaled(c[i].imag, F - e_c)
+    for k in range(K):
+        piv = k + int(np.argmax(re[k:, k] ** 2 + im[k:, k] ** 2))
+        re[[k, piv]] = re[[piv, k]]
+        im[[k, piv]] = im[[piv, k]]
+        pr, pi = re[k, k], im[k, k]
+        bits = max(abs(pr), abs(pi)).bit_length()
+        if bits < prec:
+            raise IllConditioned("feedback Gramian pivot decay",
+                                 2.0 ** (F - bits), 2.0 ** SOLVE_GUARD_BITS)
+        den = pr * pr + pi * pi
+        ar, ai = re[k + 1:, k], im[k + 1:, k]
+        lr = ((ar * pr + ai * pi) << F) // den
+        li = ((ai * pr - ar * pi) << F) // den
+        ur, ui = re[k, k + 1:], im[k, k + 1:]
+        re[k + 1:, k + 1:] -= (np.outer(lr, ur) - np.outer(li, ui)) >> F
+        im[k + 1:, k + 1:] -= (np.outer(lr, ui) + np.outer(li, ur)) >> F
+    xr = np.zeros(K, dtype=object)
+    xi = np.zeros(K, dtype=object)
+    for k in range(K - 1, -1, -1):
+        # numerator at 2^-2F, times conj(pivot) over |pivot|^2: x at 2^-F
+        sr = (re[k, K] << F) - re[k, k + 1:K] @ xr[k + 1:] + im[k, k + 1:K] @ xi[k + 1:]
+        si = (im[k, K] << F) - re[k, k + 1:K] @ xi[k + 1:] - im[k, k + 1:K] @ xr[k + 1:]
+        pr, pi = re[k, k], im[k, k]
+        den = pr * pr + pi * pi
+        xr[k] = (sr * pr + si * pi) // den
+        xi[k] = (si * pr - sr * pi) // den
+    return xr, xi, e_c - e_M - F
+
+
+def _grid_residues(times):
+    """Step s = times[1] and integers d with times[j] = j s + d[j] 2^e
+    exactly.  ValueError unless every |d[j] 2^e| <= 1e-12 max|t|: the grid
+    must be uniform from 0 up to rounding, as np.linspace rounds it."""
+    s = float(times[1]) if len(times) > 1 else 0.0
+    n_s, d_s = s.as_integer_ratio()
+    ratios = [float(t).as_integer_ratio() for t in times]
+    den = max([d_s] + [dt for _, dt in ratios])
+    d = np.array([n * (den // dt) - j * n_s * (den // d_s)
+                  for j, (n, dt) in enumerate(ratios)], dtype=object)
+    if max(abs(v) for v in d) / den > 1e-12 * float(np.abs(times).max()):
+        raise ValueError("the closed form needs a uniform grid times[j] = j * times[1]")
+    return s, d, 1 - den.bit_length()
+
+
+def _mode_exponentials(y0, rates, grid, bits: int):
+    """y0_a e^{rates_a t_j} on the uniform grid t_j = j s + d_j, yielded in
+    blocks of SAMPLE_BLOCK samples as integer arrays re, im and exponents,
+    shape (len(rates), SAMPLE_BLOCK); each mode and sample has its own
+    exponent.
+
+    y0 = (re, im, exp) integers and grid = `_grid_residues(times)`.
+    w_a = e^{rates_a s} is the only mp.exp per mode.  Sample j is
+    y0_a w_a^j, cut back to `bits` + a few bits after each product, times a
+    Taylor series for e^{rates_a d_j}: d_j is the exact rounding residue of
+    the grid (|rates d| ~ 1e-13), so no sample time moves.
+    """
+    import mpmath as mp
+
+    s, d, d_exp = grid
+    work = bits + len(d).bit_length()   # covers the error growth of the products
+
+    def renorm(a, b, e):
+        shift = np.maximum(_bits(a, b) - work, 0)
+        return a >> shift, b >> shift, e + shift
+
+    ws = []
+    with mp.workprec(work + 8):
+        for r in rates:
+            parts = mp.exp(mp.mpc(r) * s)._mpc_
+            low = max(e + bc for _, m, e, bc in parts if m) - work
+            ws.append((*_fixed_point(parts, low), low))
+    w_re = np.array([w[0] for w in ws], dtype=object)
+    w_im = np.array([w[1] for w in ws], dtype=object)
+    w_exp = np.array([w[2] for w in ws], dtype=np.int64)
+    r_re = np.array([[_floor_scaled(r, work + d_exp)] for r in rates.real], dtype=object)
+    r_im = np.array([[_floor_scaled(r, work + d_exp)] for r in rates.imag], dtype=object)
+    a, b, e = renorm(*y0)
+    for start in range(0, len(d), SAMPLE_BLOCK):
+        dj = d[start:start + SAMPLE_BLOCK]
+        re, im = (np.empty((len(rates), len(dj)), dtype=object) for _ in range(2))
+        ex = np.empty((len(rates), len(dj)), dtype=np.int64)
+        for j in range(len(dj)):
+            if start + j:
+                a, b, e = renorm(a * w_re - b * w_im, a * w_im + b * w_re, e + w_exp)
+            re[:, j], im[:, j], ex[:, j] = a, b, e
+        if any(dj):
+            # u = rates d at 2^-work; e^u = sum u^k / k! until a term is below 1
+            u_re, u_im = r_re * dj, r_im * dj
+            s_re, s_im = u_re + (1 << work), u_im
+            t_re, t_im, k = u_re, u_im, 2
+            while max(np.abs(t_re).max(), np.abs(t_im).max()) > 1:
+                t_re, t_im = (((t_re * u_re - t_im * u_im) >> work) // k,
+                              ((t_re * u_im + t_im * u_re) >> work) // k)
+                s_re, s_im, k = s_re + t_re, s_im + t_im, k + 1
+            re, im = (re * s_re - im * s_im) >> work, (re * s_im + im * s_re) >> work
+        yield re, im, ex
+
+
 def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     """Closed-form closed loop of `law` at dps digits (see the module
-    docstring): x0 = M^{-1} c0 once (mp.lu_solve), then x(t) = x0 e^{rt}
-    with r = -(2 omega + conj lambda), c(t) = M x(t) and q(t) = -b . x(t).
+    docstring): x0 = M^{-1} c0 once, then x(t) = x0 e^{rt} with
+    r = -(2 omega + conj lambda), c(t) = M x(t) and q(t) = -b . x(t).
+    times must be a uniform grid from 0 (np.linspace); ValueError otherwise.
 
     extra = (lam_e, b_e, c0_e) appends E open-loop modes driven by q; their
     rows are M_e x(t) + e^{lam_e t} (c0_e - M_e x0) (Sylvester identity),
@@ -118,15 +246,16 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
 
     All rows are one rectangular matrix
     R = [[M, 0], [M_e, diag(c0_e - M_e x0)], [-b^T, 0]] applied to
-    y(t) = [x0 e^{rt}; e^{lam_e t}], K + E mp.exp values per sample at dps.
-    R is split into re/im integer mantissas at one common exponent, exactly:
-    M and b are doubles, M_e and the free terms mp values.  Each y(t) is
-    split at a block exponent prec + 64 bits below its largest x(t) entry;
-    only bits that far below are dropped.  One product of object arrays of Python integers, for
-    all samples at once, gives every entry as an exact sum.  Each is rounded
-    once at the working precision, then to double, as mp.fdot rounds its
-    exact sum, so the states are the doubles of the mp mat-vec [M; M_e] x(t).
-    Returns the states, shape (len(times), K + E), and the controls, shape
+    y(t) = [x0 e^{rt}; e^{lam_e t}].  x0 comes from `_int_solve` and y(t)
+    from `_mode_exponentials`, in Python integers: K + E mp.exp values per
+    law, none per sample.  R is split into re/im integer mantissas at one
+    common exponent, exactly: M and b are doubles, M_e and the free terms mp
+    values.  Each y(t) is split at a block exponent prec + 64 bits below its
+    largest x(t) entry; only bits that far below are dropped.  One product
+    of object arrays of Python integers per block of samples gives every
+    entry as an exact sum.  Each is rounded once at the working
+    precision, then to double, as mp.fdot rounds its exact sum.  Returns
+    the states, shape (len(times), K + E), and the controls, shape
     (len(times),).
     """
     import mpmath as mp
@@ -135,53 +264,57 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     lam, bv = law.lam, law.b_vec
     K = lam.size
     E = 0 if extra is None else len(extra[0])
+    rates = -(2.0 * law.omega) - np.conj(lam)
+    grid = _grid_residues(times)
     with mp.workdps(dps):
         prec = mp.mp.prec
-        x0 = mp.lu_solve(_to_mp(law.M), _to_mp(c0))
-        rates = [mp.mpc(r) for r in -(2.0 * law.omega) - np.conj(lam)]
+        x_re, x_im, x_exp = _int_solve(law.M, np.asarray(c0), prec)
         R = np.full((K + E + 1, K + E), mp.mpc(0), dtype=object)
         R[:K, :K] = np.frompyfunc(mp.mpc, 1, 1)(law.M)
         R[K + E, :K] = np.frompyfunc(mp.mpc, 1, 1)(-bv)
-        lam_x = []
+        y0 = (np.concatenate([x_re, np.ones(E, dtype=object)]),
+              np.concatenate([x_im, np.zeros(E, dtype=object)]),
+              np.array([x_exp] * K + [0] * E))
         if extra is not None:
             lam_e, b_e, c0_e = extra
+            x0 = [mp.mpc(mp.ldexp(x_re[a], x_exp), mp.ldexp(x_im[a], x_exp))
+                  for a in range(K)]
             for e in range(E):
                 le, be = mp.mpc(lam_e[e]), mp.mpc(np.conj(b_e[e]))
                 for a in range(K):
-                    R[K + e, a] = be * mp.mpc(bv[a]) / (le - rates[a])
+                    R[K + e, a] = be * mp.mpc(bv[a]) / (le - mp.mpc(rates[a]))
                 R[K + e, K + e] = (mp.mpc(c0_e[e])
                                    - mp.fsum(R[K + e, a] * x0[a] for a in range(K)))
-                lam_x.append(le)
+            rates = np.concatenate([rates, lam_e])
         parts = [p for z in R.flat for p in z._mpc_]
         r_low = min((e for _, m, e, _ in parts if m), default=0)
         r_int = np.array(_fixed_point(parts, r_low), dtype=object).reshape(*R.shape, 2)
-        y_int = np.empty((K + E, len(times), 2), dtype=object)
-        y_low = []
-        for j, t in enumerate(times):
-            yt = [x0[a] * mp.exp(rates[a] * t) for a in range(K)]
-            yt += [mp.exp(le * t) for le in lam_x]
-            parts = [p for z in yt for p in z._mpc_]
+        r_re, r_im = r_int[..., 0], r_int[..., 1]
+        out = np.empty((K + E + 1, len(times)), dtype=complex)
+        start = 0
+        for y_re, y_im, y_exp in _mode_exponentials(y0, rates, grid, prec + 64):
             # every row reads x(t); the free responses set the scale only
             # when x(t) = 0
-            tops = ([e + bc for _, m, e, bc in parts[:2 * K] if m]
-                    or [e + bc for _, m, e, bc in parts if m] or [0])
-            y_low.append(max(tops) - prec - 64)
-            y_int[:, j] = np.array(_fixed_point(parts, y_low[-1]),
-                                   dtype=object).reshape(K + E, 2)
-        r_re, r_im = r_int[..., 0], r_int[..., 1]
-        y_re, y_im = y_int[..., 0], y_int[..., 1]
-        # (a + ib)(c + id) from three real products: (a + b)c shared
-        shared = (r_re + r_im) @ y_re
-        out_re = shared - r_im @ (y_re + y_im)
-        out_im = shared + r_re @ (y_im - y_re)
-        out = np.empty(out_re.shape, dtype=complex)
-        for (i, j), re in np.ndenumerate(out_re):
-            exp = r_low + y_low[j]
-            out[i, j] = mpc_to_complex(
-                (from_man_exp(re, exp, prec, round_nearest),
-                 from_man_exp(out_im[i, j], exp, prec, round_nearest)),
-                rnd=round_nearest,
-            )
+            nz = (y_re != 0) | (y_im != 0)
+            tops = np.where(nz, y_exp + _bits(y_re, y_im), np.iinfo(np.int64).min)
+            top = np.where(nz[:K].any(axis=0), tops[:K].max(axis=0), tops.max(axis=0))
+            y_low = np.where(nz.any(axis=0), top, 0) - prec - 64
+            shift = y_exp - y_low
+            up, down = np.maximum(shift, 0), np.maximum(-shift, 0)
+            y_re = np.where(shift >= 0, y_re << up, y_re >> down)
+            y_im = np.where(shift >= 0, y_im << up, y_im >> down)
+            # (a + ib)(c + id) from three real products: (a + b)c shared
+            shared = (r_re + r_im) @ y_re
+            out_re = shared - r_im @ (y_re + y_im)
+            out_im = shared + r_re @ (y_im - y_re)
+            for (i, j), re in np.ndenumerate(out_re):
+                exp = r_low + int(y_low[j])
+                out[i, start + j] = mpc_to_complex(
+                    (from_man_exp(re, exp, prec, round_nearest),
+                     from_man_exp(out_im[i, j], exp, prec, round_nearest)),
+                    rnd=round_nearest,
+                )
+            start += len(y_low)
     return out[:K + E].T, out[K + E]
 
 

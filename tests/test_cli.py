@@ -78,6 +78,11 @@ def test_malformed_config_exits_2(tmp_path):
     ("stabilize", {"N": 2.7}),
     ("stabilize", {"N": True}),
     ("stabilize", {"N": 1, "spillover": "no"}),
+    ("spectrum", {"seed": "x"}),
+    ("simulate", {"N": 2, "seed": -3}),
+    ("spectrum", {"seed": 2.7}),
+    ("spectrum", {"seed": True}),
+    ("spectrum", {"n_max": "3"}),
 ])
 def test_invalid_block_field_exits_2(tmp_path, command, block):
     cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
@@ -85,6 +90,25 @@ def test_invalid_block_field_exits_2(tmp_path, command, block):
     assert run(command, cfg, str(out)) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "validation-error"
+
+
+@pytest.mark.parametrize("body, seed", [
+    ({"model": P1_MODEL, "simulate": {"N": 2}, "spectrum": {}}, None),
+    ({"model": P1_MODEL, "simulate": [2]}, None),
+    ({"model": {**P1_MODEL, "kappa": "x"}, "simulate": {"N": 2}}, None),
+    ({"simulate": {"N": 2}}, None),
+    (["simulate"], None),
+    ({"model": P1_MODEL, "simulate": {"N": 2}}, -3),
+])
+def test_configuration_error_writes_summary(tmp_path, body, seed):
+    # errors found before any block field is read exit 2 with a summary.json
+    cfg = _write_cfg(tmp_path, "c.json", body)
+    out = tmp_path / "out"
+    assert run("simulate", cfg, str(out), seed=seed) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert summary["command"] == "simulate" and summary["error"]
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_numerical_failure_exits_3(tmp_path):

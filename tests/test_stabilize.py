@@ -69,6 +69,17 @@ def test_abscissa_similarity_vs_dense_eigensolve(p1):
     assert law.abscissa <= -2.0
 
 
+def test_gain_vector_needs_double_precision_law(p1):
+    # an extended-precision law has no double-precision gain: the closed
+    # loop of such a law runs through the exact route only
+    from cnsmax.errors import IllConditioned
+
+    law = build_feedback(p1, 3, 2.0)
+    assert law.precision_dps > 0
+    with pytest.raises(IllConditioned):
+        law.gain_vector()
+
+
 def test_closed_loop_decay_and_linearity(p1):
     law = build_feedback(p1, 1, 2.0)
     z0 = random_state(p1, 1, "Zmm", seed=3)
@@ -212,15 +223,12 @@ def test_spillover_matches_expm_oracle(p1, seed):
     assert rep["nu_fit_design"] == pytest.approx(nu(e_design), rel=1e-6)
 
 
-def test_spillover_mp_exponentials_per_sample(p1, monkeypatch):
-    # the closed form needs one exponential per design mode (x(t)) and one per
-    # extra mode (its free response) at each sample: K + E, not K + E(2K + 1);
-    # the mat-vecs are integer products, so no mp.fdot at all
+def _count_mp_calls(monkeypatch, names, context=()):
+    """Counters of calls to mpmath.<name> for each name, and also to the
+    context method mpmath.mp.<name> for the names in `context`."""
     import mpmath
 
-    from cnsmax.stabilize import spillover_report
-
-    calls = {"exp": 0, "fdot": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -228,16 +236,150 @@ def test_spillover_mp_exponentials_per_sample(p1, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
+    for name in names:
+        monkeypatch.setattr(mpmath, name, counting(name, getattr(mpmath, name)))
+    for name in context:
+        monkeypatch.setattr(mpmath.mp, name, counting(name, getattr(mpmath.mp, name)))
+    return calls
+
+
+def test_spillover_mp_exponentials_per_law(p1, monkeypatch):
+    # the closed form needs one exponential per design mode (x(t)) and one per
+    # extra mode (its free response) for the whole grid: K + E, whatever the
+    # sample count; the solve and the mat-vecs are integer arithmetic, so no
+    # mp.lu_solve and no mp.fdot at all
+    from cnsmax.stabilize import spillover_report
+
     law = build_feedback(p1, 2, 2.0)
     z0 = random_state(p1, 2, "Zmm", seed=2)
-    monkeypatch.setattr(mpmath, "exp", counting("exp", mpmath.exp))
-    monkeypatch.setattr(mpmath, "fdot", counting("fdot", mpmath.fdot))
-    monkeypatch.setattr(mpmath.mp, "fdot", counting("fdot", mpmath.mp.fdot))
+    calls = _count_mp_calls(monkeypatch, ("exp", "fdot", "lu_solve"),
+                            context=("fdot", "lu_solve"))
     rep = spillover_report(p1, law, z0, 20.0)
     K = law.lam.size
     E = 3 * 2 * (rep["N2"] - law.N)
-    assert 0 < calls["exp"] <= 129 * (K + E) == 3096
-    assert calls["fdot"] == 0
+    assert calls == {"exp": K + E, "fdot": 0, "lu_solve": 0}
+    assert K + E == 24
+
+
+def test_closed_loop_mp_calls_independent_of_samples(p1, monkeypatch):
+    # the exact route spends K mp exponentials per law, none per sample, and
+    # solves for x0 without mp.lu_solve
+    law = build_feedback(p1, 3, 2.0)
+    assert law.precision_dps > 0
+    z0 = random_state(p1, 3, "Zmm", seed=1)
+    calls = _count_mp_calls(monkeypatch, ("exp", "lu_solve"), context=("lu_solve",))
+    counts = []
+    for T_end in (10.0, 40.0):
+        calls.update(exp=0, lu_solve=0)
+        traj = closed_loop_simulate(p1, law, z0, T_end)
+        counts.append((len(traj.times), dict(calls)))
+    assert counts[0][0] < counts[1][0]
+    K = law.lam.size
+    assert [c for _, c in counts] == [{"exp": K, "lu_solve": 0}] * 2
+
+
+def _to_mp(a):
+    """mp.matrix holding a complex NumPy array (a vector becomes a column);
+    the conversion is exact, precision is the caller's mp context."""
+    import mpmath as mp
+
+    a = np.asarray(a)
+    if a.ndim == 1:
+        return mp.matrix([mp.mpc(v) for v in a])
+    return mp.matrix([[mp.mpc(v) for v in row] for row in a])
+
+
+def _from_int(re, im, exp):
+    """mp values (re + i im) 2^exp; exact when the context holds the bits."""
+    import mpmath as mp
+
+    return [mp.mpc(mp.ldexp(a, exp), mp.ldexp(b, exp)) for a, b in zip(re, im)]
+
+
+@pytest.mark.parametrize("N", [6, 8])
+def test_int_solve_matches_lu_solve(p1, N):
+    # x0 = M^{-1} c0 in fixed-point integers against mp.lu_solve 40 digits
+    # above the law's precision; row-permuting M and c0 must give the very
+    # same integers, since partial pivoting picks the same pivot rows
+    import mpmath as mp
+
+    from cnsmax._gram import eigen_coefficients
+    from cnsmax.stabilize import _int_solve
+
+    law = build_feedback(p1, N, 2.0)
+    c0 = eigen_coefficients(law.table, random_state(p1, N, "Zmm", seed=1))
+    with mp.workdps(law.precision_dps):
+        prec = mp.mp.prec
+    re, im, exp = _int_solve(law.M, c0, prec)
+    perm = np.roll(np.arange(c0.size)[::-1], 5)
+    p_re, p_im, p_exp = _int_solve(law.M[perm], c0[perm], prec)
+    assert p_exp == exp
+    assert np.array_equal(p_re, re) and np.array_equal(p_im, im)
+    with mp.workdps(law.precision_dps + 40):
+        want = mp.lu_solve(_to_mp(law.M), _to_mp(c0))
+        with mp.workprec(4 * prec):
+            got = _from_int(re, im, exp)
+        err = max(abs(g - w) for g, w in zip(got, want))
+        assert err / max(abs(w) for w in want) < 1e-45
+
+
+def test_int_solve_pivots_and_guards():
+    from cnsmax.errors import IllConditioned
+    from cnsmax.stabilize import _int_solve
+
+    # a zero leading entry needs a row exchange; the solution is exact
+    re, im, exp = _int_solve(np.array([[0, 2j], [1, 1]]), np.array([2j, 3]), 100)
+    assert [(a * 2.0 ** exp, b * 2.0 ** exp) for a, b in zip(re, im)] == [
+        (2.0, 0.0), (1.0, 0.0)]
+    # a pivot 2^-40 below the largest entry passes; 2^-200 leaves fewer
+    # than prec = 100 bits above 2^-F, F = 100 + 138, and is refused
+    ok = np.array([[1, 1], [1, 1 + 2.0 ** -40]], dtype=complex)
+    _int_solve(ok, np.array([1, 2], dtype=complex), 100)
+    for M in ([[1, 2], [2, 4]], [[1, 1], [1, 1 + 2.0 ** -200]]):
+        with pytest.raises(IllConditioned):
+            _int_solve(np.array(M, dtype=complex), np.array([1, 2], dtype=complex), 100)
+
+
+def test_mode_exponentials_relative_accuracy():
+    # every mode keeps its own exponent: a mode that starts 1e-30 below the
+    # others and dominates later, and a step with |rate s| ~ 23, are both
+    # accurate relative to their own size at every sample; the linspace
+    # rounding residues of this grid are not zero, so the Taylor factor counts
+    import mpmath as mp
+
+    from cnsmax.stabilize import _grid_residues, _mode_exponentials
+
+    rates = np.array([-0.3 + 0.1j, -5.0 + 7.0j, -256.0 + 3.0j])
+    times = np.linspace(0.0, 40.0, 451)
+    grid = _grid_residues(times)
+    assert any(grid[1])
+    y0 = (np.array([1, 3 << 200, -(5 << 200)], dtype=object),
+          np.array([-1, 1 << 200, 1 << 190], dtype=object),
+          np.array([-120, -200, -200]))
+    blocks = list(_mode_exponentials(y0, rates, grid, 120))
+    assert [b[0].shape for b in blocks] == [(3, 64)] * 7 + [(3, 3)]
+    re, im, exp = (np.concatenate(part, axis=1) for part in zip(*blocks))
+    with mp.workprec(400):
+        for a, r in enumerate(rates):
+            start = mp.mpc(mp.ldexp(y0[0][a], int(y0[2][a])),
+                           mp.ldexp(y0[1][a], int(y0[2][a])))
+            for j, t in enumerate(times):
+                want = start * mp.exp(mp.mpc(r) * mp.mpf(t))
+                got = mp.mpc(mp.ldexp(re[a, j], int(exp[a, j])),
+                             mp.ldexp(im[a, j], int(exp[a, j])))
+                assert abs(got - want) <= 2.0 ** -110 * abs(want)
+
+
+def test_exact_loop_needs_uniform_grid(p1):
+    from cnsmax._gram import eigen_coefficients
+    from cnsmax.stabilize import _exact_loop
+
+    law = build_feedback(p1, 1, 2.0)
+    c0 = eigen_coefficients(law.table, random_state(p1, 1, "Zmm", seed=0))
+    for times in ([0.0, 1.0, 3.0], np.geomspace(1.0, 2.0, 5) - 1.0,
+                  np.linspace(1.0, 5.0, 9)):
+        with pytest.raises(ValueError):
+            _exact_loop(law, c0, np.asarray(times), 30)
 
 
 def _mp_closed_form(law, c0, times, dps, extra=None):
@@ -245,8 +387,6 @@ def _mp_closed_form(law, c0, times, dps, extra=None):
     mat-vec [M; M_e] x(t) per sample (each entry an mp.fdot), the free
     responses added in mp, and the control summed by mp.fsum at dps + 20."""
     import mpmath as mp
-
-    from cnsmax.stabilize import _to_mp
 
     lam, bv = law.lam, law.b_vec
     K = lam.size
