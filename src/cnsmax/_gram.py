@@ -94,9 +94,15 @@ def terminal_gram(tab: BranchTable) -> np.ndarray:
     return np.where(same_n, g, 0.0)
 
 
+def exponential_gram(lams, T: float) -> np.ndarray:
+    """Gram of {e^{conj(lam_a)(T-t)}} in L^2(0, T), closed form."""
+    lams = np.asarray(lams, dtype=complex)
+    return texp(np.conj(lams)[None, :] + lams[:, None], T)
+
+
 def exp_pair_integrals(tab: BranchTable, T: float) -> np.ndarray:
     """Matrix of the time integrals of e^{conj(lam_a)(T-t)} e^{lam_c (T-t)}."""
-    return texp(np.conj(tab.lam)[None, :] + tab.lam[:, None], T)
+    return exponential_gram(tab.lam, T)
 
 
 def kernel_gram(tab: BranchTable, T: float, kernel_vals: np.ndarray) -> np.ndarray:

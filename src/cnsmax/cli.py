@@ -116,6 +116,9 @@ def _params_from_config(cfg) -> FluidParams:
     extra = set(block) - known
     if extra:
         raise ValidationError(f"unknown model fields: {sorted(extra)}")
+    for key, value in block.items():
+        if value is not None:  # null stands for an absent field
+            _field(block, key, None, _real, math.isfinite, "a finite number")
     probe = argparse.Namespace(
         rho_s=block.get("rho_s"), u_s=block.get("u_s"),
         kappa=block.get("kappa"), mu=block.get("mu"),

@@ -1,15 +1,16 @@
 """Exact control synthesis: everywhere/localized interior and boundary HUM.
 
-Per-mode controls use the closed-form 3x3 controllability Gramian; localized
-and boundary controls assemble one dense Hermitian Gramian over all retained
-modal indices and solve the corresponding moment problem.  Every synthesized
-control is re-verified by independently evolving the truncated system with
-the control as a sampled forcing: each synthesizer hands `evolve` a forcing
-that evaluates the control on a whole array of times, returning the modal
-forcing triples of modes -N..N in weighted Fourier coordinates
-(2N+1, 3, len(ts)), and its control samples come from the same array
-evaluation.  `evolve` integrates that sampled forcing by quadrature; it never
-sees the closed form of the exponential-sum control.
+Everywhere controls are one batch over the spectral table: the closed-form
+3x3 controllability Gramians of all modes, one stacked solve, one array
+expression for every mode's control (n = 0 is a scalar integrator).
+Localized and boundary controls share one solve of the HUM moment problem
+on a dense Hermitian Gramian over all retained modal indices.  Every control
+is re-verified by independently evolving the truncated system with it as a
+sampled forcing: `evolve` gets a forcing that evaluates the control on an
+array of times, returning the modal forcing triples of modes -N..N in
+weighted Fourier coordinates (2N+1, 3, len(ts)), and the control samples
+come from the same array evaluation.  `evolve` integrates that sampled
+forcing by quadrature; it never sees the closed form of the control.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .spectral import (
 )
 
 COND_LIMIT = 1e14
+RANK_TOL = 1e-10              # Hautus test: smallest/largest singular value
 BOUNDARY_KINDS = ("density", "velocity", "stress")
 
 
@@ -50,8 +52,6 @@ class ModeControlData:
     n: int
     B_n: np.ndarray
     W: np.ndarray
-    W_inv: np.ndarray
-    cond: float
 
 
 @dataclass
@@ -73,24 +73,22 @@ class HautusReport:
     rank: int
 
 
-def hautus_check(p: FluidParams, n: int, B_override=None, tol_rank: float = 1e-10):
+def hautus_check(p: FluidParams, n: int, B_override=None):
     """Rank of [lambda I - A_n ; B_n] at every eigenvalue of mode n."""
     if n == 0:
         b0 = np.sqrt(p.b_eff) if B_override is None else B_override
         ratio = np.array([1.0 if abs(b0) > 0 else 0.0])
-        if abs(b0) <= tol_rank:
+        if abs(b0) <= RANK_TOL:
             raise RankDeficient(0, 0.0, abs(b0))
         return HautusReport(n=0, sigma_ratios=ratio, rank=1)
     m = mode_system(p, n)
     Bn = mode_control_operator(p, m) if B_override is None else np.asarray(B_override)
     ratios = []
     for lam in m.lambdas:
-        mat = np.concatenate(
-            [np.diag(lam - m.lambdas), Bn.reshape(3, 1)], axis=1
-        )
+        mat = np.concatenate([np.diag(lam - m.lambdas), Bn.reshape(3, 1)], axis=1)
         sv = np.linalg.svd(mat, compute_uv=False)
         ratios.append(sv[-1] / sv[0])
-        if sv[-1] < tol_rank * sv[0]:
+        if sv[-1] < RANK_TOL * sv[0]:
             raise RankDeficient(n, lam, float(sv[-1]))
     return HautusReport(n=n, sigma_ratios=np.array(ratios), rank=3)
 
@@ -99,11 +97,20 @@ def mode_control_operator(p: FluidParams, mode: ModeEigenSystem | None) -> np.nd
     """Control column of an everywhere density actuator, eigenbasis coords.
 
     mode=None addresses the n = 0 block, where the operator is the scalar
-    sqrt(b).
+    sqrt(b); a SpectralTable gives the columns of all its modes, (m, 3).
     """
     if mode is None:
         return np.array([np.sqrt(p.b_eff)])
     return p.b_eff * np.sqrt(TWO_PI) / np.conj(mode.psi)
+
+
+def _gramian_blocks(p: FluidParams, lam, psi, T: float) -> np.ndarray:
+    """Closed-form controllability Gramians over [0, T] of the everywhere
+    actuator from eigenvalue and normalizer rows (..., 3): (..., 3, 3)."""
+    z = lam[..., :, None] + np.conj(lam)[..., None, :]
+    W = TWO_PI * p.b_eff**2 * texp(z, T) / (np.conj(psi)[..., :, None] * psi[..., None, :])
+    # strip rounding skew; the exact form is Hermitian
+    return 0.5 * (W + W.conj().swapaxes(-1, -2))
 
 
 def gramian_closed_form(
@@ -111,22 +118,30 @@ def gramian_closed_form(
 ) -> ModeControlData:
     """Controllability Gramian of one mode over [0, T], closed form."""
     if mode is None:
-        w = np.array([[p.b_eff * T]])
-        return ModeControlData(
-            n=0, B_n=mode_control_operator(p, None), W=w, W_inv=1.0 / w, cond=1.0
-        )
-    lam, psi = mode.lambdas, mode.psi
-    z = lam[:, None] + np.conj(lam)[None, :]
-    W = TWO_PI * p.b_eff**2 * texp(z, T) / (np.conj(psi)[:, None] * psi[None, :])
-    W = 0.5 * (W + W.conj().T)  # strip rounding skew; exact form is Hermitian
-    W_inv = np.linalg.inv(W)
-    return ModeControlData(
-        n=mode.n,
-        B_n=mode_control_operator(p, mode),
-        W=W,
-        W_inv=W_inv,
-        cond=float(np.linalg.cond(W)),
-    )
+        return ModeControlData(n=0, B_n=mode_control_operator(p, None),
+                               W=np.array([[p.b_eff * T]]))
+    return ModeControlData(n=mode.n, B_n=mode_control_operator(p, mode),
+                           W=_gramian_blocks(p, mode.lambdas, mode.psi, T))
+
+
+def _steer(B, lam, W, d0, d1, T: float):
+    """Minimal-norm controls steering eigen-coordinates d0 to d1 over [0, T]
+    for a stack of modes: rows of B, lam, d0, d1 (m, k), Gramians W (m, k, k).
+
+    Returns a callable ts (1-D) -> controls of every mode, (m, len(ts)).
+    """
+    y = d1 - np.exp(T * lam) * d0
+    if W.shape[-1] == 1:  # the scalar n = 0 block
+        eta = y / W[..., 0]
+    else:
+        eta = np.linalg.solve(W, y[..., None])[..., 0]
+
+    def controls(ts):
+        tau = T - ts[:, None]
+        return np.sum(np.conj(B)[:, None] * np.exp(np.conj(lam)[:, None] * tau)
+                      * eta[:, None], axis=-1)
+
+    return controls
 
 
 def minimal_control_mode(p: FluidParams, mode: ModeEigenSystem | None, T: float,
@@ -134,47 +149,43 @@ def minimal_control_mode(p: FluidParams, mode: ModeEigenSystem | None, T: float,
     """Minimal-norm modal control steering eigen-coords d0 to d1 (default 0).
 
     Returns a callable ts -> complex control coefficients of mode n at the
-    times ts (any shape; a scalar time gives a scalar).
+    times ts (any shape; a scalar time gives a scalar), and the Gramian data.
     """
     data = gramian_closed_form(p, mode, T)
     d0 = np.atleast_1d(np.asarray(d0, dtype=complex))
     lam = mode.lambdas if mode is not None else np.zeros(1, dtype=complex)
-    target = np.zeros_like(d0) if d1 is None else np.atleast_1d(np.asarray(d1, complex))
-    y = target - np.exp(T * lam) * d0
-    eta = np.linalg.solve(data.W, y) if mode is not None else y / data.W[0, 0]
-    Bn = data.B_n
+    d1 = np.zeros_like(d0) if d1 is None else np.atleast_1d(np.asarray(d1, complex))
+    controls = _steer(data.B_n[None], lam[None], data.W[None], d0[None], d1[None], T)
 
     def f(ts):
-        tau = T - np.asarray(ts, dtype=float)[..., None]
-        return np.sum(np.conj(Bn) * np.exp(np.conj(lam) * tau) * eta, axis=-1)
+        ts = np.asarray(ts, dtype=float)
+        return controls(ts.ravel())[0].reshape(ts.shape)[()]
 
     return f, data
 
 
-def _modal_controls(p, state0, T, N, target=None):
-    """Per-mode minimal controls for the everywhere-density actuator."""
-    # d_0 = <z, xi*_0>_Z of the n = 0 block
-    d0 = complex(
-        p.b_eff * (state0.coeff(0)[0] / np.sqrt(TWO_PI)) * TWO_PI
-        / np.sqrt(2.0 * p.b_eff * np.pi)
-    )
-    d1 = None
+def _everywhere_coords(p: FluidParams, tab, state: SpectralState):
+    """Eigen-coordinates of state for the everywhere actuator: the n = 0
+    block's d_0 = <z, xi*_0>_Z, shape (1, 1), and the rows of the modes of
+    the spectral table tab, (m, 3)."""
+    d_zero = complex(p.b_eff * (state.coeff(0)[0] / np.sqrt(TWO_PI)) * TWO_PI
+                     / np.sqrt(2.0 * p.b_eff * np.pi))
+    c = np.sqrt(z_weights(p)) * np.array([state.coeff(n) for n in tab.ns.tolist()])
+    return np.array([[d_zero]]), (tab.gamma @ c.reshape(-1, 3, 1))[..., 0]
+
+
+def _verify(p: FluidParams, state0: SpectralState, T: float, forcing,
+            target: SpectralState | None = None):
+    """Evolve state0 under forcing by the independent quadrature; returns the
+    energy distance of the final state from target (default rest) relative
+    to the energy of state0, and the final state."""
+    _, final = evolve(p, state0, T, forcing=forcing)
+    diff = final
     if target is not None:
-        d1 = complex(
-            p.b_eff * (target.coeff(0)[0] / np.sqrt(TWO_PI)) * TWO_PI
-            / np.sqrt(2.0 * p.b_eff * np.pi)
-        )
-    controls = {0: minimal_control_mode(p, None, T, [d0], None if d1 is None else [d1])}
-    tab = spectral_table(p, nonzero_modes(N)).require_simple()
-    w = np.sqrt(z_weights(p))
-    for i, n in enumerate(tab.ns.tolist()):
-        m = tab.mode(i)
-        d0 = m.gamma @ (w * state0.coeff(n))
-        d1 = None
-        if target is not None:
-            d1 = m.gamma @ (w * target.coeff(n))
-        controls[n] = minimal_control_mode(p, m, T, d0, d1)
-    return controls
+        diff = SpectralState(N=final.N, coeffs={
+            n: final.coeff(n) - target.coeff(n) for n in range(-final.N, final.N + 1)
+        })
+    return float(energy_norm(diff, p) / (energy_norm(state0, p) or 1.0)), final
 
 
 def synthesize_everywhere_control(
@@ -183,8 +194,6 @@ def synthesize_everywhere_control(
     T: float,
     N: int,
     target: SpectralState | None = None,
-    samples: int = 2048,
-    panels_per_unit: int = 64,
 ):
     """Everywhere-in-density exact control at any horizon T > 0.
 
@@ -192,46 +201,35 @@ def synthesize_everywhere_control(
     reported residual comes from an independent quadrature evolution.
     Returns (ControlSignal, residual, final_state).
     """
-    controls = _modal_controls(p, state0, T, N, target)
-    labels = sorted(controls)
+    tab = spectral_table(p, nonzero_modes(N)).require_simple()
+    d0 = _everywhere_coords(p, tab, state0)
+    d1 = ([np.zeros_like(d) for d in d0] if target is None
+          else _everywhere_coords(p, tab, target))
+    zero = gramian_closed_form(p, None, T)
+    zero_control = _steer(zero.B_n[None], np.zeros((1, 1), dtype=complex),
+                          zero.W[None], d0[0], d1[0], T)
+    mode_controls = _steer(mode_control_operator(p, tab), tab.lambdas,
+                           _gramian_blocks(p, tab.lambdas, tab.psi, T),
+                           d0[1], d1[1], T)
     sb = np.sqrt(p.b_eff)
 
     def coeffs(ts):
-        return np.array([controls[n][0](ts) for n in labels])
+        # rows -N..-1, then n = 0, then 1..N
+        return np.insert(mode_controls(ts), N, zero_control(ts)[0], axis=0)
 
     def forcing(ts):
-        out = np.zeros((len(labels), 3, len(ts)), dtype=complex)
+        out = np.zeros((2 * N + 1, 3, len(ts)), dtype=complex)
         out[:, 0] = sb * coeffs(ts)
         return out
 
-    rec, final = evolve(
-        p, state0, T, forcing=forcing, panels_per_unit=panels_per_unit
-    )
-    e0 = energy_norm(state0, p) or 1.0
-    if target is not None:
-        diff = final.copy()
-        for n in range(-N, N + 1):
-            c = diff.coeff(n) - target.coeff(n)
-            if np.any(c != 0):
-                diff.coeffs[n] = c
-            elif n in diff.coeffs:
-                del diff.coeffs[n]
-        resid = energy_norm(diff, p) / e0
-    else:
-        resid = energy_norm(final, p) / e0
-
-    times = np.linspace(0.0, T, samples)
+    resid, final = _verify(p, state0, T, forcing, target)
+    times = np.linspace(0.0, T, 2048)
     samp = coeffs(times)
     norm2 = float(np.trapezoid(np.sum(np.abs(samp) ** 2, axis=0), times))
-    sig = ControlSignal(
-        kind="everywhere_density",
-        horizon=T,
-        times=times,
-        samples=samp,
-        mode_labels=labels,
-        norm_l2=float(np.sqrt(norm2)),
-    )
-    return sig, float(resid), final
+    sig = ControlSignal(kind="everywhere_density", horizon=T, times=times,
+                        samples=samp, mode_labels=list(range(-N, N + 1)),
+                        norm_l2=float(np.sqrt(norm2)))
+    return sig, resid, final
 
 
 def check_boundary_kind(kind: str) -> None:
@@ -271,11 +269,27 @@ def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
     return _boundary_values(tab.p, kind, tab.alpha, tab.psi, tab.idx_n, tab.idx_l)
 
 
-def _hum_solve(G, y, what):
+def _warn_below_waiting_time(p: FluidParams, T: float) -> None:
+    t0 = minimal_time(p)
+    if T <= t0:
+        warn(
+            f"horizon T={T:.3f} below the controllability waiting time "
+            f"T0={t0:.3f}; expect an ill-conditioned Gramian",
+            stacklevel=3,
+        )
+
+
+def _moment_solve(G, tab: BranchTable, state0: SpectralState, T: float, what: str):
+    """HUM moment problem G x = -e^{T lambda} d0 that steers state0 to rest.
+
+    Raises IllConditioned when cond(G) exceeds COND_LIMIT.  Returns x,
+    cond(G) and the control norm sqrt(x* G x).
+    """
     cond = float(np.linalg.cond(G))
     if cond > COND_LIMIT:
         raise IllConditioned(what, cond, COND_LIMIT)
-    return np.linalg.solve(G, y), cond
+    x = np.linalg.solve(G, -np.exp(T * tab.lam) * eigen_coefficients(tab, state0))
+    return x, cond, float(np.sqrt(max(np.real(np.conj(x) @ G @ x), 0.0)))
 
 
 def synthesize_boundary_control(
@@ -284,30 +298,18 @@ def synthesize_boundary_control(
     T: float,
     N: int,
     kind: str = "density",
-    target: SpectralState | None = None,
-    samples: int = 2048,
-    panels_per_unit: int = 64,
 ):
-    """Single boundary control steering a mean-free state over [0, T].
+    """Single boundary control steering a mean-free state to rest over [0, T].
 
     HUM at truncation: the dense Gramian over all modal indices |n| <= N is
     assembled in closed form and inverted once.  Returns
     (ControlSignal, residual, cond, final_state).
     """
-    t0 = minimal_time(p)
-    if T <= t0:
-        warn(
-            f"horizon T={T:.3f} below the controllability waiting time "
-            f"T0={t0:.3f}; expect an ill-conditioned Gramian",
-            stacklevel=2,
-        )
+    _warn_below_waiting_time(p, T)
     tab = build_branch_table(p, N, "Zmm")
     bv = boundary_observation_vector(tab, kind)
-    G = kernel_gram(tab, T, bv)
-    d0 = eigen_coefficients(tab, state0)
-    d1 = np.zeros_like(d0) if target is None else eigen_coefficients(tab, target)
-    y = d1 - np.exp(T * tab.lam) * d0
-    x, cond = _hum_solve(G, y, f"boundary HUM Gramian ({kind})")
+    x, cond, norm = _moment_solve(kernel_gram(tab, T, bv), tab, state0, T,
+                                  f"boundary HUM Gramian ({kind})")
 
     def q(ts):
         # summed row by row like a single time, so every sample rounds the
@@ -326,25 +328,11 @@ def synthesize_boundary_control(
         out[rows] = actuated[:, :, None] * q(ts)
         return out
 
-    rec, final = evolve(p, state0, T, forcing=forcing,
-                        panels_per_unit=panels_per_unit)
-    e0 = energy_norm(state0, p) or 1.0
-    if target is None:
-        resid = energy_norm(final, p) / e0
-    else:
-        dfin = eigen_coefficients(tab, final)
-        resid = float(np.linalg.norm(dfin - d1) / max(np.linalg.norm(d0), 1e-300))
-
-    times = np.linspace(0.0, T, samples)
-    qs = q(times)
-    sig = ControlSignal(
-        kind=f"boundary_{kind}",
-        horizon=T,
-        times=times,
-        samples=qs,
-        norm_l2=float(np.sqrt(max(np.real(np.conj(x) @ G @ x), 0.0))),
-    )
-    return sig, float(resid), cond, final
+    resid, final = _verify(p, state0, T, forcing)
+    times = np.linspace(0.0, T, 2048)
+    sig = ControlSignal(kind=f"boundary_{kind}", horizon=T, times=times,
+                        samples=q(times), norm_l2=norm)
+    return sig, resid, cond, final
 
 
 def synthesize_localized_control(
@@ -353,11 +341,9 @@ def synthesize_localized_control(
     T: float,
     N: int,
     interval: tuple[float, float],
-    target: SpectralState | None = None,
-    samples: int = 512,
-    panels_per_unit: int = 64,
 ):
-    """Localized interior density control supported on interval = (l1, l2).
+    """Localized interior density control supported on interval = (l1, l2),
+    steering state0 to rest over [0, T].
 
     Returns (ControlSignal, residual, cond, final_state); the control samples
     are the modal coefficients of the actuated forcing restricted to the
@@ -366,20 +352,12 @@ def synthesize_localized_control(
     lo, hi = interval
     if not (0.0 <= lo < hi <= TWO_PI):
         raise ValidationError("interval must satisfy 0 <= l1 < l2 <= 2*pi")
-    t0 = minimal_time(p)
-    if T <= t0 and (hi - lo) < TWO_PI - 1e-12:
-        warn(
-            f"horizon T={T:.3f} below the controllability waiting time "
-            f"T0={t0:.3f}; expect an ill-conditioned Gramian",
-            stacklevel=2,
-        )
+    if (hi - lo) < TWO_PI - 1e-12:  # the full circle has no waiting time
+        _warn_below_waiting_time(p, T)
     tab = build_branch_table(p, N, "Zm")
     weights = p.b_eff * tab.sigma_coeff
-    G = windowed_gram(tab, T, weights, lo, hi)
-    d0 = eigen_coefficients(tab, state0)
-    d1 = np.zeros_like(d0) if target is None else eigen_coefficients(tab, target)
-    y = d1 - np.exp(T * tab.lam) * d0
-    x, cond = _hum_solve(G, y, "localized HUM Gramian")
+    x, cond, norm = _moment_solve(windowed_gram(tab, T, weights, lo, hi), tab,
+                                  state0, T, "localized HUM Gramian")
 
     # Fourier coefficients (scalar basis e^{inx}/sqrt(2 pi)) of the actuated
     # control 1_O * f1 at the retained modes
@@ -399,26 +377,12 @@ def synthesize_localized_control(
         out[:, 0] = sb * coeff_rows(ts)
         return out
 
-    rec, final = evolve(p, state0, T, forcing=forcing,
-                        panels_per_unit=panels_per_unit)
-    e0 = energy_norm(state0, p) or 1.0
-    if target is None:
-        resid = energy_norm(final, p) / e0
-    else:
-        dfin = eigen_coefficients(tab, final)
-        resid = float(np.linalg.norm(dfin - d1) / max(np.linalg.norm(d0), 1e-300))
-
-    times = np.linspace(0.0, T, samples)
-    samp = coeff_rows(times)
-    sig = ControlSignal(
-        kind="localized_density",
-        horizon=T,
-        times=times,
-        samples=samp,
-        mode_labels=all_n.tolist(),
-        norm_l2=float(np.sqrt(max(np.real(np.conj(x) @ G @ x), 0.0))),
-    )
-    return sig, float(resid), cond, final
+    resid, final = _verify(p, state0, T, forcing)
+    times = np.linspace(0.0, T, 512)
+    sig = ControlSignal(kind="localized_density", horizon=T, times=times,
+                        samples=coeff_rows(times), mode_labels=all_n.tolist(),
+                        norm_l2=norm)
+    return sig, resid, cond, final
 
 
 def admissibility_constant(p: FluidParams, N: int, T: float, kind: str = "density"):

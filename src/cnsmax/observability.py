@@ -17,6 +17,7 @@ from scipy.special import gammaln
 
 from ._gram import (
     build_branch_table,
+    exponential_gram,
     kernel_gram,
     terminal_gram,
     texp,
@@ -56,12 +57,6 @@ def minimal_time(p: FluidParams) -> float:
     """Controllability waiting time 2*pi*(1/|beta_1| + 1/|beta_2| + 1/|beta_3|)."""
     roots = solve_beta_cubic(p)
     return float(TWO_PI * np.sum(1.0 / np.abs(np.asarray(roots.beta))))
-
-
-def exponential_gram(lams, T: float) -> np.ndarray:
-    """Gram of {e^{conj(lam_a)(T-t)}} in L^2(0, T), closed form."""
-    lams = np.asarray(lams, dtype=complex)
-    return texp(np.conj(lams)[None, :] + lams[:, None], T)
 
 
 def exp_gram(p: FluidParams, N: int, T: float) -> ExpGram:
@@ -188,7 +183,6 @@ def lack_experiment(
     interval: tuple[float, float],
     band_mult: int = 4,
     support: tuple[float, float] | None = None,
-    margin_frac: float = 0.05,
 ) -> LackResult:
     """Small-time non-controllability scaling of the observation ratio.
 
@@ -222,7 +216,7 @@ def lack_experiment(
                 "the slow branch sweeps toward the wrong side of the window "
                 f"(clearance {clearance:.3f} < |beta| T {abs(bhat) * T:.3f})"
             )
-        pad = margin_frac * (clearance - abs(bhat) * T)
+        pad = 0.05 * (clearance - abs(bhat) * T)  # 5% of the free clearance
         if bhat < 0:
             a0, b0 = hi + abs(bhat) * T + pad, TWO_PI - pad
         else:

@@ -26,7 +26,7 @@ from .model import FluidParams
 
 TWO_PI = 2.0 * np.pi
 
-# defaults, overridable per call
+# multiplicity flag and normalizer rejection thresholds
 TOL_MULT = 1e-8
 TOL_PSI = 1e-10
 
@@ -302,7 +302,7 @@ def q_degeneracy(p: FluidParams, n, lam) -> np.ndarray:
     )
 
 
-def spectral_table(p: FluidParams, ns, lambdas=None, tol_mult: float = TOL_MULT) -> SpectralTable:
+def spectral_table(p: FluidParams, ns, lambdas=None) -> SpectralTable:
     """All per-mode spectral data of the nonzero modes ns in one batch.
 
     lambdas, if given, replaces the branch-paired eigenvalue rows (m, 3).
@@ -323,7 +323,7 @@ def spectral_table(p: FluidParams, ns, lambdas=None, tol_mult: float = TOL_MULT)
     min_gap = np.abs(lam[:, [0, 0, 1]] - lam[:, [1, 2, 2]]).min(axis=1)
     q = q_degeneracy(p, n, lam)
     min_q = np.abs(q).min(axis=1)
-    flag = (min_gap < tol_mult * (1.0 + np.abs(lam).max(axis=1))) | (min_q < tol_mult)
+    flag = (min_gap < TOL_MULT * (1.0 + np.abs(lam).max(axis=1))) | (min_q < TOL_MULT)
 
     d2 = (
         b
@@ -355,15 +355,15 @@ def spectral_table(p: FluidParams, ns, lambdas=None, tol_mult: float = TOL_MULT)
                          min_gap=min_gap, min_q=min_q, flag=flag)
 
 
-def mode_eigenvalues(p: FluidParams, n: int, tol_mult: float = TOL_MULT) -> np.ndarray:
+def mode_eigenvalues(p: FluidParams, n: int) -> np.ndarray:
     """Branch-paired eigenvalues of one mode; rejects multiple eigenvalues."""
     # tol_psi = 0: only the multiplicity flag rejects
-    return spectral_table(p, [n], tol_mult=tol_mult).require_simple(0.0).lambdas[0]
+    return spectral_table(p, [n]).require_simple(0.0).lambdas[0]
 
 
-def detect_multiplicity(p: FluidParams, n: int, tol_mult: float = TOL_MULT) -> MultiplicityReport:
+def detect_multiplicity(p: FluidParams, n: int) -> MultiplicityReport:
     """Check one mode for (near-)multiple eigenvalues; never raises."""
-    tab = spectral_table(p, [n], tol_mult=tol_mult)
+    tab = spectral_table(p, [n])
     return MultiplicityReport(n=n, flag=bool(tab.flag[0]),
                               min_gap=float(tab.min_gap[0]), min_q=float(tab.min_q[0]))
 
@@ -439,12 +439,12 @@ def min_eigenvalue_gap(p: FluidParams, N: int) -> float:
     return best
 
 
-def spectrum_rows(p: FluidParams, N: int, tol_mult: float = TOL_MULT):
+def spectrum_rows(p: FluidParams, N: int):
     """Rows (n, branch, re, im, theta, re_psi, im_psi, mult_flag) for |n| <= N.
 
     Flagged modes are reported with NaN normalizers instead of rejected.
     """
-    tab = spectral_table(p, nonzero_modes(N), tol_mult=tol_mult)
+    tab = spectral_table(p, nonzero_modes(N))
     _reject(tab, ~tab.flag & np.any(np.abs(tab.psi) < TOL_PSI, axis=1))
     flag = tab.flag[:, None]
     theta = np.where(flag, np.nan, tab.theta)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gram import build_branch_table, eigen_coefficients, texp
+from ._gram import build_branch_table, eigen_coefficients
 from .dynamics import SpectralState, TrajectoryRecord
 from .errors import DegenerateWindow, IllConditioned, OmegaTooSmall, StepTooLarge
 from .model import FluidParams
@@ -355,13 +355,14 @@ def build_feedback(
     )
 
 
-def quadrature_gramian(law: FeedbackLaw, tail_tol: float = 1e-12, points: int = 400):
-    """Independent Gauss-Legendre evaluation of the Gramian integral."""
+def quadrature_gramian(law: FeedbackLaw, points: int = 400):
+    """Independent Gauss-Legendre evaluation of the Gramian integral,
+    truncated where the integrand's weight has decayed to 1e-12."""
     from numpy.polynomial.legendre import leggauss
 
     lam, bv, om = law.lam, law.b_vec, law.omega
     rate = float(2.0 * om + 2.0 * lam.real.min())
-    T_big = -np.log(tail_tol) / rate
+    T_big = -np.log(1e-12) / rate
     xs, ws = leggauss(points)
     ts = 0.5 * T_big * (xs + 1.0)
     wts = 0.5 * T_big * ws
@@ -391,24 +392,19 @@ def closed_loop_simulate(
     law: FeedbackLaw,
     z0: SpectralState,
     T_end: float,
-    dt: float | None = None,
 ) -> TrajectoryRecord:
     """Closed-loop trajectory of the truncated feedback system.
 
     Well-conditioned laws integrate the eigen-coordinate ODE with a
-    second-order exponential integrator and a dt vs dt/2 self-convergence
-    check.  Ill-conditioned laws use the exact route: the Lyapunov identity
-    makes x = M^{-1} c evolve by pure modal decay e^{-(2 omega + conj
-    lambda)t}, so the trajectory is evaluated in closed form with extended
-    precision and there is no time-step error.
+    second-order exponential integrator at step dt = 0.1 / max|lambda| and
+    a dt vs dt/2 self-convergence check.  Ill-conditioned laws use the exact
+    route: the Lyapunov identity makes x = M^{-1} c evolve by pure modal
+    decay e^{-(2 omega + conj lambda)t}, so the trajectory is evaluated in
+    closed form with extended precision and there is no time-step error;
+    it is sampled about every RECORD_STRIDE steps dt.
     """
     c0 = eigen_coefficients(law.table, z0)
-    lam = law.lam
-    max_rate = float(np.abs(lam).max())
-    if dt is None:
-        dt = 0.1 / max_rate
-    if dt > 0.1 / max_rate * (1.0 + 1e-12):
-        raise StepTooLarge(f"dt={dt} does not resolve the fastest mode")
+    dt = 0.1 / float(np.abs(law.lam).max())
     if law.precision_dps > 0:
         nrec = max(int(np.ceil(T_end / dt / RECORD_STRIDE)), 64)
         times = np.linspace(0.0, T_end, nrec + 1)
@@ -473,24 +469,20 @@ def spillover_report(
     law: FeedbackLaw,
     z0: SpectralState,
     T_end: float,
-    N2: int | None = None,
-    samples: int = 129,
 ) -> dict:
     """Decay-rate change when the N-truncation gain drives a larger plant.
 
     The feedback only reads the first-N modal projection, whose closed loop
-    stays the exact similarity system; modes with N < |n| <= N2 are driven
-    open-loop by the resulting control.  By the Sylvester identity (module
-    docstring) mode e responds exactly as
+    stays the exact similarity system; modes with N < |n| <= N2 = 2N are
+    driven open-loop by the resulting control.  By the Sylvester identity
+    (module docstring) mode e responds exactly as
     c_e(t) = sum_a M_e[e, a] x_a(t) + e^{lambda_e t} (c_e(0) - sum_a M_e[e, a] x0_a)
     with M_e[e, a] = conj(b_e) b_a / (lambda_e + 2 omega + conj lambda_a),
     so design and extra modes are the rows of [M; M_e] applied to the same
-    x(t) (`_exact_loop`).  Returns the fitted rates of the design truncation
-    and of the extended plant.
+    x(t) (`_exact_loop`), sampled at 129 times on [0, T_end].  Returns the
+    fitted rates of the design truncation and of the extended plant.
     """
-    N2 = N2 or 2 * law.N
-    if N2 <= law.N:
-        raise ValueError("N2 must exceed the design truncation")
+    N2 = 2 * law.N
     tab2 = build_branch_table(p, N2, "Zmm")
     extra = np.abs(tab2.idx_n) > law.N
     from .control import boundary_observation_vector
@@ -505,7 +497,7 @@ def spillover_report(
     c0 = eigen_coefficients(law.table, z0_design)
     c0_extra = eigen_coefficients(tab2, z0)[extra]
 
-    times = np.linspace(0.0, T_end, samples)
+    times = np.linspace(0.0, T_end, 129)
     K = law.lam.size
     cs, _ = _exact_loop(law, c0, times, law.precision_dps or 30,
                         extra=(tab2.lam[extra], bv2[extra], c0_extra))
@@ -535,10 +527,10 @@ def spillover_report(
     }
 
 
-def fit_decay_rate(traj: TrajectoryRecord, window: tuple[float, float] = (0.2, 0.9)):
+def fit_decay_rate(traj: TrajectoryRecord):
     """Exponential decay rate of the energy norm by least squares.
 
-    Fits (1/2) log energy against t over [w0, w1] * T_end and returns the
+    Fits (1/2) log energy against t over [0.2, 0.9] * T_end and returns the
     negated slope; underflowed samples are dropped (window auto-shortened).
     """
     t = np.asarray(traj.times, dtype=float)
@@ -547,7 +539,7 @@ def fit_decay_rate(traj: TrajectoryRecord, window: tuple[float, float] = (0.2, 0
         with np.errstate(divide="ignore"):
             loge = np.log(np.asarray(traj.energies, dtype=float))
     T_end = t[-1]
-    mask = (t >= window[0] * T_end) & (t <= window[1] * T_end) & np.isfinite(loge)
+    mask = (t >= 0.2 * T_end) & (t <= 0.9 * T_end) & np.isfinite(loge)
     mask &= loge > np.log(1e-290)
     if mask.sum() < 2:
         raise DegenerateWindow("fewer than two usable samples in the fit window")

@@ -99,6 +99,11 @@ def test_invalid_block_field_exits_2(tmp_path, command, block):
     ({"simulate": {"N": 2}}, None),
     (["simulate"], None),
     ({"model": P1_MODEL, "simulate": {"N": 2}}, -3),
+    ({"model": {**P1_MODEL, "rho_s": True}, "simulate": {"N": 2}}, None),
+    ({"model": {**P1_MODEL, "rho_s": float("inf")}, "simulate": {"N": 2}}, None),
+    ({"model": {**P1_MODEL, "rho_s": "1"}, "simulate": {"N": 2}}, None),
+    ({"model": {"rho_s": 1.0, "u_s": 1.0, "kappa": 1.0, "mu": 1.0, "a": 1,
+                "gamma": True}, "simulate": {"N": 2}}, None),
 ])
 def test_configuration_error_writes_summary(tmp_path, body, seed):
     # errors found before any block field is read exit 2 with a summary.json

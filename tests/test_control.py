@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -198,6 +200,26 @@ def test_localized_reduces_to_everywhere(p1):
     sig_e, resid_e, _ = synthesize_everywhere_control(p1, z0, 1.0, 4)
     assert abs(resid_l - resid_e) <= 1e-8
     assert resid_l <= 1e-8
+    # on the full circle both are the same minimal control: equal modal
+    # coefficients at the shared sample times t = 0 and t = T, and equal
+    # norms up to the trapezoid error of the everywhere norm
+    assert sig_l.mode_labels == sig_e.mode_labels
+    ends = [0, -1]
+    assert np.array_equal(sig_l.times[ends], sig_e.times[ends])
+    scale = np.abs(sig_e.samples).max()
+    assert np.abs(sig_l.samples[:, ends] - sig_e.samples[:, ends]).max() <= 1e-10 * scale
+    assert sig_l.norm_l2 == pytest.approx(sig_e.norm_l2, rel=1e-5)
+
+
+def test_localized_waiting_time_warning(p1):
+    T = 0.5 * minimal_time(p1)
+    z0 = random_state(p1, 2, "Zm", seed=5)
+    with pytest.warns(UserWarning, match="waiting time"):
+        synthesize_localized_control(p1, z0, T, 2, (0.0, np.pi))
+    # the full circle is controllable at any horizon: no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        synthesize_localized_control(p1, z0, T, 2, (0.0, TWO_PI))
 
 
 def test_localized_control_residual_and_norm_growth(p1):

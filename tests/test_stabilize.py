@@ -3,7 +3,7 @@ import pytest
 
 from cnsmax.control import boundary_observation
 from cnsmax.dynamics import TrajectoryRecord, component_norms, random_state
-from cnsmax.errors import DegenerateWindow, OmegaTooSmall, StepTooLarge
+from cnsmax.errors import DegenerateWindow, OmegaTooSmall
 from cnsmax.spectral import mode_system
 from cnsmax.stabilize import (
     build_feedback,
@@ -118,13 +118,6 @@ def test_closed_loop_component_norms(p1):
         got = [traj.norm_rho[0], traj.norm_u[0], traj.norm_S[0]]
         assert np.allclose(got, component_norms(z0), rtol=1e-12, atol=0)
     assert routes == [False, True]
-
-
-def test_step_too_large_guard(p1):
-    law = build_feedback(p1, 1, 2.0)
-    z0 = random_state(p1, 1, "Zmm", seed=3)
-    with pytest.raises(StepTooLarge):
-        closed_loop_simulate(p1, law, z0, 5.0, dt=1.0)
 
 
 def test_fit_decay_rate_synthetic():
