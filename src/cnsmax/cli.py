@@ -174,7 +174,7 @@ def _flag(block, key, default=False):
 
 def _interval(block):
     return _field(block, "interval", [0.0, np.pi],
-                  lambda v: tuple(float(x) for x in v),
+                  lambda v: tuple(_real(x) for x in v),
                   lambda v: len(v) == 2 and 0.0 <= v[0] < v[1] <= 2 * np.pi,
                   "[l1, l2] with 0 <= l1 < l2 <= 2*pi")
 
@@ -217,8 +217,9 @@ def _run_simulate(p, block, out, summary, seed):
     subspace = _field(block, "subspace", "Zm", str, lambda v: v in SUBSPACES,
                       f"one of {SUBSPACES}")
     grid = _count(block, "grid", max(4 * N, 64), least=2 * N + 1)
-    snapshots = _field(block, "snapshots", [T], lambda v: [float(t) for t in v],
-                       lambda v: all(t >= 0 for t in v), "a list of times >= 0")
+    snapshots = _field(block, "snapshots", [T], lambda v: [_real(t) for t in v],
+                       lambda v: all(t >= 0 and math.isfinite(t) for t in v),
+                       "a list of finite times >= 0")
     state0 = random_state(p, N, subspace=subspace, seed=seed)
     rec, final = evolve(p, state0, T, record_times=np.linspace(0, T, points))
     write_csv(
@@ -336,7 +337,7 @@ def _run_lack(p, block, out, summary):
     from .observability import lack_experiment
     from .spectral import solve_beta_cubic
 
-    N_list = _field(block, "N_list", [4, 8, 16, 32], lambda v: [int(n) for n in v],
+    N_list = _field(block, "N_list", [4, 8, 16, 32], lambda v: [_integer(n) for n in v],
                     lambda v: min(v) >= 1 and len(set(v)) >= 2,
                     "a list of at least two distinct integers >= 1")
     lo, hi = _interval(block)

@@ -33,10 +33,17 @@ x(t_j) = x0 e^{r t_j} on the uniform sample grid is x0 w^j, w = e^{r s},
 each mode at its own exponent, corrected by a short Taylor series for the
 grid's rounding residue (`_mode_exponentials`).  Every state, every
 extra-mode response and the control q(t) are then rows of one matrix
-applied to those values, formed as exact sums of integer mantissa products,
-each rounded once at the working precision and then to double, as mp.fdot
-rounds.  mpmath is left with one exponential per mode, the rows M_e and the
-final rounding: no mp.lu_solve and nothing per sample.
+applied to those values, formed as exact sums of integer mantissa products
+(`_limb_matmul`: 16-bit limbs held in float64, multiplied by BLAS with
+every partial sum an integer below 2^52, so exact in any summation order),
+each rounded once at the working precision and then to double in integer
+code (`_round_to_double`), as mp.fdot rounds.  mpmath is left with one
+exponential per mode and the rows M_e: no mp.lu_solve and nothing per
+sample.
+
+The double-precision route (`_integrate`) steps the closed loop with a
+second-order exponential integrator, a few NumPy vector operations per
+step, and keeps only the recorded states.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ COND_HARD_LIMIT = 1e30
 RECORD_STRIDE = 16            # integrator steps per recorded sample
 SOLVE_GUARD_BITS = 138        # fixed-point bits of _int_solve beyond prec
 SAMPLE_BLOCK = 64             # samples per block of the exact evaluator
+LIMB_BITS = 16                # limb width of the exact products, exact to 2^20 - 1 columns
 
 
 def growth_threshold(p: FluidParams, N: int) -> float:
@@ -99,6 +107,22 @@ def _fixed_point(parts, lowest: int) -> list[int]:
         n = man << (exp - lowest) if exp >= lowest else man >> (lowest - exp)
         ints.append(-n if sign else n)
     return ints
+
+
+def _double_parts(z) -> list:
+    """The (sign, man, exp, bc) tuples of the real and imaginary parts of a
+    complex array, interleaved, as mp.mpc(v)._mpc_ gives them: odd
+    mantissas, and zero as (0, 0, 0, 0)."""
+    parts = []
+    for v in np.ascontiguousarray(z, dtype=complex).view(np.float64).ravel().tolist():
+        n, d = abs(v).as_integer_ratio()
+        if n == 0:
+            parts.append((0, 0, 0, 0))
+            continue
+        zeros = (n & -n).bit_length() - 1
+        man = n >> zeros
+        parts.append((int(v < 0), man, zeros + 1 - d.bit_length(), man.bit_length()))
+    return parts
 
 
 def _floor_scaled(x: float, q: int) -> int:
@@ -234,6 +258,101 @@ def _mode_exponentials(y0, rates, grid, bits: int):
         yield re, im, ex
 
 
+def _limbs(ints, L: int) -> np.ndarray:
+    """Signed L-bit limbs of an integer array, L = 8, 16 or 32, as float64
+    of shape (n, *ints.shape) with ints = sum_k limbs[k] 2^(kL) exactly.
+
+    n is the fewest limbs with every |ints| < 2^(nL - 1).  The limbs are the
+    L-bit words of each entry's nL-bit two's complement: the n - 1 low ones
+    in [0, 2^L), the top one signed, in [-2^(L-1), 2^(L-1)).
+    """
+    if L not in (8, 16, 32):
+        raise ValueError(f"limbs are 8, 16 or 32 bits, not {L}")
+    flat = np.asarray(ints, dtype=object).ravel().tolist()
+    n = max(map(abs, flat), default=0).bit_length() // L + 1
+    buf = b"".join(v.to_bytes(n * L // 8, "little", signed=True) for v in flat)
+    words = np.frombuffer(buf, dtype=f"<u{L // 8}").reshape(len(flat), n)
+    limbs = words.T.astype(np.float64, order="C")
+    top = limbs[-1]
+    top[top >= 2.0 ** (L - 1)] -= 2.0 ** L
+    return limbs.reshape(n, *np.shape(ints))
+
+
+def _limb_sums(a_limbs, y_limbs, L: int) -> bytes:
+    """The entries of a @ y from `_limbs(a, L)` and `_limbs(y, L)`, as the
+    little-endian two's complement bytes of each entry, row by row, all of
+    one width.
+
+    Each limb of a times each limb of y is one BLAS product, added at its
+    limb weight into int64 sums, so the transient is one product whatever
+    the limb counts.  The carries are then normalized: every L-bit word is
+    the low L/8 bytes of an int64.
+    """
+    n_a, rows, cols = a_limbs.shape
+    n_y, _, B = y_limbs.shape
+    # |a @ y| < cols 2^((n_a + n_y) L - 2) fits n signed limbs
+    n = n_a + n_y + -(-(cols.bit_length() - 1) // L)
+    acc = np.zeros((n, rows, B), dtype="<i8")
+    for i in range(n_a):
+        for j in range(n_y):
+            np.add(acc[i + j], a_limbs[i] @ y_limbs[j], out=acc[i + j], casting="unsafe")
+    for k in range(n - 1):
+        carry = acc[k] >> L
+        acc[k] -= carry << L
+        acc[k + 1] += carry
+    words = acc.view(np.uint8).reshape(n, rows, B, 8)[..., :L // 8]
+    return words.transpose(1, 2, 0, 3).tobytes()
+
+
+def _limb_matmul(a_limbs, y, L: int) -> np.ndarray:
+    """a @ y exactly, as an object array of Python integers, for a given as
+    `_limbs(a, L)` and an integer array y of shape (cols, B).
+
+    Each limb of a times each limb of y is a float64 BLAS product.  With
+    limbs below 2^L and 2L + bit_length(cols) + 1 <= 53, every partial sum
+    is an integer below 2^52, so it is exact in any summation order; a
+    larger L is a ValueError.  The exact sums (`_limb_sums`) are rebuilt
+    from their bytes.
+    """
+    _, rows, cols = a_limbs.shape
+    if 2 * L + cols.bit_length() + 1 > 53:
+        raise ValueError(f"{L}-bit limbs over {cols} columns are not exact in float64")
+    buf = _limb_sums(a_limbs, _limbs(y, L), L)
+    width = len(buf) // (rows * y.shape[1])
+    out = [int.from_bytes(buf[i:i + width], "little", signed=True)
+           for i in range(0, len(buf), width)]
+    return np.array(out, dtype=object).reshape(rows, y.shape[1])
+
+
+def _round_to_double(mans, exps, prec: int) -> list[float]:
+    """mans[i] 2^exps[i] for Python integers, rounded half-even to prec
+    bits and then to double, the double rounding of mpmath's
+    from_man_exp(man, exp, prec, round_nearest) and to_float: float() of
+    an integer rounds half-even to 53 bits and math.ldexp scales it
+    (subnormals round there).  Overflow gives +-inf.  prec <= 1023.
+    """
+    import math
+
+    if prec > 1023:
+        raise ValueError("prec must be at most 1023 bits")
+    out = []
+    for man, exp in zip(mans, exps):
+        cut = man.bit_length() - prec
+        if cut > 0:
+            # man = q 2^cut + rest, 0 <= rest < 2^cut: nearest, ties to even
+            q = man >> cut
+            rest = man - (q << cut)
+            half = 1 << (cut - 1)
+            if rest > half or (rest == half and q & 1):
+                q += 1
+            man, exp = q, exp + cut
+        try:
+            out.append(math.ldexp(float(man), exp))
+        except OverflowError:
+            out.append(math.copysign(math.inf, man))
+    return out
+
+
 def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     """Closed-form closed loop of `law` at dps digits (see the module
     docstring): x0 = M^{-1} c0 once, then x(t) = x0 e^{rt} with
@@ -251,15 +370,16 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     law, none per sample.  R is split into re/im integer mantissas at one
     common exponent, exactly: M and b are doubles, M_e and the free terms mp
     values.  Each y(t) is split at a block exponent prec + 64 bits below its
-    largest x(t) entry; only bits that far below are dropped.  One product
-    of object arrays of Python integers per block of samples gives every
-    entry as an exact sum.  Each is rounded once at the working
-    precision, then to double, as mp.fdot rounds its exact sum.  Returns
-    the states, shape (len(times), K + E), and the controls, shape
+    largest x(t) entry; only bits that far below are dropped.  The real
+    form [[Re R, -Im R], [Im R, Re R]] of R, split into limbs once, times
+    [Re y; Im y] is one exact float64 limb product per block of samples
+    (`_limb_matmul`), so every entry is an exact integer sum.  Each is
+    rounded once at the working precision, then to double
+    (`_round_to_double`), as mp.fdot rounds its exact sum.  Returns the
+    states, shape (len(times), K + E), and the controls, shape
     (len(times),).
     """
     import mpmath as mp
-    from mpmath.libmp import from_man_exp, mpc_to_complex, round_nearest
 
     lam, bv = law.lam, law.b_vec
     K = lam.size
@@ -269,52 +389,49 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     with mp.workdps(dps):
         prec = mp.mp.prec
         x_re, x_im, x_exp = _int_solve(law.M, np.asarray(c0), prec)
-        R = np.full((K + E + 1, K + E), mp.mpc(0), dtype=object)
-        R[:K, :K] = np.frompyfunc(mp.mpc, 1, 1)(law.M)
-        R[K + E, :K] = np.frompyfunc(mp.mpc, 1, 1)(-bv)
         y0 = (np.concatenate([x_re, np.ones(E, dtype=object)]),
               np.concatenate([x_im, np.zeros(E, dtype=object)]),
               np.array([x_exp] * K + [0] * E))
+        # the mantissa tuples of R row by row: M and -b are doubles, the
+        # rows [M_e, diag(c0_e - M_e x0)] mp values
+        parts = _double_parts(np.hstack([law.M, np.zeros((K, E))]))
         if extra is not None:
             lam_e, b_e, c0_e = extra
             x0 = [mp.mpc(mp.ldexp(x_re[a], x_exp), mp.ldexp(x_im[a], x_exp))
                   for a in range(K)]
             for e in range(E):
                 le, be = mp.mpc(lam_e[e]), mp.mpc(np.conj(b_e[e]))
-                for a in range(K):
-                    R[K + e, a] = be * mp.mpc(bv[a]) / (le - mp.mpc(rates[a]))
-                R[K + e, K + e] = (mp.mpc(c0_e[e])
-                                   - mp.fsum(R[K + e, a] * x0[a] for a in range(K)))
+                row = [be * mp.mpc(bv[a]) / (le - mp.mpc(rates[a])) for a in range(K)]
+                row += [mp.mpc(0)] * E
+                row[K + e] = mp.mpc(c0_e[e]) - mp.fsum(row[a] * x0[a] for a in range(K))
+                parts += [p for z in row for p in z._mpc_]
             rates = np.concatenate([rates, lam_e])
-        parts = [p for z in R.flat for p in z._mpc_]
-        r_low = min((e for _, m, e, _ in parts if m), default=0)
-        r_int = np.array(_fixed_point(parts, r_low), dtype=object).reshape(*R.shape, 2)
-        r_re, r_im = r_int[..., 0], r_int[..., 1]
-        out = np.empty((K + E + 1, len(times)), dtype=complex)
-        start = 0
-        for y_re, y_im, y_exp in _mode_exponentials(y0, rates, grid, prec + 64):
-            # every row reads x(t); the free responses set the scale only
-            # when x(t) = 0
-            nz = (y_re != 0) | (y_im != 0)
-            tops = np.where(nz, y_exp + _bits(y_re, y_im), np.iinfo(np.int64).min)
-            top = np.where(nz[:K].any(axis=0), tops[:K].max(axis=0), tops.max(axis=0))
-            y_low = np.where(nz.any(axis=0), top, 0) - prec - 64
-            shift = y_exp - y_low
-            up, down = np.maximum(shift, 0), np.maximum(-shift, 0)
-            y_re = np.where(shift >= 0, y_re << up, y_re >> down)
-            y_im = np.where(shift >= 0, y_im << up, y_im >> down)
-            # (a + ib)(c + id) from three real products: (a + b)c shared
-            shared = (r_re + r_im) @ y_re
-            out_re = shared - r_im @ (y_re + y_im)
-            out_im = shared + r_re @ (y_im - y_re)
-            for (i, j), re in np.ndenumerate(out_re):
-                exp = r_low + int(y_low[j])
-                out[i, start + j] = mpc_to_complex(
-                    (from_man_exp(re, exp, prec, round_nearest),
-                     from_man_exp(out_im[i, j], exp, prec, round_nearest)),
-                    rnd=round_nearest,
-                )
-            start += len(y_low)
+        parts += _double_parts(np.concatenate([-bv, np.zeros(E)]))
+    r_low = min((e for _, m, e, _ in parts if m), default=0)
+    r_int = np.array(_fixed_point(parts, r_low), dtype=object).reshape(K + E + 1, K + E, 2)
+    r_re, r_im = r_int[..., 0], r_int[..., 1]
+    a_limbs = _limbs(np.block([[r_re, -r_im], [r_im, r_re]]), LIMB_BITS)
+    rows = K + E + 1
+    out = np.empty((rows, len(times)), dtype=complex)
+    start = 0
+    for y_re, y_im, y_exp in _mode_exponentials(y0, rates, grid, prec + 64):
+        # every row reads x(t); the free responses set the scale only
+        # when x(t) = 0
+        nz = (y_re != 0) | (y_im != 0)
+        tops = np.where(nz, y_exp + _bits(y_re, y_im), np.iinfo(np.int64).min)
+        top = np.where(nz[:K].any(axis=0), tops[:K].max(axis=0), tops.max(axis=0))
+        y_low = np.where(nz.any(axis=0), top, 0) - prec - 64
+        shift = y_exp - y_low
+        up, down = np.maximum(shift, 0), np.maximum(-shift, 0)
+        y_re = np.where(shift >= 0, y_re << up, y_re >> down)
+        y_im = np.where(shift >= 0, y_im << up, y_im >> down)
+        sums = _limb_matmul(a_limbs, np.concatenate([y_re, y_im]), LIMB_BITS)
+        exps = np.broadcast_to(r_low + y_low, sums.shape).ravel().tolist()
+        vals = np.reshape(_round_to_double(sums.ravel().tolist(), exps, prec), sums.shape)
+        stop = start + len(y_low)
+        out.real[:, start:stop] = vals[:rows]
+        out.imag[:, start:stop] = vals[rows:]
+        start = stop
     return out[:K + E].T, out[K + E]
 
 
@@ -400,8 +517,9 @@ def closed_loop_simulate(
     a dt vs dt/2 self-convergence check.  Ill-conditioned laws use the exact
     route: the Lyapunov identity makes x = M^{-1} c evolve by pure modal
     decay e^{-(2 omega + conj lambda)t}, so the trajectory is evaluated in
-    closed form with extended precision and there is no time-step error;
-    it is sampled about every RECORD_STRIDE steps dt.
+    closed form with exact integer sums (`_exact_loop`) and there is no
+    time-step error; it is sampled about every RECORD_STRIDE steps dt.
+    Either route holds only the recorded samples in memory.
     """
     c0 = eigen_coefficients(law.table, z0)
     dt = 0.1 / float(np.abs(law.lam).max())
@@ -425,12 +543,20 @@ def closed_loop_simulate(
 
 def _integrate(law: FeedbackLaw, c0, T_end, dt):
     """Exponential-integrator route: recorded eigen-coordinate states,
-    controls and times."""
+    controls and times.
+
+    Each step is c+ = pred + phi2 conj(b) (g . pred - q) with the predictor
+    pred = e^{lambda h} c + phi1 conj(b) q and q = g . c.  The products
+    phi1 conj(b), phi2 conj(b) are formed once per run, and the end-of-step
+    g . c+ is the next step's q and the recorded control.  The dt run keeps
+    every RECORD_STRIDE-th state and the last; the dt/2 run only its final
+    state, which the self-convergence check compares.
+    """
     lam = law.lam
     g = law.gain_vector()
     bconj = np.conj(law.b_vec)
 
-    def run(step):
+    def run(step, stride=0):
         nst = int(np.ceil(T_end / step))
         h = T_end / nst
         eL = np.exp(lam * h)
@@ -439,29 +565,29 @@ def _integrate(law: FeedbackLaw, c0, T_end, dt):
         lam_s = np.where(small, 1.0, lam)
         phi1 = np.where(small, h, (eL - 1.0) / lam_s)
         phi2 = np.where(small, h / 2.0, (eL - 1.0 - z) / (lam_s * z))
-        c = c0.copy()
-        traj = [c.copy()]
-        qs = [complex(g @ c)]
-        for _ in range(nst):
-            q0 = g @ c
-            pred = eL * c + phi1 * bconj * q0
-            q1 = g @ pred
-            c = eL * c + phi1 * bconj * q0 + phi2 * bconj * (q1 - q0)
-            traj.append(c.copy())
-            qs.append(complex(g @ c))
-        return np.array(traj), np.array(qs), h
+        u, v = phi1 * bconj, phi2 * bconj
+        every = stride or nst     # 0: the final state only
+        c = c0
+        q = g @ c
+        keep, traj, qs = [0], [c], [complex(q)]
+        for k in range(1, nst + 1):
+            pred = eL * c + u * q
+            c = pred + v * (g @ pred - q)
+            q = g @ c
+            if k % every == 0 or k == nst:
+                keep.append(k)
+                traj.append(c)
+                qs.append(complex(q))
+        return np.array(traj), np.array(qs), np.array(keep) * h
 
-    traj, qs, h = run(dt)
-    traj2, _, _ = run(dt / 2.0)
-    drift = np.linalg.norm(traj[-1] - traj2[-1]) / max(np.linalg.norm(c0), 1e-300)
+    traj, qs, times = run(dt, RECORD_STRIDE)
+    c_half = run(dt / 2.0)[0][-1]
+    drift = np.linalg.norm(traj[-1] - c_half) / max(np.linalg.norm(c0), 1e-300)
     if drift > 1e-6:
         raise StepTooLarge(
             f"dt vs dt/2 self-convergence drift {drift:.3e} exceeds 1e-6"
         )
-    keep = np.arange(0, traj.shape[0], RECORD_STRIDE)
-    if keep[-1] != traj.shape[0] - 1:
-        keep = np.append(keep, traj.shape[0] - 1)
-    return traj[keep], qs[keep], keep * h
+    return traj, qs, times
 
 
 def spillover_report(

@@ -83,6 +83,18 @@ def test_malformed_config_exits_2(tmp_path):
     ("spectrum", {"seed": 2.7}),
     ("spectrum", {"seed": True}),
     ("spectrum", {"n_max": "3"}),
+    ("simulate", {"N": 2, "snapshots": [float("inf")]}),
+    ("simulate", {"N": 2, "snapshots": ["1"]}),
+    ("simulate", {"N": 2, "snapshots": [True]}),
+    ("lack", {"N_list": [8, 16.5]}),
+    ("lack", {"N_list": ["8", 16]}),
+    ("lack", {"N_list": [True, 8]}),
+    ("lack", {"interval": [True, 3]}),
+    ("lack", {"interval": ["0", 3]}),
+    ("observability", {"N": 2, "interval": [True, 3]}),
+    ("observability", {"N": 2, "interval": ["0", 3]}),
+    ("control", {"variant": "localized", "N": 2, "interval": [True, 3]}),
+    ("control", {"variant": "localized", "N": 2, "interval": ["0", 3]}),
 ])
 def test_invalid_block_field_exits_2(tmp_path, command, block):
     cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})

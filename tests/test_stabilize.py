@@ -453,3 +453,189 @@ def test_exact_loop_spillover_rows_match_oracle(p1, seed):
     want, _ = _mp_closed_form(law, c0, times, 30, extra=extra)
     assert states.shape == (129, law.lam.size + extra[0].size)
     assert np.array_equal(states, want)
+
+
+def _stepping_oracle(law, c0, T_end, dt):
+    """The exponential integrator written step by step: every product formed
+    in every step, every state of both runs kept, then every RECORD_STRIDE-th
+    state (and the last) of the dt run picked out."""
+    from cnsmax.errors import StepTooLarge
+    from cnsmax.stabilize import RECORD_STRIDE
+
+    lam = law.lam
+    g = law.gain_vector()
+    bconj = np.conj(law.b_vec)
+
+    def run(step):
+        nst = int(np.ceil(T_end / step))
+        h = T_end / nst
+        eL = np.exp(lam * h)
+        z = lam * h
+        small = np.abs(z) < 1e-8
+        lam_s = np.where(small, 1.0, lam)
+        phi1 = np.where(small, h, (eL - 1.0) / lam_s)
+        phi2 = np.where(small, h / 2.0, (eL - 1.0 - z) / (lam_s * z))
+        c = c0.copy()
+        traj = [c.copy()]
+        qs = [complex(g @ c)]
+        for _ in range(nst):
+            q0 = g @ c
+            pred = eL * c + phi1 * bconj * q0
+            q1 = g @ pred
+            c = eL * c + phi1 * bconj * q0 + phi2 * bconj * (q1 - q0)
+            traj.append(c.copy())
+            qs.append(complex(g @ c))
+        return np.array(traj), np.array(qs), h
+
+    traj, qs, h = run(dt)
+    traj2, _, _ = run(dt / 2.0)
+    drift = np.linalg.norm(traj[-1] - traj2[-1]) / max(np.linalg.norm(c0), 1e-300)
+    if drift > 1e-6:
+        raise StepTooLarge(f"oracle drift {drift:.3e}")
+    keep = np.arange(0, traj.shape[0], RECORD_STRIDE)
+    if keep[-1] != traj.shape[0] - 1:
+        keep = np.append(keep, traj.shape[0] - 1)
+    return traj[keep], qs[keep], keep * h
+
+
+@pytest.mark.parametrize("N, omega, T_end, seed",
+                         [(3, 1.0, 400.0, 1), (2, 2.0, 40.0, 0), (2, 2.0, 40.0, 7)])
+def test_integrate_matches_stepping_oracle(p1, N, omega, T_end, seed):
+    # the products formed once per run and the end-of-step control reused
+    # as the next step's q leave every floating-point operation as it was:
+    # identical states, controls and times
+    from cnsmax._gram import eigen_coefficients
+    from cnsmax.stabilize import _integrate
+
+    law = build_feedback(p1, N, omega)
+    assert law.precision_dps == 0
+    c0 = eigen_coefficients(law.table, random_state(p1, N, "Zmm", seed=seed))
+    dt = 0.1 / float(np.abs(law.lam).max())
+    got = _integrate(law, c0, T_end, dt)
+    want = _stepping_oracle(law, c0, T_end, dt)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_integrate_short_horizon_drift_unchanged(p1):
+    # the dt vs dt/2 check at T_end refuses this short horizon with the
+    # same drift as the step-by-step integrator
+    from cnsmax.errors import StepTooLarge
+
+    law = build_feedback(p1, 1, 2.0)
+    z0 = random_state(p1, 1, "Zmm", seed=4)
+    with pytest.raises(StepTooLarge, match="drift 2.383e-04 exceeds"):
+        closed_loop_simulate(p1, law, z0, 5.0)
+
+
+def test_integrate_memory_peak(p1):
+    # only the recorded states are kept: the traced peak of the f64 route
+    # over 26928 + 53856 steps stays far below one state per step (47 MB)
+    import tracemalloc
+
+    law = build_feedback(p1, 3, 1.0)
+    z0 = random_state(p1, 3, "Zmm", seed=1)
+    tracemalloc.start()
+    try:
+        closed_loop_simulate(p1, law, z0, 400.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+def _random_ints(rng, shape, bits):
+    """Signed Python integers of up to `bits` bits, each with its own width."""
+    widths = rng.integers(0, bits + 1, size=shape).ravel().tolist()
+    signs = rng.integers(-1, 2, size=len(widths)).tolist()
+    return np.array([s * (int.from_bytes(rng.bytes(w // 8 + 1), "little") % (1 << w))
+                     for s, w in zip(signs, widths)], dtype=object).reshape(shape)
+
+
+@pytest.mark.parametrize("case", ["special", "mixed", "one_column", "spillover_N8"])
+def test_limb_matmul_matches_object_product(case):
+    from cnsmax.stabilize import _limb_matmul, _limbs
+
+    rng = np.random.default_rng(3)
+    if case == "special":
+        # zeros, +-1 and powers of two at limb edges, beside 600-bit entries
+        a = np.array([[0, 1, -1, 1 << 16], [-(1 << 16), (1 << 15) - 1, 0, 0],
+                      [(1 << 640) - 1, -(1 << 639), 1 << 32, -1]], dtype=object)
+        y = np.array([[1, -1, 0], [-(1 << 700), 0, 1], [(1 << 15), 1 << 31, -3],
+                      [0, (1 << 17) - 1, (1 << 650) + 1]], dtype=object)
+    elif case == "mixed":
+        a = _random_ints(rng, (7, 5), 700)
+        a[0] = 0
+        a[:, 1] = rng.integers(-2, 3, size=7).tolist()
+        y = _random_ints(rng, (5, 9), 650)
+        y[:, 3] = 0
+    elif case == "one_column":
+        a = _random_ints(rng, (6, 1), 300)
+        y = _random_ints(rng, (1, 4), 620)
+    else:
+        # the spillover R at N = 8: K + E = 96 columns, K + E + 1 rows
+        a = _random_ints(rng, (97, 96), 130)
+        y = _random_ints(rng, (96, 64), 250)
+    for L in (8, 16):
+        got = _limb_matmul(_limbs(a, L), y, L)
+        assert got.dtype == object and got.shape == (a.shape[0], y.shape[1])
+        assert all(type(v) is int for v in got.flat)
+        assert np.array_equal(got, a @ y)
+
+
+def test_limb_matmul_refuses_inexact_limbs():
+    # 2L + bit_length(cols) + 1 <= 53 keeps every partial sum below 2^52
+    from cnsmax.stabilize import _limb_matmul, _limbs
+
+    a = np.array([[3] * 96], dtype=object)
+    y = np.array([[5]] * 96, dtype=object)
+    assert _limb_matmul(_limbs(a, 16), y, 16)[0, 0] == 15 * 96
+    with pytest.raises(ValueError):
+        _limb_matmul(_limbs(a, 32), y, 32)     # 64 + 7 + 1 > 53
+    with pytest.raises(ValueError):
+        _limb_matmul(np.zeros((1, 1, 1 << 20)), y, 16)   # 32 + 21 + 1 > 53
+    for L in (0, 12, 24):
+        with pytest.raises(ValueError):
+            _limbs(a, L)
+
+
+def _mp_rounded(man, exp, prec):
+    from mpmath.libmp import from_man_exp, mpc_to_complex, round_nearest
+
+    return mpc_to_complex((from_man_exp(man, exp, prec, round_nearest),
+                           from_man_exp(0, 0, prec, round_nearest)),
+                          rnd=round_nearest).real
+
+
+def test_round_to_double_matches_mpmath():
+    import math
+
+    from cnsmax.stabilize import _round_to_double
+
+    prec = 60
+    # 2^59 + 2^7 + 2^6 rounds to 53 bits as a tie with an odd last bit;
+    # one below it, times 2, is a tie at prec bits that rounds up onto it
+    mid = (1 << 59) + (1 << 7) + (1 << 6)
+    cases = [
+        (0, 5), (0, -2000), (1, 0), (-1, 0), (-12345, -7),
+        ((1 << 61) + (1 << 1), 0), ((1 << 61) + (3 << 1), 0),      # ties at prec
+        (-((1 << 61) + (1 << 1)), 3), (-((1 << 61) + (3 << 1)), 3),
+        (2 * mid - 1, 0), (-(2 * mid - 1), -40),                  # double rounding
+        ((1 << 59) + 1, 1000), (1, 1024), (-1, 1024), ((1 << 60) - 1, 964),
+        (1, -1074), (3, -1076), (-5, -1076), ((1 << 59) + 12345, -1130),
+        (1, -1080), (-(1 << 70) - 1, -1140),                     # subnormal, 0
+    ]
+    # the double-rounding case differs from one rounding to 53 bits
+    assert _round_to_double([2 * mid - 1], [0], prec)[0] != float(2 * mid - 1)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        bits = int(rng.integers(1, 200))
+        man = int.from_bytes(rng.bytes(25), "little") % (1 << bits)
+        cases.append((man * int(rng.choice([-1, 1])), int(rng.integers(-1300, 1100))))
+    got = _round_to_double([m for m, _ in cases], [e for _, e in cases], prec)
+    want = [_mp_rounded(m, e, prec) for m, e in cases]
+    assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
+    assert got == want
+    assert got[cases.index((1, 1024))] == math.inf
+    assert got[cases.index((-1, 1024))] == -math.inf
+    assert 0 < got[cases.index((3, -1076))] < 2.0 ** -1022
