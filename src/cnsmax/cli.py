@@ -274,6 +274,11 @@ def _run_control(p, block, out, summary, seed):
         state0 = random_state(p, N, subspace="Zm", seed=seed)
         sig, resid, cond, _ = synthesize_localized_control(p, state0, T, N, (lo, hi))
         summary["interval"] = [lo, hi]
+    # free flow never raises the energy, so a residual >= 1 is no better
+    # than no control at all
+    if not (math.isfinite(sig.norm_l2) and resid < 1.0):
+        raise NumericalFailure(f"control failed: residual {resid:.3e}, "
+                               f"control norm {sig.norm_l2:.3e}")
 
     if sig.samples.ndim == 1:
         write_csv(out / "control.csv", ["t", "re_q", "im_q"],

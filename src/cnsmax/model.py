@@ -8,6 +8,7 @@ downstream is driven by the five constants held in `FluidParams`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -37,9 +38,7 @@ class FluidParams:
 
     @property
     def b_eff(self) -> float:
-        if self.b is not None:
-            return float(self.b)
-        return float(self.a * self.gamma * self.rho_s ** (self.gamma - 2.0))
+        return _b_eff(self)
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,35 @@ def validate(p) -> list[str]:
                 errs.append("a must be positive")
             if not gamma >= 1:
                 errs.append("gamma must be >= 1")
+    if not errs:
+        try:
+            finite = all(math.isfinite(v) for v in _derived(p))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            errs.append("b and the derived constants must be finite")
     return errs
+
+
+def _b_eff(p) -> float:
+    if p.b is not None:
+        return float(p.b)
+    return float(p.a * p.gamma * p.rho_s ** (p.gamma - 2.0))
+
+
+def _derived(p) -> tuple[float, float, float]:
+    """b, the discriminant big_d and 1/kappa; may overflow or divide by 0."""
+    b = _b_eff(p)
+    rho_s, u_s, kap, mu = p.rho_s, p.u_s, p.kappa, p.mu
+    big_d = (
+        4.0 * b * rho_s * (b * rho_s - u_s**2) ** 2
+        + mu**2 * u_s**2 / (kap**2 * rho_s**2)
+        + 20.0 * mu * b * u_s**2 / kap
+        + 12.0 * mu * b**2 * rho_s / kap
+        + 12.0 * mu**2 * b / (kap**2 * rho_s)
+        + 4.0 * mu**3 / (kap**3 * rho_s**3)
+    )
+    return b, big_d, 1.0 / kap
 
 
 def derive_constants(p: FluidParams) -> DerivedConstants:
@@ -90,14 +117,4 @@ def derive_constants(p: FluidParams) -> DerivedConstants:
     errs = validate(p)
     if errs:
         raise ValidationError("; ".join(errs))
-    b = p.b_eff
-    rho_s, u_s, kap, mu = p.rho_s, p.u_s, p.kappa, p.mu
-    big_d = (
-        4.0 * b * rho_s * (b * rho_s - u_s**2) ** 2
-        + mu**2 * u_s**2 / (kap**2 * rho_s**2)
-        + 20.0 * mu * b * u_s**2 / kap
-        + 12.0 * mu * b**2 * rho_s / kap
-        + 12.0 * mu**2 * b / (kap**2 * rho_s)
-        + 4.0 * mu**3 / (kap**3 * rho_s**3)
-    )
-    return DerivedConstants(b=b, big_d=big_d, inv_kappa=1.0 / kap)
+    return DerivedConstants(*_derived(p))

@@ -270,5 +270,7 @@ def lack_experiment(
         den = TWO_PI * float(np.sum(w2 * (np.abs(al) ** 2 @ wz)))
         ratios.append(obs / den)
 
+    if not all(0.0 < r < np.inf for r in ratios):
+        raise NumericalFailure(f"observation ratios {ratios} are not all positive and finite")
     slope = float(np.polyfit(np.log(np.asarray(N_list, float)), np.log(ratios), 1)[0])
     return LackResult(N_list=list(N_list), ratios=ratios, slope=slope)

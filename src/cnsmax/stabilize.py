@@ -26,18 +26,21 @@ Gramian's formula extended to the extra rows.  Hence its exact response is
 c_e(t) = M_e x(t) + e^{lambda_e t} (c_e(0) - M_e x0): spillover is the
 rectangular Gramian [M; M_e] applied to the same x(t).
 
-`_exact_loop` works in Python integers.  x0 = M^{-1} c0 is a fixed-point
-Gaussian elimination with partial pivoting on the exact mantissas of the
-double M and c0 (`_int_solve`), with guard bits for the pivot decay.
+`_exact_loop` works in Python integers.  Doubles reach them one way: their
+exact mantissa tuples (`_double_parts`, the form mpmath holds its values
+in), scaled to a chosen exponent by `_fixed_point`.  x0 = M^{-1} c0 is a
+fixed-point Gaussian elimination with partial pivoting on the mantissas of
+M and c0 (`_int_solve`), with guard bits for the pivot decay.
 x(t_j) = x0 e^{r t_j} on the uniform sample grid is x0 w^j, w = e^{r s},
-each mode at its own exponent, corrected by a short Taylor series for the
-grid's rounding residue (`_mode_exponentials`).  Every state, every
-extra-mode response and the control q(t) are then rows of one matrix
-applied to those values, formed as exact sums of integer mantissa products
-(`_limb_matmul`: 16-bit limbs held in float64, multiplied by BLAS with
-every partial sum an integer below 2^52, so exact in any summation order),
-each rounded once at the working precision and then to double in integer
-code (`_round_to_double`), as mp.fdot rounds.  mpmath is left with one
+each mode at its own int64 exponent, corrected by a short Taylor series
+for the grid's rounding residue (`_mode_exponentials`; rates too large for
+either raise NumericalFailure).  Every state, every extra-mode response and
+the control q(t) are then rows of one matrix applied to those values,
+formed as exact sums of integer mantissa products (`_limb_matmul`:
+LIMB_BITS-bit limbs held in float64, multiplied by BLAS with every partial
+sum an integer below 2^52, so exact in any summation order), each rounded
+once at the working precision and then to double in integer code
+(`_round_to_double`), as mp.fdot rounds.  mpmath is left with one
 exponential per mode and the rows M_e: no mp.lu_solve and nothing per
 sample.
 
@@ -48,13 +51,15 @@ step, and keeps only the recorded states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._gram import build_branch_table, eigen_coefficients
 from .dynamics import SpectralState, TrajectoryRecord
-from .errors import DegenerateWindow, IllConditioned, OmegaTooSmall, StepTooLarge
+from .errors import (DegenerateWindow, IllConditioned, NumericalFailure,
+                     OmegaTooSmall, StepTooLarge)
 from .model import FluidParams
 from .spectral import TWO_PI, mode_eigenvalues_batch, nonzero_modes, z_weights
 
@@ -99,20 +104,22 @@ class FeedbackLaw:
         return -np.linalg.solve(self.M.T, self.b_vec)
 
 
-def _fixed_point(parts, lowest: int) -> list[int]:
-    """Integers n with n 2^lowest equal to the mpf tuples `parts`: exact for
-    a tuple whose exponent is at least `lowest`, truncated toward zero below."""
+def _fixed_point(parts, lowest: int) -> np.ndarray:
+    """Integers n with n 2^lowest equal to the mpf tuples `parts`, as an
+    object array: exact for a tuple whose exponent is at least `lowest`,
+    truncated toward zero below."""
     ints = []
     for sign, man, exp, _ in parts:
         n = man << (exp - lowest) if exp >= lowest else man >> (lowest - exp)
         ints.append(-n if sign else n)
-    return ints
+    return np.array(ints, dtype=object)
 
 
 def _double_parts(z) -> list:
     """The (sign, man, exp, bc) tuples of the real and imaginary parts of a
     complex array, interleaved, as mp.mpc(v)._mpc_ gives them: odd
-    mantissas, and zero as (0, 0, 0, 0)."""
+    mantissas, and zero as (0, 0, 0, 0).  This is the one way a double
+    becomes an integer; `_fixed_point` scales the tuples."""
     parts = []
     for v in np.ascontiguousarray(z, dtype=complex).view(np.float64).ravel().tolist():
         n, d = abs(v).as_integer_ratio()
@@ -123,12 +130,6 @@ def _double_parts(z) -> list:
         man = n >> zeros
         parts.append((int(v < 0), man, zeros + 1 - d.bit_length(), man.bit_length()))
     return parts
-
-
-def _floor_scaled(x: float, q: int) -> int:
-    """floor(x 2^q) for a double x, exactly."""
-    n, d = float(x).as_integer_ratio()
-    return (n << q) // d if q >= 0 else n // (d << -q)
 
 
 def _bits(re, im) -> np.ndarray:
@@ -153,13 +154,10 @@ def _int_solve(M, c, prec: int):
     K = len(c)
     e_M = int(np.frexp(np.abs(M).max())[1])
     e_c = int(np.frexp(np.abs(c).max())[1])
-    re = np.empty((K, K + 1), dtype=object)
-    im = np.empty((K, K + 1), dtype=object)
-    for i in range(K):
-        re[i, :K] = [_floor_scaled(v, F - e_M) for v in M[i].real]
-        im[i, :K] = [_floor_scaled(v, F - e_M) for v in M[i].imag]
-        re[i, K] = _floor_scaled(c[i].real, F - e_c)
-        im[i, K] = _floor_scaled(c[i].imag, F - e_c)
+    ints = np.empty((K, K + 1, 2), dtype=object)
+    ints[:, :K] = _fixed_point(_double_parts(M), e_M - F).reshape(K, K, 2)
+    ints[:, K] = _fixed_point(_double_parts(c), e_c - F).reshape(K, 2)
+    re, im = ints[..., 0], ints[..., 1]
     for k in range(K):
         piv = k + int(np.argmax(re[k:, k] ** 2 + im[k:, k] ** 2))
         re[[k, piv]] = re[[piv, k]]
@@ -215,10 +213,22 @@ def _mode_exponentials(y0, rates, grid, bits: int):
     y0_a w_a^j, cut back to `bits` + a few bits after each product, times a
     Taylor series for e^{rates_a d_j}: d_j is the exact rounding residue of
     the grid (|rates d| ~ 1e-13), so no sample time moves.
+
+    Exponents are int64 and the Taylor series is short only for small
+    |rates d|, so NumericalFailure is raised when |rates t| over the grid
+    reaches 2^60 or |rates d| exceeds 1: the double-precision time grid
+    then cannot resolve the rates.
     """
     import mpmath as mp
 
     s, d, d_exp = grid
+    r_max = float(np.abs(rates).max())
+    if r_max * s * len(d) >= 2.0 ** 60:
+        raise NumericalFailure(f"closed-loop exponent |r t| = {r_max * s * len(d):.3e} "
+                               "is out of the evaluator's exponent range")
+    r_d = r_max * math.ldexp(float(max(map(abs, d))), d_exp)
+    if r_d > 1:
+        raise NumericalFailure(f"the time grid's rounding moves e^(rt) by |r d| = {r_d:.3e}")
     work = bits + len(d).bit_length()   # covers the error growth of the products
 
     def renorm(a, b, e):
@@ -234,8 +244,8 @@ def _mode_exponentials(y0, rates, grid, bits: int):
     w_re = np.array([w[0] for w in ws], dtype=object)
     w_im = np.array([w[1] for w in ws], dtype=object)
     w_exp = np.array([w[2] for w in ws], dtype=np.int64)
-    r_re = np.array([[_floor_scaled(r, work + d_exp)] for r in rates.real], dtype=object)
-    r_im = np.array([[_floor_scaled(r, work + d_exp)] for r in rates.imag], dtype=object)
+    r_int = _fixed_point(_double_parts(rates), -work - d_exp).reshape(-1, 2)
+    r_re, r_im = r_int[:, :1], r_int[:, 1:]
     a, b, e = renorm(*y0)
     for start in range(0, len(d), SAMPLE_BLOCK):
         dj = d[start:start + SAMPLE_BLOCK]
@@ -258,66 +268,65 @@ def _mode_exponentials(y0, rates, grid, bits: int):
         yield re, im, ex
 
 
-def _limbs(ints, L: int) -> np.ndarray:
-    """Signed L-bit limbs of an integer array, L = 8, 16 or 32, as float64
-    of shape (n, *ints.shape) with ints = sum_k limbs[k] 2^(kL) exactly.
+def _limbs(ints) -> np.ndarray:
+    """Signed LIMB_BITS-bit limbs of an integer array, as float64 of shape
+    (n, *ints.shape) with ints = sum_k limbs[k] 2^(k LIMB_BITS) exactly.
 
-    n is the fewest limbs with every |ints| < 2^(nL - 1).  The limbs are the
-    L-bit words of each entry's nL-bit two's complement: the n - 1 low ones
-    in [0, 2^L), the top one signed, in [-2^(L-1), 2^(L-1)).
+    n is the fewest limbs with every |ints| < 2^(n LIMB_BITS - 1).  The
+    limbs are the words of each entry's two's complement: the n - 1 low
+    ones in [0, 2^LIMB_BITS), the top one signed, in
+    [-2^(LIMB_BITS-1), 2^(LIMB_BITS-1)).
     """
-    if L not in (8, 16, 32):
-        raise ValueError(f"limbs are 8, 16 or 32 bits, not {L}")
     flat = np.asarray(ints, dtype=object).ravel().tolist()
-    n = max(map(abs, flat), default=0).bit_length() // L + 1
-    buf = b"".join(v.to_bytes(n * L // 8, "little", signed=True) for v in flat)
-    words = np.frombuffer(buf, dtype=f"<u{L // 8}").reshape(len(flat), n)
+    n = max(map(abs, flat), default=0).bit_length() // LIMB_BITS + 1
+    buf = b"".join(v.to_bytes(n * LIMB_BITS // 8, "little", signed=True) for v in flat)
+    words = np.frombuffer(buf, dtype=f"<u{LIMB_BITS // 8}").reshape(len(flat), n)
     limbs = words.T.astype(np.float64, order="C")
     top = limbs[-1]
-    top[top >= 2.0 ** (L - 1)] -= 2.0 ** L
+    top[top >= 2.0 ** (LIMB_BITS - 1)] -= 2.0 ** LIMB_BITS
     return limbs.reshape(n, *np.shape(ints))
 
 
-def _limb_sums(a_limbs, y_limbs, L: int) -> bytes:
-    """The entries of a @ y from `_limbs(a, L)` and `_limbs(y, L)`, as the
+def _limb_sums(a_limbs, y_limbs) -> bytes:
+    """The entries of a @ y from `_limbs(a)` and `_limbs(y)`, as the
     little-endian two's complement bytes of each entry, row by row, all of
     one width.
 
     Each limb of a times each limb of y is one BLAS product, added at its
     limb weight into int64 sums, so the transient is one product whatever
-    the limb counts.  The carries are then normalized: every L-bit word is
-    the low L/8 bytes of an int64.
+    the limb counts.  The carries are then normalized: every limb is the
+    low LIMB_BITS / 8 bytes of an int64.
     """
     n_a, rows, cols = a_limbs.shape
     n_y, _, B = y_limbs.shape
-    # |a @ y| < cols 2^((n_a + n_y) L - 2) fits n signed limbs
-    n = n_a + n_y + -(-(cols.bit_length() - 1) // L)
+    # |a @ y| < cols 2^((n_a + n_y) LIMB_BITS - 2) fits n signed limbs
+    n = n_a + n_y + -(-(cols.bit_length() - 1) // LIMB_BITS)
     acc = np.zeros((n, rows, B), dtype="<i8")
     for i in range(n_a):
         for j in range(n_y):
             np.add(acc[i + j], a_limbs[i] @ y_limbs[j], out=acc[i + j], casting="unsafe")
     for k in range(n - 1):
-        carry = acc[k] >> L
-        acc[k] -= carry << L
+        carry = acc[k] >> LIMB_BITS
+        acc[k] -= carry << LIMB_BITS
         acc[k + 1] += carry
-    words = acc.view(np.uint8).reshape(n, rows, B, 8)[..., :L // 8]
+    words = acc.view(np.uint8).reshape(n, rows, B, 8)[..., :LIMB_BITS // 8]
     return words.transpose(1, 2, 0, 3).tobytes()
 
 
-def _limb_matmul(a_limbs, y, L: int) -> np.ndarray:
+def _limb_matmul(a_limbs, y) -> np.ndarray:
     """a @ y exactly, as an object array of Python integers, for a given as
-    `_limbs(a, L)` and an integer array y of shape (cols, B).
+    `_limbs(a)` and an integer array y of shape (cols, B).
 
-    Each limb of a times each limb of y is a float64 BLAS product.  With
-    limbs below 2^L and 2L + bit_length(cols) + 1 <= 53, every partial sum
-    is an integer below 2^52, so it is exact in any summation order; a
-    larger L is a ValueError.  The exact sums (`_limb_sums`) are rebuilt
-    from their bytes.
+    Each limb of a times each limb of y is a float64 BLAS product.  Limbs
+    are below 2^LIMB_BITS, so with cols < 2^(52 - 2 LIMB_BITS) every
+    partial sum is an integer below 2^52, exact in any summation order;
+    more columns are a ValueError.  The exact sums (`_limb_sums`) are
+    rebuilt from their bytes.
     """
     _, rows, cols = a_limbs.shape
-    if 2 * L + cols.bit_length() + 1 > 53:
-        raise ValueError(f"{L}-bit limbs over {cols} columns are not exact in float64")
-    buf = _limb_sums(a_limbs, _limbs(y, L), L)
+    if cols >= 1 << (52 - 2 * LIMB_BITS):
+        raise ValueError(f"{LIMB_BITS}-bit limbs over {cols} columns are not exact in float64")
+    buf = _limb_sums(a_limbs, _limbs(y))
     width = len(buf) // (rows * y.shape[1])
     out = [int.from_bytes(buf[i:i + width], "little", signed=True)
            for i in range(0, len(buf), width)]
@@ -331,8 +340,6 @@ def _round_to_double(mans, exps, prec: int) -> list[float]:
     an integer rounds half-even to 53 bits and math.ldexp scales it
     (subnormals round there).  Overflow gives +-inf.  prec <= 1023.
     """
-    import math
-
     if prec > 1023:
         raise ValueError("prec must be at most 1023 bits")
     out = []
@@ -408,9 +415,9 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
             rates = np.concatenate([rates, lam_e])
         parts += _double_parts(np.concatenate([-bv, np.zeros(E)]))
     r_low = min((e for _, m, e, _ in parts if m), default=0)
-    r_int = np.array(_fixed_point(parts, r_low), dtype=object).reshape(K + E + 1, K + E, 2)
+    r_int = _fixed_point(parts, r_low).reshape(K + E + 1, K + E, 2)
     r_re, r_im = r_int[..., 0], r_int[..., 1]
-    a_limbs = _limbs(np.block([[r_re, -r_im], [r_im, r_re]]), LIMB_BITS)
+    a_limbs = _limbs(np.block([[r_re, -r_im], [r_im, r_re]]))
     rows = K + E + 1
     out = np.empty((rows, len(times)), dtype=complex)
     start = 0
@@ -421,11 +428,9 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
         tops = np.where(nz, y_exp + _bits(y_re, y_im), np.iinfo(np.int64).min)
         top = np.where(nz[:K].any(axis=0), tops[:K].max(axis=0), tops.max(axis=0))
         y_low = np.where(nz.any(axis=0), top, 0) - prec - 64
-        shift = y_exp - y_low
-        up, down = np.maximum(shift, 0), np.maximum(-shift, 0)
-        y_re = np.where(shift >= 0, y_re << up, y_re >> down)
-        y_im = np.where(shift >= 0, y_im << up, y_im >> down)
-        sums = _limb_matmul(a_limbs, np.concatenate([y_re, y_im]), LIMB_BITS)
+        shift = np.concatenate([y_exp, y_exp]) - y_low
+        y = np.concatenate([y_re, y_im])
+        sums = _limb_matmul(a_limbs, (y << np.maximum(shift, 0)) >> np.maximum(-shift, 0))
         exps = np.broadcast_to(r_low + y_low, sums.shape).ravel().tolist()
         vals = np.reshape(_round_to_double(sums.ravel().tolist(), exps, prec), sums.shape)
         stop = start + len(y_low)
@@ -608,47 +613,26 @@ def spillover_report(
     x(t) (`_exact_loop`), sampled at 129 times on [0, T_end].  Returns the
     fitted rates of the design truncation and of the extended plant.
     """
+    from .control import boundary_observation_vector
+
     N2 = 2 * law.N
     tab2 = build_branch_table(p, N2, "Zmm")
     extra = np.abs(tab2.idx_n) > law.N
-    from .control import boundary_observation_vector
-
     bv2 = boundary_observation_vector(tab2, law.kind)
-
-    z0_design = SpectralState(
-        N=law.N,
-        coeffs={n: c for n, c in z0.coeffs.items() if abs(n) <= law.N},
-        subspace="Zmm",
-    )
-    c0 = eigen_coefficients(law.table, z0_design)
-    c0_extra = eigen_coefficients(tab2, z0)[extra]
-
+    c0 = eigen_coefficients(tab2, z0)
     times = np.linspace(0.0, T_end, 129)
     K = law.lam.size
-    cs, _ = _exact_loop(law, c0, times, law.precision_dps or 30,
-                        extra=(tab2.lam[extra], bv2[extra], c0_extra))
+    cs, _ = _exact_loop(law, c0[~extra], times, law.precision_dps or 30,
+                        extra=(tab2.lam[extra], bv2[extra], c0[extra]))
 
     e_design = _state_norms(p, law.table.modes.xi_coeffs, cs[:, :K])[0]
     xi_extra = tab2.modes.xi_coeffs[np.abs(tab2.modes.ns) > law.N]
     e_extra = _state_norms(p, xi_extra, cs[:, K:])[0]
-    total = np.maximum(e_design + e_extra, 1e-300)
-
-    def rate_of(energies):
-        rec = TrajectoryRecord(
-            times=times, energies=energies,
-            norm_rho=np.sqrt(energies), norm_u=np.sqrt(energies),
-            norm_S=np.sqrt(energies),
-            log_energies=np.log(np.maximum(energies, 1e-300)),
-        )
-        return fit_decay_rate(rec)
-
-    nu_design = rate_of(np.maximum(e_design, 1e-300))
-    nu_extended = rate_of(total)
     return {
         "N": law.N,
         "N2": N2,
-        "nu_fit_design": nu_design,
-        "nu_fit_extended": nu_extended,
+        "nu_fit_design": _fit_rate(times, np.log(np.maximum(e_design, 1e-300))),
+        "nu_fit_extended": _fit_rate(times, np.log(np.maximum(e_design + e_extra, 1e-300))),
         "spillover_energy_peak": float(e_extra.max()),
     }
 
@@ -659,11 +643,16 @@ def fit_decay_rate(traj: TrajectoryRecord):
     Fits (1/2) log energy against t over [0.2, 0.9] * T_end and returns the
     negated slope; underflowed samples are dropped (window auto-shortened).
     """
-    t = np.asarray(traj.times, dtype=float)
     loge = traj.log_energies
     if loge is None:
         with np.errstate(divide="ignore"):
             loge = np.log(np.asarray(traj.energies, dtype=float))
+    return _fit_rate(traj.times, loge)
+
+
+def _fit_rate(times, loge) -> float:
+    """The fit of `fit_decay_rate` on log energies loge at the given times."""
+    t = np.asarray(times, dtype=float)
     T_end = t[-1]
     mask = (t >= 0.2 * T_end) & (t <= 0.9 * T_end) & np.isfinite(loge)
     mask &= loge > np.log(1e-290)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cnsmax
 from cnsmax.cli import emit_svg_scatter, run
 from cnsmax.errors import ValidationError
 
@@ -116,6 +121,10 @@ def test_invalid_block_field_exits_2(tmp_path, command, block):
     ({"model": {**P1_MODEL, "rho_s": "1"}, "simulate": {"N": 2}}, None),
     ({"model": {"rho_s": 1.0, "u_s": 1.0, "kappa": 1.0, "mu": 1.0, "a": 1,
                 "gamma": True}, "simulate": {"N": 2}}, None),
+    ({"model": {"rho_s": 2, "u_s": 1, "a": 1e308, "gamma": 1e308, "kappa": 1,
+                "mu": 1}, "simulate": {"N": 2}}, None),
+    ({"model": {**P1_MODEL, "rho_s": 1e-300}, "simulate": {"N": 2}}, None),
+    ({"model": {**P1_MODEL, "u_s": 1e200}, "simulate": {"N": 2}}, None),
 ])
 def test_configuration_error_writes_summary(tmp_path, body, seed):
     # errors found before any block field is read exit 2 with a summary.json
@@ -142,6 +151,35 @@ def test_numerical_failure_exits_3(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "numerical-failure"
     assert "condition" in summary["error"]
+
+
+@pytest.mark.parametrize("command, block", [
+    ("stabilize", {"N": 8, "omega": 1e18}),
+    ("stabilize", {"N": 8, "omega": 1e19}),
+    ("stabilize", {"N": 8, "omega": 1e20}),
+    ("stabilize", {"N": 1, "omega": 1e100}),
+    ("stabilize", {"N": 2, "omega": 1e300, "spillover": True}),
+    ("control", {"variant": "everywhere", "N": 2, "T": 1e-6}),
+    ("control", {"variant": "everywhere", "N": 2, "T": 1e-12}),
+    ("control", {"variant": "everywhere", "N": 2, "T": 1e-300}),
+    ("lack", {"N_list": [2, 4], "T": 1e-300}),
+])
+def test_numerical_failure_exits_3_in_time(tmp_path, command, block):
+    # huge omega leaves the exact evaluator's exponent range; a tiny horizon
+    # gives a control no better than none, or observation ratios <= 0.  The
+    # CLI runs in a child under a timeout, so a hang fails the test
+    cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
+    out = tmp_path / "out"
+    path = [str(Path(cnsmax.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cnsmax.cli", command, "--config", cfg, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    text = (out / "summary.json").read_text()
+    assert json.loads(text)["status"] == "numerical-failure"
+    assert "Infinity" not in text and "NaN" not in text
 
 
 def test_control_everywhere_cli(tmp_path):

@@ -576,27 +576,22 @@ def test_limb_matmul_matches_object_product(case):
         # the spillover R at N = 8: K + E = 96 columns, K + E + 1 rows
         a = _random_ints(rng, (97, 96), 130)
         y = _random_ints(rng, (96, 64), 250)
-    for L in (8, 16):
-        got = _limb_matmul(_limbs(a, L), y, L)
-        assert got.dtype == object and got.shape == (a.shape[0], y.shape[1])
-        assert all(type(v) is int for v in got.flat)
-        assert np.array_equal(got, a @ y)
+    got = _limb_matmul(_limbs(a), y)
+    assert got.dtype == object and got.shape == (a.shape[0], y.shape[1])
+    assert all(type(v) is int for v in got.flat)
+    assert np.array_equal(got, a @ y)
 
 
 def test_limb_matmul_refuses_inexact_limbs():
-    # 2L + bit_length(cols) + 1 <= 53 keeps every partial sum below 2^52
-    from cnsmax.stabilize import _limb_matmul, _limbs
+    # cols < 2^(52 - 2 LIMB_BITS) keeps every partial sum below 2^52
+    from cnsmax.stabilize import LIMB_BITS, _limb_matmul, _limbs
 
+    assert LIMB_BITS == 16
     a = np.array([[3] * 96], dtype=object)
     y = np.array([[5]] * 96, dtype=object)
-    assert _limb_matmul(_limbs(a, 16), y, 16)[0, 0] == 15 * 96
+    assert _limb_matmul(_limbs(a), y)[0, 0] == 15 * 96
     with pytest.raises(ValueError):
-        _limb_matmul(_limbs(a, 32), y, 32)     # 64 + 7 + 1 > 53
-    with pytest.raises(ValueError):
-        _limb_matmul(np.zeros((1, 1, 1 << 20)), y, 16)   # 32 + 21 + 1 > 53
-    for L in (0, 12, 24):
-        with pytest.raises(ValueError):
-            _limbs(a, L)
+        _limb_matmul(np.zeros((1, 1, 1 << 20)), y)   # 2^20 columns
 
 
 def _mp_rounded(man, exp, prec):
