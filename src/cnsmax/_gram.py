@@ -134,7 +134,6 @@ def windowed_gram(
 def eigen_coefficients(tab: BranchTable, state) -> np.ndarray:
     """Direct-eigenbasis coordinates d_a = <z, xi*_a>_Z of a SpectralState."""
     w = z_weights(tab.p)
-    c = np.array([state.coeff(n) for n in tab.idx_n.tolist()]).reshape(-1, 3)
-    c = c / np.sqrt(TWO_PI)
+    c = state.rows(tab.idx_n) / np.sqrt(TWO_PI)
     star = tab.alpha / tab.psi[:, None]
     return TWO_PI * np.sum(w * c * np.conj(star), axis=1)

@@ -24,6 +24,19 @@ from .model import FluidParams, derive_constants, validate
 COMMANDS = ("spectrum", "simulate", "control", "observability", "ingham",
             "lack", "stabilize")
 
+# Upper bounds of the count fields.  Each keeps its command's peak memory
+# near or below 1 GiB; the figures are peak RSS measured at the bound on
+# x86-64 with NumPy 2.
+MAX_MODES = 1 << 17      # spectrum n_max (about 5 KiB a mode, 700 MiB)
+                         # and simulate N (430 MiB)
+MAX_GRAM_N = 256         # Gram commands hold (6N+1)^2 complex entries, a few
+                         # copies: 290 MiB for observability; control's
+                         # forced evolve at MAX_PANELS stays below 1 GiB too
+MAX_RECORDS = 1 << 18    # simulate record_points: about 450 B a row
+MAX_GRID = 1 << 20       # simulate grid: about 400 B a point
+MAX_LACK_N = 1 << 14     # lack N_list entries, with band_mult <= MAX_BAND:
+MAX_BAND = 16            # 2 (band_mult - 1) N modes, 520 MiB
+
 
 def fmt(x) -> str:
     """Fixed 17-significant-digit scientific format (locale independent)."""
@@ -157,9 +170,9 @@ def _integer(value) -> int:
     return n
 
 
-def _count(block, key, default, least=1):
-    return _field(block, key, default, _integer, lambda v: v >= least,
-                  f"an integer >= {least}")
+def _count(block, key, default, most, least=1):
+    return _field(block, key, default, _integer, lambda v: least <= v <= most,
+                  f"an integer in [{least}, {most}]")
 
 
 def _positive(block, key, default):
@@ -187,10 +200,10 @@ def _kind(block):
     return kind
 
 
-def _run_spectrum(p, block, out, summary):
+def _run_spectrum(p, block, out, summary, seed):
     from .spectral import solve_beta_cubic, spectrum_rows
 
-    n_max = _count(block, "n_max", 30)
+    n_max = _count(block, "n_max", 30, MAX_MODES)
     rows = spectrum_rows(p, n_max)
     write_csv(
         out / "spectrum.csv",
@@ -211,12 +224,12 @@ def _run_spectrum(p, block, out, summary):
 def _run_simulate(p, block, out, summary, seed):
     from .dynamics import SUBSPACES, evolve, random_state, synthesize_physical
 
-    N = _count(block, "N", 16)
+    N = _count(block, "N", 16, MAX_MODES)
     T = _positive(block, "T", 5.0)
-    points = _count(block, "record_points", 65, least=2)
+    points = _count(block, "record_points", 65, MAX_RECORDS, least=2)
     subspace = _field(block, "subspace", "Zm", str, lambda v: v in SUBSPACES,
                       f"one of {SUBSPACES}")
-    grid = _count(block, "grid", max(4 * N, 64), least=2 * N + 1)
+    grid = _count(block, "grid", max(4 * N, 64), MAX_GRID, least=2 * N + 1)
     snapshots = _field(block, "snapshots", [T], lambda v: [_real(t) for t in v],
                        lambda v: all(t >= 0 and math.isfinite(t) for t in v),
                        "a list of finite times >= 0")
@@ -257,7 +270,7 @@ def _run_control(p, block, out, summary, seed):
     variant = block.get("variant", "everywhere")
     if variant not in ("everywhere", "boundary", "localized"):
         raise ValidationError(f"unknown control variant {variant!r}")
-    N = _count(block, "N", 16)
+    N = _count(block, "N", 16, MAX_GRAM_N)
     T = _positive(block, "T", 1.0)
     summary.update({"variant": variant, "N": N, "T": T})
     if variant == "everywhere":
@@ -299,14 +312,14 @@ def _run_control(p, block, out, summary, seed):
     summary["artifacts"] = ["control.csv"]
 
 
-def _run_observability(p, block, out, summary):
+def _run_observability(p, block, out, summary, seed):
     from .observability import (
         boundary_observability_constant,
         interior_observability_constant,
         minimal_time,
     )
 
-    N = _count(block, "N", 8)
+    N = _count(block, "N", 8, MAX_GRAM_N)
     T = _positive(block, "T", 1.2 * minimal_time(p))
     payload = {"N": N, "T": T}
     if "interval" in block:
@@ -319,16 +332,16 @@ def _run_observability(p, block, out, summary):
         payload["kind"] = kind
     payload["lambda_min"] = lmin
     payload["lambda_max"] = lmax
-    payload["cond"] = lmax / lmin if lmin > 0 else float("inf")
+    payload["cond"] = lmax / lmin if lmin > 0 else None
     write_json(out / "observability.json", payload)
     summary.update(payload)
     summary["artifacts"] = ["observability.json"]
 
 
-def _run_ingham(p, block, out, summary):
+def _run_ingham(p, block, out, summary, seed):
     from .observability import ingham_frame_bounds, minimal_time
 
-    N = _count(block, "N", 12)
+    N = _count(block, "N", 12, MAX_GRAM_N)
     T = _positive(block, "T", 1.1 * minimal_time(p))
     c1, c2 = ingham_frame_bounds(p, N, T)
     payload = {"N": N, "T": T, "C1_hat": c1, "C2_hat": c2,
@@ -338,15 +351,15 @@ def _run_ingham(p, block, out, summary):
     summary["artifacts"] = ["ingham.json"]
 
 
-def _run_lack(p, block, out, summary):
+def _run_lack(p, block, out, summary, seed):
     from .observability import lack_experiment
     from .spectral import solve_beta_cubic
 
     N_list = _field(block, "N_list", [4, 8, 16, 32], lambda v: [_integer(n) for n in v],
-                    lambda v: min(v) >= 1 and len(set(v)) >= 2,
-                    "a list of at least two distinct integers >= 1")
+                    lambda v: 1 <= min(v) <= max(v) <= MAX_LACK_N and len(set(v)) >= 2,
+                    f"a list of at least two distinct integers in [1, {MAX_LACK_N}]")
     lo, hi = _interval(block)
-    band_mult = _count(block, "band_mult", 4, least=2)
+    band_mult = _count(block, "band_mult", 4, MAX_BAND, least=2)
     beta = solve_beta_cubic(p).beta
     bhat = min(abs(b) for b in beta)
     T = _positive(block, "T", 0.8 * (2 * np.pi - hi) / bhat)
@@ -370,7 +383,7 @@ def _run_stabilize(p, block, out, summary, seed):
         growth_threshold,
     )
 
-    N = _count(block, "N", 8)
+    N = _count(block, "N", 8, MAX_GRAM_N)
     omega = _positive(block, "omega", 2.0)
     kind = _kind(block)
     T_end = _positive(block, "T_end", 40.0)
@@ -406,12 +419,12 @@ def _run_stabilize(p, block, out, summary, seed):
 
 
 _RUNNERS = {
-    "spectrum": lambda p, b, o, s, seed: _run_spectrum(p, b, o, s),
+    "spectrum": _run_spectrum,
     "simulate": _run_simulate,
     "control": _run_control,
-    "observability": lambda p, b, o, s, seed: _run_observability(p, b, o, s),
-    "ingham": lambda p, b, o, s, seed: _run_ingham(p, b, o, s),
-    "lack": lambda p, b, o, s, seed: _run_lack(p, b, o, s),
+    "observability": _run_observability,
+    "ingham": _run_ingham,
+    "lack": _run_lack,
     "stabilize": _run_stabilize,
 }
 
@@ -419,7 +432,7 @@ _RUNNERS = {
 def _seed(block, override):
     """The run seed: the --seed override if given, else the block's seed."""
     source = block if override is None else {"seed": override}
-    return _count(source, "seed", 0, least=0)
+    return _field(source, "seed", 0, _integer, lambda v: v >= 0, "an integer >= 0")
 
 
 def _write_early_summary(out, summary) -> None:

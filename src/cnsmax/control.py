@@ -170,8 +170,8 @@ def _everywhere_coords(p: FluidParams, tab, state: SpectralState):
     the spectral table tab, (m, 3)."""
     d_zero = complex(p.b_eff * (state.coeff(0)[0] / np.sqrt(TWO_PI)) * TWO_PI
                      / np.sqrt(2.0 * p.b_eff * np.pi))
-    c = np.sqrt(z_weights(p)) * np.array([state.coeff(n) for n in tab.ns.tolist()])
-    return np.array([[d_zero]]), (tab.gamma @ c.reshape(-1, 3, 1))[..., 0]
+    c = np.sqrt(z_weights(p)) * state.rows(tab.ns)
+    return np.array([[d_zero]]), (tab.gamma @ c[..., None])[..., 0]
 
 
 def _verify(p: FluidParams, state0: SpectralState, T: float, forcing,
@@ -180,12 +180,11 @@ def _verify(p: FluidParams, state0: SpectralState, T: float, forcing,
     energy distance of the final state from target (default rest) relative
     to the energy of state0, and the final state."""
     _, final = evolve(p, state0, T, forcing=forcing)
-    diff = final
+    diff = final.coeffs
     if target is not None:
-        diff = SpectralState(N=final.N, coeffs={
-            n: final.coeff(n) - target.coeff(n) for n in range(-final.N, final.N + 1)
-        })
-    return float(energy_norm(diff, p) / (energy_norm(state0, p) or 1.0)), final
+        diff = diff - target.rows(np.arange(-final.N, final.N + 1))
+    resid = energy_norm(SpectralState(final.N, diff), p) / (energy_norm(state0, p) or 1.0)
+    return float(resid), final
 
 
 def synthesize_everywhere_control(

@@ -12,7 +12,7 @@ whole composite Gauss-Legendre grid, as an array (2N+1, 3, nodes) over modes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -20,49 +20,58 @@ from scipy.linalg import expm
 
 from .errors import GridTooCoarse, ValidationError
 from .model import FluidParams
-from .spectral import TWO_PI, ModeEigenSystem, mode_matrix, spectral_table, z_weights
+from .spectral import (TWO_PI, ModeEigenSystem, mode_matrix, nonzero_modes,
+                       spectral_table, z_weights)
 
 SUBSPACES = ("Z", "Zm", "Zmm")
+# Quadrature panels of one record interval of a forced evolve.  The largest
+# case in use needs 27; each panel adds gl_points samples to the forcing
+# array (2N+1, 3, nodes) and to its propagated terms.  With the default 8
+# nodes a panel, one such array at the bound is about 190 MiB for N = 256.
+MAX_PANELS = 1024
 
 
 @dataclass
 class SpectralState:
     """Truncated Fourier representation of (rho, u, S).
 
-    coeffs maps n in [-N, N] to a complex triple; missing modes are zero.
-    Subspace flags: "Zm" forces zero-mean u and S (their n = 0 coefficients
-    vanish); "Zmm" forces the whole n = 0 coefficient to vanish.
+    coeffs is a complex array (2N+1, 3) whose row n + N holds the triple of
+    mode n = -N..N; None gives the zero state.  Subspace flags: "Zm" forces
+    zero-mean u and S (their n = 0 coefficients vanish); "Zmm" forces the
+    whole n = 0 coefficient to vanish.
     """
 
     N: int
-    coeffs: dict[int, np.ndarray] = field(default_factory=dict)
+    coeffs: np.ndarray | None = None
     subspace: str = "Z"
 
     def __post_init__(self):
         if self.subspace not in SUBSPACES:
             raise ValidationError(f"unknown subspace {self.subspace!r}")
-        clean = {}
-        for n, c in self.coeffs.items():
-            if abs(n) > self.N:
-                raise ValidationError(f"mode {n} outside truncation N={self.N}")
-            clean[int(n)] = np.asarray(c, dtype=complex).reshape(3)
-        self.coeffs = clean
-        zero = self.coeffs.get(0)
-        if zero is not None:
-            if self.subspace == "Zm" and np.any(zero[1:] != 0):
-                raise ValidationError("Zm state must have zero-mean u and S")
-            if self.subspace == "Zmm" and np.any(zero != 0):
-                raise ValidationError("Zmm state must have a zero n=0 coefficient")
+        shape = (2 * self.N + 1, 3)
+        self.coeffs = (np.zeros(shape, dtype=complex) if self.coeffs is None
+                       else np.asarray(self.coeffs, dtype=complex))
+        if self.coeffs.shape != shape:
+            raise ValidationError(
+                f"coeffs of truncation N={self.N} must have shape {shape}, "
+                f"got {self.coeffs.shape}"
+            )
+        zero = self.coeffs[self.N]
+        if self.subspace == "Zm" and np.any(zero[1:] != 0):
+            raise ValidationError("Zm state must have zero-mean u and S")
+        if self.subspace == "Zmm" and np.any(zero != 0):
+            raise ValidationError("Zmm state must have a zero n=0 coefficient")
 
     def coeff(self, n: int) -> np.ndarray:
-        return self.coeffs.get(n, np.zeros(3, dtype=complex))
+        return self.rows([n])[0]
 
-    def copy(self) -> "SpectralState":
-        return SpectralState(
-            N=self.N,
-            coeffs={n: c.copy() for n, c in self.coeffs.items()},
-            subspace=self.subspace,
-        )
+    def rows(self, ns) -> np.ndarray:
+        """The triples of the modes ns, (len(ns), 3); zero beyond N."""
+        ns = np.asarray(ns, dtype=int)
+        inside = np.abs(ns) <= self.N
+        out = np.zeros((ns.size, 3), dtype=complex)
+        out[inside] = self.coeffs[ns[inside] + self.N]
+        return out
 
 
 @dataclass
@@ -86,19 +95,12 @@ class TrajectoryRecord:
 
 def energy_norm(state: SpectralState, p: FluidParams) -> float:
     """Energy norm sqrt(b||rho||^2 + rho_s||u||^2 + (kappa/mu)||S||^2)."""
-    w = z_weights(p)
-    total = 0.0
-    for c in state.coeffs.values():
-        total += float(np.sum(w * np.abs(c) ** 2))
-    return float(np.sqrt(total))
+    return float(np.sqrt(np.sum(z_weights(p) * np.abs(state.coeffs) ** 2)))
 
 
 def component_norms(state: SpectralState) -> tuple[float, float, float]:
     """Plain L^2 norms of the three components."""
-    acc = np.zeros(3)
-    for c in state.coeffs.values():
-        acc += np.abs(c) ** 2
-    return tuple(float(v) for v in np.sqrt(acc))
+    return tuple(np.sqrt(np.sum(np.abs(state.coeffs) ** 2, axis=0)).tolist())
 
 
 class _ModePropagator:
@@ -183,33 +185,33 @@ def evolve(
     forcing triples of mode i - N, in weighted Fourier coordinates, at the
     times ts.  It is called once per record interval [t0, t1] with dt > 0,
     with that interval's composite Gauss-Legendre nodes
-    (ceil(dt * panels_per_unit) panels of gl_points nodes each), and the
-    variation-of-constants integral is summed over the nodes for all modes
-    at once.  Returns (TrajectoryRecord, final SpectralState).
+    (ceil(dt * panels_per_unit) panels of gl_points nodes each, at most
+    MAX_PANELS), and the variation-of-constants integral is summed over the
+    nodes for all modes at once.  Returns (TrajectoryRecord, final
+    SpectralState).
     """
     if record_times is None:
         record_times = np.linspace(0.0, T, 65)
     record_times = np.asarray(record_times, dtype=float)
     if record_times[0] != 0.0 or (T > 0 and record_times[-1] != T):
         raise ValidationError("record_times must start at 0 and end at T")
+    dts = np.diff(record_times)
+    panels = np.ceil(dts.max(initial=0.0) * panels_per_unit)
+    if forcing is not None and panels > MAX_PANELS:
+        raise ValidationError(f"a record interval of length {dts.max():.3e} needs "
+                              f"{panels:.3e} quadrature panels, more than {MAX_PANELS}")
 
     N = state0.N
-    if forcing is None:
-        modes = sorted(state0.coeffs)
-    else:
-        modes = list(range(-N, N + 1))
-    prop = _ModePropagator.of_modes(p, modes)
+    prop = _ModePropagator.of_modes(p, np.arange(-N, N + 1))
     xs, ws = leggauss(gl_points)
-    w = z_weights(p)
+    sw = np.sqrt(z_weights(p))
     one = np.ones(1)
 
-    current = np.array([state0.coeff(n) for n in modes], dtype=complex).reshape(-1, 3)
-    current *= np.sqrt(w)
+    current = state0.coeffs * sw
     power = np.empty((len(record_times), 3))
     power[0] = np.sum(np.abs(current) ** 2, axis=0)
-    for k in range(1, len(record_times)):
+    for k, dt in enumerate(dts, start=1):
         t0, t1 = record_times[k - 1], record_times[k]
-        dt = t1 - t0
         cnew = prop.flow(current[:, :, None], np.array([dt]), one)
         if forcing is not None and dt > 0:
             npan = max(1, int(np.ceil(dt * panels_per_unit)))
@@ -226,30 +228,31 @@ def evolve(
         current = cnew
         power[k] = np.sum(np.abs(current) ** 2, axis=0)
 
-    final = SpectralState(
-        N=N,
-        coeffs=dict(zip(modes, current / np.sqrt(w))),
-        subspace="Z",
-    )
+    final = SpectralState(N=N, coeffs=current / sw)
+    return _record(record_times, power, sw**2), final
+
+
+def _record(times, power, w) -> TrajectoryRecord:
+    """Trajectory whose row k of power (len(times), 3) holds the weighted
+    squared component norms w |c|^2 summed over modes."""
     norms = np.sqrt(power / w)
-    rec = TrajectoryRecord(
-        times=record_times,
+    return TrajectoryRecord(
+        times=times,
         energies=power.sum(axis=1),
         norm_rho=norms[:, 0],
         norm_u=norms[:, 1],
         norm_S=norms[:, 2],
     )
-    return rec, final
 
 
-def adjoint_mode_coefficients(p: FluidParams, state: SpectralState) -> dict:
-    """Expand a state in the adjoint eigenbasis: c_{n,l} = <z, xi_{n,l}>_Z."""
-    ns = [n for n in state.coeffs if n != 0]
+def adjoint_mode_coefficients(p: FluidParams, state: SpectralState) -> np.ndarray:
+    """Expand a state in the adjoint eigenbasis: c_{n,l} = <z, xi_{n,l}>_Z,
+    one row per mode n of nonzero_modes(N), (2N, 3)."""
+    ns = nonzero_modes(state.N)
     xi = spectral_table(p, ns).require_simple().xi_coeffs
     # state coefficient triple r relates to plain components v by v = r/sqrt(2*pi)
-    v = np.array([state.coeffs[n] for n in ns]).reshape(-1, 3) / np.sqrt(TWO_PI)
-    out = TWO_PI * np.einsum("mp,mlp->ml", z_weights(p) * v, np.conj(xi))
-    return dict(zip(ns, out))
+    v = state.rows(ns) / np.sqrt(TWO_PI)
+    return TWO_PI * np.einsum("mp,mlp->ml", z_weights(p) * v, np.conj(xi))
 
 
 def evolve_adjoint(
@@ -268,35 +271,21 @@ def evolve_adjoint(
         record_times = np.linspace(0.0, T, 65)
     record_times = np.asarray(record_times, dtype=float)
 
-    dual = adjoint_mode_coefficients(p, terminal_state)
-    tab = spectral_table(p, list(dual)).require_simple()
-    cl = np.array(list(dual.values())).reshape(-1, 3)
+    N = terminal_state.N
+    ns = nonzero_modes(N)
+    tab = spectral_table(p, ns).require_simple()
     star = tab.xi_star_coeffs / tab.psi[..., None]
-    zero = terminal_state.coeff(0)
+    tau = (T - record_times)[:, None, None]
+    fac = adjoint_mode_coefficients(p, terminal_state) * np.exp(np.conj(tab.lambdas) * tau)
+    v = np.empty((record_times.size, 2 * N + 1, 3), dtype=complex)
+    v[:, ns + N] = np.einsum("tml,mlp->tmp", fac, star) * np.sqrt(TWO_PI)
+    # the n = 0 block: mean density and velocity frozen, stress relaxing
+    v[:, N] = terminal_state.coeffs[N]
+    v[:, N, 2] *= np.exp(-tau[:, 0, 0] / p.kappa)
 
-    states = []
-    for t in record_times:
-        fac = cl * np.exp(np.conj(tab.lambdas) * (T - t))
-        v = np.einsum("ml,mlp->mp", fac, star) * np.sqrt(TWO_PI)
-        coeffs = dict(zip(dual, v))
-        if np.any(zero != 0):
-            c0 = zero.copy()
-            c0[2] = zero[2] * np.exp(-(T - t) / p.kappa)
-            coeffs[0] = c0
-        states.append(
-            SpectralState(N=terminal_state.N, coeffs=coeffs, subspace="Z")
-        )
-
-    energies = [energy_norm(s, p) ** 2 for s in states]
-    comp = [component_norms(s) for s in states]
-    rec = TrajectoryRecord(
-        times=record_times,
-        energies=np.array(energies),
-        norm_rho=np.array([c[0] for c in comp]),
-        norm_u=np.array([c[1] for c in comp]),
-        norm_S=np.array([c[2] for c in comp]),
-    )
-    return rec, states
+    w = z_weights(p)
+    rec = _record(record_times, np.sum(w * np.abs(v) ** 2, axis=1), w)
+    return rec, [SpectralState(N=N, coeffs=c) for c in v]
 
 
 def synthesize_physical(state: SpectralState, M: int):
@@ -304,8 +293,7 @@ def synthesize_physical(state: SpectralState, M: int):
     if M < 2 * state.N + 1:
         raise GridTooCoarse(f"grid M={M} cannot carry N={state.N}")
     spec = np.zeros((3, M), dtype=complex)
-    for n, c in state.coeffs.items():
-        spec[:, n % M] += c
+    spec[:, np.arange(-state.N, state.N + 1) % M] = state.coeffs.T
     fields = np.fft.ifft(spec * M / np.sqrt(TWO_PI), axis=1)
     x = TWO_PI * np.arange(M) / M
     return x, fields
@@ -318,12 +306,8 @@ def analyze_physical(fields: np.ndarray, N: int, subspace: str = "Z") -> Spectra
     if M < 2 * N + 1:
         raise GridTooCoarse(f"grid M={M} cannot carry N={N}")
     spec = np.fft.fft(fields, axis=1) * np.sqrt(TWO_PI) / M
-    coeffs = {}
-    for n in range(-N, N + 1):
-        c = spec[:, n % M]
-        if np.any(c != 0):
-            coeffs[n] = c.copy()
-    return SpectralState(N=N, coeffs=coeffs, subspace=subspace)
+    return SpectralState(N=N, coeffs=spec[:, np.arange(-N, N + 1) % M].T,
+                         subspace=subspace)
 
 
 def random_state(
@@ -335,17 +319,15 @@ def random_state(
 ) -> SpectralState:
     """Seeded random state of unit energy norm in the requested subspace."""
     rng = np.random.default_rng(seed)
-    coeffs = {}
+    coeffs = np.zeros((2 * N + 1, 3), dtype=complex)
     for n in range(1, N + 1):
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        coeffs[n] = c
-        coeffs[-n] = np.conj(c) if real_valued else (
+        coeffs[N + n] = c
+        coeffs[N - n] = np.conj(c) if real_valued else (
             rng.standard_normal(3) + 1j * rng.standard_normal(3)
         )
     if subspace == "Zm":
-        coeffs[0] = np.array([rng.standard_normal(), 0.0, 0.0], dtype=complex)
+        coeffs[N, 0] = rng.standard_normal()
     state = SpectralState(N=N, coeffs=coeffs, subspace=subspace)
-    scale = energy_norm(state, p)
-    for c in state.coeffs.values():
-        c /= scale
+    state.coeffs /= energy_norm(state, p)
     return state

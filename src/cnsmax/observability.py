@@ -28,6 +28,7 @@ from .model import FluidParams
 from .spectral import (
     TWO_PI,
     mode_eigenvalues_batch,
+    nonzero_modes,
     solve_beta_cubic,
     spectral_table,
     z_weights,
@@ -68,8 +69,9 @@ def exp_gram(p: FluidParams, N: int, T: float) -> ExpGram:
         raise NumericalFailure(f"exponential Gram lost Hermitian symmetry: {herm:.2e}")
     ev = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
     idx = list(zip(tab.idx_n.tolist(), (tab.idx_l + 1).tolist()))
+    # a Gram matrix has no negative eigenvalue: below 0 is rounding noise
     return ExpGram(indices=idx, T=T, entries=g,
-                   eig_min=float(ev[0]), eig_max=float(ev[-1]))
+                   eig_min=max(float(ev[0]), 0.0), eig_max=float(ev[-1]))
 
 
 def ingham_frame_bounds(p: FluidParams, N: int, T: float) -> tuple[float, float]:
@@ -80,8 +82,7 @@ def ingham_frame_bounds(p: FluidParams, N: int, T: float) -> tuple[float, float]
 
 def _product_zeros(p: FluidParams, K: int) -> np.ndarray:
     """Nonzero zeros i*conj(lambda_n^j) of the canonical product, |n| <= K."""
-    ns = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
-    lam = mode_eigenvalues_batch(p, ns)
+    lam = mode_eigenvalues_batch(p, nonzero_modes(K))
     return (1j * np.conj(lam)).ravel()
 
 
@@ -134,9 +135,12 @@ def psi_interpolant(p: FluidParams, nj: tuple[int, int], z: complex, K: int) -> 
 
 def gram_pencil_eigvals(M: np.ndarray, tab) -> np.ndarray:
     """Ascending generalized eigenvalues of the Hermitian part of an
-    observation Gram M against the terminal energy Gram of the same table."""
+    observation Gram M against the terminal energy Gram of the same table,
+    floored at 0: the pencil is positive semidefinite, so a negative
+    eigenvalue is rounding noise."""
     R = terminal_gram(tab)
-    return eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T), eigvals_only=True)
+    vals = eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T), eigvals_only=True)
+    return np.maximum(vals, 0.0)
 
 
 def interior_observability_constant(

@@ -59,7 +59,7 @@ import numpy as np
 from ._gram import build_branch_table, eigen_coefficients
 from .dynamics import SpectralState, TrajectoryRecord
 from .errors import (DegenerateWindow, IllConditioned, NumericalFailure,
-                     OmegaTooSmall, StepTooLarge)
+                     OmegaTooSmall, StepTooLarge, ValidationError)
 from .model import FluidParams
 from .spectral import TWO_PI, mode_eigenvalues_batch, nonzero_modes, z_weights
 
@@ -69,6 +69,13 @@ RECORD_STRIDE = 16            # integrator steps per recorded sample
 SOLVE_GUARD_BITS = 138        # fixed-point bits of _int_solve beyond prec
 SAMPLE_BLOCK = 64             # samples per block of the exact evaluator
 LIMB_BITS = 16                # limb width of the exact products, exact to 2^20 - 1 columns
+# Work bounds of closed_loop_simulate, far above the largest cases in use
+# (about 81k integrator steps, 451 exact samples): the double-precision
+# route runs T_end / dt steps and as many again at dt/2, about 7 us each;
+# an exact sample costs about 1 ms at N = 8.  Both keep a run at the bound
+# under a minute.
+MAX_STEPS = 1 << 21
+MAX_SAMPLES = 1 << 15
 
 
 def growth_threshold(p: FluidParams, N: int) -> float:
@@ -524,12 +531,20 @@ def closed_loop_simulate(
     decay e^{-(2 omega + conj lambda)t}, so the trajectory is evaluated in
     closed form with exact integer sums (`_exact_loop`) and there is no
     time-step error; it is sampled about every RECORD_STRIDE steps dt.
-    Either route holds only the recorded samples in memory.
+    Either route holds only the recorded samples in memory, and a horizon
+    needing more than MAX_STEPS steps or MAX_SAMPLES exact samples is a
+    ValidationError.
     """
     c0 = eigen_coefficients(law.table, z0)
     dt = 0.1 / float(np.abs(law.lam).max())
-    if law.precision_dps > 0:
-        nrec = max(int(np.ceil(T_end / dt / RECORD_STRIDE)), 64)
+    exact = law.precision_dps > 0
+    count, limit = ((T_end / dt / RECORD_STRIDE, MAX_SAMPLES) if exact
+                    else (T_end / dt, MAX_STEPS))
+    if count > limit:
+        raise ValidationError(f"T_end={T_end:g} needs {count:.3e} closed-loop "
+                              f"{'samples' if exact else 'steps'}, more than {limit}")
+    if exact:
+        nrec = max(int(np.ceil(count)), 64)
         times = np.linspace(0.0, T_end, nrec + 1)
         states, qs = _exact_loop(law, c0, times, law.precision_dps)
     else:

@@ -21,3 +21,13 @@ def make_params(seed: int) -> FluidParams:
         mu=float(vals[3]),
         b=float(vals[4]),
     )
+
+
+def state_of(N: int, modes: dict, subspace: str = "Z"):
+    """SpectralState of truncation N from {n: triple}; other modes zero."""
+    from cnsmax.dynamics import SpectralState
+
+    coeffs = np.zeros((2 * N + 1, 3), dtype=complex)
+    for n, c in modes.items():
+        coeffs[n + N] = c
+    return SpectralState(N=N, coeffs=coeffs, subspace=subspace)

@@ -10,14 +10,30 @@ import pytest
 import cnsmax
 from cnsmax.cli import emit_svg_scatter, run
 from cnsmax.errors import ValidationError
+from cnsmax.observability import minimal_time
 
 P1_MODEL = {"rho_s": 1.0, "u_s": 1.0, "b": 1.0, "kappa": 1.0, "mu": 1.0}
+T0_P1 = minimal_time(cnsmax.FluidParams(**P1_MODEL))
 
 
 def _write_cfg(tmp_path, name, body):
     path = tmp_path / name
     path.write_text(json.dumps(body))
     return str(path)
+
+
+def _cli_child(tmp_path, command, block):
+    """Run the CLI on P1 and block in a child process under a 30 s timeout,
+    so a hang fails the test; returns the exit code and summary.json text."""
+    cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
+    out = tmp_path / "out"
+    path = [str(Path(cnsmax.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cnsmax.cli", command, "--config", cfg, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=30,
+    )
+    return proc.returncode, (out / "summary.json").read_text()
 
 
 def test_spectrum_deterministic_and_svg(tmp_path):
@@ -100,6 +116,10 @@ def test_malformed_config_exits_2(tmp_path):
     ("observability", {"N": 2, "interval": ["0", 3]}),
     ("control", {"variant": "localized", "N": 2, "interval": [True, 3]}),
     ("control", {"variant": "localized", "N": 2, "interval": ["0", 3]}),
+    ("spectrum", {"n_max": 1e300}),
+    ("ingham", {"N": 1e300}),
+    ("lack", {"N_list": [4, 1e300]}),
+    ("simulate", {"record_points": 1e300}),
 ])
 def test_invalid_block_field_exits_2(tmp_path, command, block):
     cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
@@ -166,20 +186,43 @@ def test_numerical_failure_exits_3(tmp_path):
 ])
 def test_numerical_failure_exits_3_in_time(tmp_path, command, block):
     # huge omega leaves the exact evaluator's exponent range; a tiny horizon
-    # gives a control no better than none, or observation ratios <= 0.  The
-    # CLI runs in a child under a timeout, so a hang fails the test
-    cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
-    out = tmp_path / "out"
-    path = [str(Path(cnsmax.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "cnsmax.cli", command, "--config", cfg, "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-        capture_output=True, text=True, timeout=30,
-    )
-    assert proc.returncode == 3, proc.stderr
-    text = (out / "summary.json").read_text()
+    # gives a control no better than none, or observation ratios <= 0
+    code, text = _cli_child(tmp_path, command, block)
+    assert code == 3
     assert json.loads(text)["status"] == "numerical-failure"
     assert "Infinity" not in text and "NaN" not in text
+
+
+@pytest.mark.parametrize("command, block", [
+    ("control", {"variant": "everywhere", "N": 2, "T": 1e300}),
+    ("control", {"variant": "boundary", "N": 2, "T": 1e300}),
+    ("stabilize", {"N": 8, "T_end": 1e300}),
+    ("stabilize", {"N": 3, "omega": 1.0, "T_end": 1e300}),
+])
+def test_huge_horizon_exits_2_in_time(tmp_path, command, block):
+    # the quadrature panels, integrator steps or exact samples a horizon
+    # needs are bounded before any of them is allocated or run
+    code, text = _cli_child(tmp_path, command, block)
+    assert code == 2
+    assert json.loads(text)["status"] == "validation-error"
+    assert "Infinity" not in text and "NaN" not in text
+
+
+@pytest.mark.parametrize("command, block, key", [
+    ("ingham", {"N": 12, "T": 0.3 * T0_P1}, "C1_hat"),
+    ("observability", {"T": 1e-300}, "lambda_min"),
+    ("observability", {"T": 1e300, "interval": [0, 1]}, "lambda_min"),
+])
+def test_lower_bounds_never_negative(tmp_path, command, block, key):
+    # a Gram eigenvalue below 0 is rounding noise, reported as 0; cond is
+    # then null, never Infinity
+    cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
+    out = tmp_path / "out"
+    assert run(command, cfg, str(out)) == 0
+    for name in (f"{command}.json", "summary.json"):
+        text = (out / name).read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text)[key] >= 0
 
 
 def test_control_everywhere_cli(tmp_path):

@@ -14,11 +14,12 @@ from cnsmax.dynamics import (
 )
 from cnsmax.errors import GridTooCoarse, ValidationError
 from cnsmax.spectral import TWO_PI, mode_matrix, mode_system, z_weights
+from conftest import state_of
 
 
 def test_energy_constant_density(p1):
     # rho = 1 has coefficient sqrt(2 pi) on e^{i0x}/sqrt(2 pi); norm^2 = 2 pi b
-    st = SpectralState(N=0, coeffs={0: [np.sqrt(TWO_PI), 0, 0]}, subspace="Zm")
+    st = SpectralState(N=0, coeffs=[[np.sqrt(TWO_PI), 0, 0]], subspace="Zm")
     assert energy_norm(st, p1) ** 2 == pytest.approx(TWO_PI * p1.b_eff, rel=1e-14)
     assert energy_norm(SpectralState(N=2), p1) == 0.0
 
@@ -27,19 +28,17 @@ def test_energy_of_eigenfunctions_is_one(p1):
     for n in (1, 7, -20):
         m = mode_system(p1, n)
         for l in range(3):
-            st = SpectralState(
-                N=abs(n), coeffs={n: m.xi_coeffs[l] * np.sqrt(TWO_PI)}
-            )
+            st = state_of(abs(n), {n: m.xi_coeffs[l] * np.sqrt(TWO_PI)})
             assert energy_norm(st, p1) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_subspace_constraints():
     with pytest.raises(ValidationError):
-        SpectralState(N=1, coeffs={0: [0, 1, 0]}, subspace="Zm")
+        state_of(1, {0: [0, 1, 0]}, subspace="Zm")
     with pytest.raises(ValidationError):
-        SpectralState(N=1, coeffs={0: [1, 0, 0]}, subspace="Zmm")
-    with pytest.raises(ValidationError):
-        SpectralState(N=1, coeffs={5: [1, 0, 0]})
+        state_of(1, {0: [1, 0, 0]}, subspace="Zmm")
+    with pytest.raises(ValidationError):  # rows of modes beyond N = 1
+        SpectralState(N=1, coeffs=state_of(5, {5: [1, 0, 0]}).coeffs)
 
 
 def test_propagate_mode_identity_and_semigroup(p1):
@@ -89,7 +88,7 @@ def test_evolve_zero_and_eigenmode(p1):
 
     n, l = 3, 1
     m = mode_system(p1, n)
-    st = SpectralState(N=n, coeffs={n: m.xi_coeffs[l] * np.sqrt(TWO_PI)})
+    st = state_of(n, {n: m.xi_coeffs[l] * np.sqrt(TWO_PI)})
     ts = np.linspace(0, 2.0, 9)
     rec, _ = evolve(p1, st, 2.0, record_times=ts)
     expect = np.exp(2 * m.lambdas[l].real * ts)
@@ -99,7 +98,7 @@ def test_evolve_zero_and_eigenmode(p1):
 
 def test_free_flow_zero_mode_invariants(p1):
     # d/dt mean(u) = 0 and mean(S) e^{t/kappa} constant, via the n=0 block
-    st = SpectralState(N=1, coeffs={0: [0.3, 0.5, 0.8], 1: [0.1, 0, 0]})
+    st = state_of(1, {0: [0.3, 0.5, 0.8], 1: [0.1, 0, 0]})
     ts = np.array([0.0, 0.7, 1.9])
     rec, final = evolve(p1, st, 1.9, record_times=ts)
     c0 = final.coeff(0)
@@ -167,13 +166,12 @@ def test_evolve_empty_state_gives_complex_zeros(p1):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rec, final = evolve(p1, SpectralState(N=2), 1.0)
-        assert final.coeffs == {}
+        assert final.coeffs.dtype == complex and np.all(final.coeffs == 0)
         assert np.all(rec.energies == 0) and np.all(rec.norm_S == 0)
         rec, final = evolve(p1, SpectralState(N=2), 1.0,
                             forcing=lambda ts: np.zeros((5, 3, len(ts))))
-    assert sorted(final.coeffs) == list(range(-2, 3))
-    for c in final.coeffs.values():
-        assert c.dtype == complex and np.all(c == 0)
+    assert final.coeffs.shape == (5, 3)
+    assert final.coeffs.dtype == complex and np.all(final.coeffs == 0)
     assert np.all(rec.energies == 0)
 
 
@@ -205,7 +203,7 @@ def test_evolve_adjoint_terminal_and_profile(p1):
     n, l = 2, 0
     m = mode_system(p1, n)
     star = m.xi_star_coeffs[l] / m.psi[l] * np.sqrt(TWO_PI)
-    term = SpectralState(N=n, coeffs={n: star})
+    term = state_of(n, {n: star})
     T = 1.3
     ts = np.linspace(0, T, 7)
     rec, states = evolve_adjoint(p1, term, T, record_times=ts)
@@ -229,10 +227,7 @@ def test_duality_pairing_constant_with_rk4_oracle(p1):
     w = z_weights(p1)
 
     def inner(a, b):
-        tot = 0.0 + 0.0j
-        for n in set(a.coeffs) | set(b.coeffs):
-            tot += np.sum(w * a.coeff(n) * np.conj(b.coeff(n)))
-        return tot
+        return np.sum(w * a.coeffs * np.conj(b.coeffs))
 
     ts = np.linspace(0, T, 5)
     # forward states at each record time, exact per-mode exponentials
@@ -267,7 +262,7 @@ def test_duality_pairing_constant_with_rk4_oracle(p1):
     for t, z_t in zip(ts, z_states):
         key = round(float(t), 12)
         wdict = w_states[min(w_states, key=lambda s: abs(s - key))]
-        wt = SpectralState(N=N, coeffs={n: c for n, c in wdict.items()})
+        wt = state_of(N, wdict)
         pairings.append(inner(z_t, wt))
     pairings = np.array(pairings)
     assert np.max(np.abs(pairings - pairings[0])) < 1e-7 * max(1, abs(pairings[0]))
@@ -301,7 +296,7 @@ def test_adjoint_vs_rk4_small_N(p1):
 
 
 def test_synthesize_roundtrip_and_reality(p1):
-    st = SpectralState(N=1, coeffs={1: [1.0, 0, 0]})
+    st = state_of(1, {1: [1.0, 0, 0]})
     x, fields = synthesize_physical(st, 8)
     assert np.allclose(fields[0], np.exp(1j * x) / np.sqrt(TWO_PI), atol=1e-12)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cnsmax.control import boundary_observation
-from cnsmax.dynamics import TrajectoryRecord, component_norms, random_state
+from cnsmax.dynamics import SpectralState, TrajectoryRecord, component_norms, random_state
 from cnsmax.errors import DegenerateWindow, OmegaTooSmall
 from cnsmax.spectral import mode_system
 from cnsmax.stabilize import (
@@ -89,9 +89,7 @@ def test_closed_loop_decay_and_linearity(p1):
     nu = fit_decay_rate(traj)
     assert nu >= 2.0
 
-    z2 = z0.copy()
-    for c in z2.coeffs.values():
-        c *= 2.0
+    z2 = SpectralState(N=z0.N, coeffs=2.0 * z0.coeffs, subspace=z0.subspace)
     traj2 = closed_loop_simulate(p1, law, z2, 10.0)
     assert np.allclose(traj2.energies, 4.0 * traj.energies, rtol=1e-9, atol=1e-250)
 
@@ -169,7 +167,6 @@ def test_spillover_matches_expm_oracle(p1, seed):
 
     from cnsmax._gram import build_branch_table, eigen_coefficients
     from cnsmax.control import boundary_observation_vector
-    from cnsmax.dynamics import SpectralState
     from cnsmax.stabilize import _state_norms, spillover_report
 
     N, T, samples = 1, 10.0, 129
@@ -188,10 +185,7 @@ def test_spillover_matches_expm_oracle(p1, seed):
     A[:K, :K] = np.diag(law.lam) + np.outer(np.conj(law.b_vec), g)
     A[K:, :K] = np.outer(np.conj(b_e), g)
     A[K:, K:] = np.diag(lam_e)
-    design = SpectralState(
-        N=N, coeffs={n: c for n, c in z0.coeffs.items() if abs(n) <= N},
-        subspace="Zmm",
-    )
+    design = SpectralState(N=N, coeffs=z0.coeffs[N:3 * N + 1], subspace="Zmm")
     c = np.concatenate([eigen_coefficients(law.table, design),
                         eigen_coefficients(tab2, z0)[extra]])
     times = np.linspace(0.0, T, samples)
@@ -434,17 +428,13 @@ def test_exact_loop_spillover_rows_match_oracle(p1, seed):
     # the extra rows [M_e, diag(c0_e - M_e x0)] are identical doubles too
     from cnsmax._gram import build_branch_table, eigen_coefficients
     from cnsmax.control import boundary_observation_vector
-    from cnsmax.dynamics import SpectralState
     from cnsmax.stabilize import _exact_loop
 
     law = build_feedback(p1, 2, 2.0)
     z0 = random_state(p1, 4, "Zmm", seed=seed)
     tab2 = build_branch_table(p1, 4, "Zmm")
     ex = np.abs(tab2.idx_n) > 2
-    design = SpectralState(
-        N=2, coeffs={n: c for n, c in z0.coeffs.items() if abs(n) <= 2},
-        subspace="Zmm",
-    )
+    design = SpectralState(N=2, coeffs=z0.coeffs[2:7], subspace="Zmm")
     c0 = eigen_coefficients(law.table, design)
     extra = (tab2.lam[ex], boundary_observation_vector(tab2, law.kind)[ex],
              eigen_coefficients(tab2, z0)[ex])
