@@ -20,11 +20,12 @@ from .spectral import TWO_PI, SpectralTable, nonzero_modes, spectral_table, z_we
 def texp(z, T: float):
     """Closed form of the time integral of e^{z s} over [0, T].
 
-    The z -> 0 limit T replaces the removable singularity.
+    The z -> 0 limit T replaces the removable singularity.  Those entries
+    divide by the placeholder 1j, whose exponential cannot overflow.
     """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-14
-    zs = np.where(small, 1.0, z)
+    zs = np.where(small, 1j, z)
     return np.where(small, T, (np.exp(zs * T) - 1.0) / zs)
 
 

@@ -13,16 +13,14 @@ import argparse
 import json
 import math
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import CnsmaxError, NumericalFailure, ValidationError
-from .model import FluidParams, derive_constants, validate
-
-COMMANDS = ("spectrum", "simulate", "control", "observability", "ingham",
-            "lack", "stabilize")
+from .model import BOUNDARY_KINDS, SUBSPACES, FluidParams, derive_constants
 
 # Upper bounds of the count fields.  Each keeps its command's peak memory
 # near or below 1 GiB; the figures are peak RSS measured at the bound on
@@ -36,6 +34,8 @@ MAX_RECORDS = 1 << 18    # simulate record_points: about 450 B a row
 MAX_GRID = 1 << 20       # simulate grid: about 400 B a point
 MAX_LACK_N = 1 << 14     # lack N_list entries, with band_mult <= MAX_BAND:
 MAX_BAND = 16            # 2 (band_mult - 1) N modes, 520 MiB
+MAX_STABILIZE_N = 44     # stabilize N, for time: its exact solve is cubic in
+                         # 6N, and a spillover run at N=44 took 55-58 s
 
 
 def fmt(x) -> str:
@@ -56,8 +56,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def _json_default(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
     if isinstance(v, np.ndarray):
         return v.tolist()
     raise TypeError(f"not serializable: {type(v)}")
@@ -121,89 +119,146 @@ def emit_svg_scatter(points, path: Path, title: str = "spectrum") -> None:
     path.write_text("\n".join(parts) + "\n")
 
 
-def _params_from_config(cfg) -> FluidParams:
-    block = cfg.get("model")
+# Field types, named as the errors state them.  A table row is
+# (type, default, *bounds): the least and most value of a count, or of each
+# entry of a list of counts, or the values of a choice.  A callable default
+# or bound is computed from the model p and the fields v above it.
+COUNT = "an integer in"
+POSITIVE = "a finite positive number"
+TIME = "a finite number >= 0"
+FLAG = "true or false"
+CHOICE = "one of"
+INTERVAL = "[l1, l2] with 0 <= l1 < l2 <= 2*pi"
+TIMES = "a list of finite times >= 0"
+COUNTS = "a list of two or more distinct integers in"
+
+
+def _convert(kind: str, value, bounds: list):
+    """value as a field of type kind within bounds, else TypeError or ValueError."""
+    if kind in (INTERVAL, TIMES, COUNTS):
+        if not isinstance(value, list):
+            raise TypeError("not a list")
+        value = [_convert(COUNT if kind == COUNTS else TIME, x, bounds)
+                 for x in value]
+        if kind == INTERVAL:
+            ok = len(value) == 2 and value[0] < value[1] <= 2 * np.pi
+        else:
+            ok = kind == TIMES or len(set(value)) >= 2
+    elif kind == COUNT:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        ok = type(value) is int and bounds[0] <= value <= bounds[1]
+    elif kind in (POSITIVE, TIME):
+        if isinstance(value, (bool, str)):
+            raise TypeError("not a number")
+        value = float(value)
+        ok = math.isfinite(value) and (value > 0 if kind == POSITIVE else value >= 0)
+    else:
+        ok = isinstance(value, bool) if kind == FLAG else value in bounds
+    if not ok:
+        raise ValueError("out of bounds")
+    return value
+
+
+def read_fields(name: str, table: dict, block, p=None) -> dict:
+    """The fields of block checked against table, absent ones at their
+    default; ValidationError for a key not in the table or a value not of its
+    row's type and bounds.  A row whose default is None may be null (absent)."""
     if not isinstance(block, dict):
-        raise ValidationError("config must carry a 'model' object")
-    known = {"rho_s", "u_s", "kappa", "mu", "b", "a", "gamma"}
-    extra = set(block) - known
-    if extra:
-        raise ValidationError(f"unknown model fields: {sorted(extra)}")
-    for key, value in block.items():
-        if value is not None:  # null stands for an absent field
-            _field(block, key, None, _real, math.isfinite, "a finite number")
-    probe = argparse.Namespace(
-        rho_s=block.get("rho_s"), u_s=block.get("u_s"),
-        kappa=block.get("kappa"), mu=block.get("mu"),
-        b=block.get("b"), a=block.get("a"), gamma=block.get("gamma"),
-    )
-    errs = validate(probe)
-    if errs:
-        raise ValidationError("; ".join(errs))
-    return FluidParams(**{k: block[k] for k in block})
+        raise ValidationError(f"{name} must be an object")
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise ValidationError(f"{name} does not read {unknown}; its fields "
+                              f"are {sorted(table)}")
+    values = {}
+    for key, (kind, default, *bounds) in table.items():
+        value = block.get(key, default)
+        if callable(value):
+            value = value(p, values)
+        bounds = [b(p, values) if callable(b) else b for b in bounds]
+        try:
+            values[key] = (None if value is None and default is None
+                           else _convert(kind, value, bounds))
+        except (TypeError, ValueError, OverflowError):
+            what = f"{kind} {bounds}" if bounds else kind
+            raise ValidationError(f"{key} must be {what}, got {value!r}") from None
+    return values
 
 
-def _field(block, key, default, cast, ok, what):
-    """block[key] (default if absent) converted by cast and checked by ok."""
-    value = block.get(key, default)
-    try:
-        converted = cast(value)
-        if ok(converted):
-            return converted
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"{key} must be {what}, got {value!r}")
+def _waiting_time(p) -> float:
+    from .observability import minimal_time
+
+    return minimal_time(p)
 
 
-def _real(value) -> float:
-    """value as a float; a JSON boolean or string is not a number."""
-    if isinstance(value, (bool, str)):
-        raise TypeError("not a number")
-    return float(value)
+def _lack_horizon(p, v) -> float:
+    from .spectral import solve_beta_cubic
+
+    hi = v["interval"][1]
+    if hi == 2 * np.pi:
+        raise ValidationError("the default T is 0 as the interval reaches 2*pi; give T")
+    bhat = min(abs(b) for b in solve_beta_cubic(p).beta)
+    return float(0.8 * (2 * np.pi - hi) / bhat)
 
 
-def _integer(value) -> int:
-    """value as an int; booleans and non-integral numbers are refused."""
-    n = int(value)
-    if n != _real(value):
-        raise ValueError("not integral")
-    return n
+MODEL_FIELDS = {key: (POSITIVE, None) for key in
+                ("rho_s", "u_s", "kappa", "mu", "b", "a", "gamma")}
+CONTROL_VARIANTS = ("everywhere", "boundary", "localized")
+_INTERVAL = (INTERVAL, [0.0, np.pi])
+_KIND = (CHOICE, "density", *BOUNDARY_KINDS)
+_CONTROL = {"variant": (CHOICE, "everywhere", *CONTROL_VARIANTS),
+            "N": (COUNT, 16, 1, MAX_GRAM_N),
+            "T": (POSITIVE, 1.0)}
+_OBSERVABILITY = {"N": (COUNT, 8, 1, MAX_GRAM_N),
+                  "T": (POSITIVE, lambda p, v: 1.2 * _waiting_time(p))}
+# The field table of each command block; control and observability have one
+# per variant, since the variant decides which fields are read.
+_BLOCKS = {
+    "spectrum": {"n_max": (COUNT, 30, 1, MAX_MODES)},
+    "simulate": {
+        "N": (COUNT, 16, 1, MAX_MODES),
+        "T": (POSITIVE, 5.0),
+        "record_points": (COUNT, 65, 2, MAX_RECORDS),
+        "subspace": (CHOICE, "Zm", *SUBSPACES),
+        "grid": (COUNT, lambda p, v: max(4 * v["N"], 64),
+                 lambda p, v: 2 * v["N"] + 1, MAX_GRID),
+        "snapshots": (TIMES, lambda p, v: [v["T"]]),
+    },
+    "control everywhere": _CONTROL,
+    "control boundary": {**_CONTROL, "kind": _KIND},
+    "control localized": {**_CONTROL, "interval": _INTERVAL},
+    "observability boundary": {**_OBSERVABILITY, "kind": _KIND},
+    "observability interior": {**_OBSERVABILITY, "interval": _INTERVAL},
+    "ingham": {"N": (COUNT, 12, 1, MAX_GRAM_N),
+               "T": (POSITIVE, lambda p, v: 1.1 * _waiting_time(p))},
+    "lack": {"N_list": (COUNTS, [4, 8, 16, 32], 1, MAX_LACK_N),
+             "interval": _INTERVAL,
+             "band_mult": (COUNT, 4, 2, MAX_BAND),
+             "T": (POSITIVE, _lack_horizon)},
+    "stabilize": {"N": (COUNT, 8, 1, MAX_STABILIZE_N),
+                  "omega": (POSITIVE, 2.0),
+                  "kind": _KIND,
+                  "T_end": (POSITIVE, 40.0),
+                  "spillover": (FLAG, False)},
+}
+TABLES = {name: {**fields, "seed": (COUNT, 0, 0, math.inf)}
+          for name, fields in _BLOCKS.items()}
 
 
-def _count(block, key, default, most, least=1):
-    return _field(block, key, default, _integer, lambda v: least <= v <= most,
-                  f"an integer in [{least}, {most}]")
+def table_name(command: str, block: dict) -> str:
+    """The table that reads block; the everywhere one refuses a bad variant."""
+    if command == "control":
+        variant = block.get("variant")
+        return f"control {variant if variant in CONTROL_VARIANTS else 'everywhere'}"
+    if command == "observability":
+        return f"observability {'interior' if 'interval' in block else 'boundary'}"
+    return command
 
 
-def _positive(block, key, default):
-    return _field(block, key, default, _real,
-                  lambda v: v > 0 and math.isfinite(v), "a finite positive number")
-
-
-def _flag(block, key, default=False):
-    return _field(block, key, default, lambda v: v,
-                  lambda v: isinstance(v, bool), "true or false")
-
-
-def _interval(block):
-    return _field(block, "interval", [0.0, np.pi],
-                  lambda v: tuple(_real(x) for x in v),
-                  lambda v: len(v) == 2 and 0.0 <= v[0] < v[1] <= 2 * np.pi,
-                  "[l1, l2] with 0 <= l1 < l2 <= 2*pi")
-
-
-def _kind(block):
-    from .control import check_boundary_kind
-
-    kind = block.get("kind", "density")
-    check_boundary_kind(kind)
-    return kind
-
-
-def _run_spectrum(p, block, out, summary, seed):
+def _run_spectrum(p, v, out, summary):
     from .spectral import solve_beta_cubic, spectrum_rows
 
-    n_max = _count(block, "n_max", 30, MAX_MODES)
+    n_max = v["n_max"]
     rows = spectrum_rows(p, n_max)
     write_csv(
         out / "spectrum.csv",
@@ -221,30 +276,23 @@ def _run_spectrum(p, block, out, summary, seed):
     summary["artifacts"] = ["spectrum.csv", "eigenvalues.svg"]
 
 
-def _run_simulate(p, block, out, summary, seed):
-    from .dynamics import SUBSPACES, evolve, random_state, synthesize_physical
+def _run_simulate(p, v, out, summary):
+    from .dynamics import evolve, random_state, synthesize_physical
 
-    N = _count(block, "N", 16, MAX_MODES)
-    T = _positive(block, "T", 5.0)
-    points = _count(block, "record_points", 65, MAX_RECORDS, least=2)
-    subspace = _field(block, "subspace", "Zm", str, lambda v: v in SUBSPACES,
-                      f"one of {SUBSPACES}")
-    grid = _count(block, "grid", max(4 * N, 64), MAX_GRID, least=2 * N + 1)
-    snapshots = _field(block, "snapshots", [T], lambda v: [_real(t) for t in v],
-                       lambda v: all(t >= 0 and math.isfinite(t) for t in v),
-                       "a list of finite times >= 0")
-    state0 = random_state(p, N, subspace=subspace, seed=seed)
-    rec, final = evolve(p, state0, T, record_times=np.linspace(0, T, points))
+    N, T = v["N"], v["T"]
+    state0 = random_state(p, N, subspace=v["subspace"], seed=v["seed"])
+    rec, final = evolve(p, state0, T,
+                        record_times=np.linspace(0, T, v["record_points"]))
     write_csv(
         out / "trajectory.csv",
         ["t", "energy", "norm_rho", "norm_u", "norm_S"],
         zip(rec.times, rec.energies, rec.norm_rho, rec.norm_u, rec.norm_S),
     )
     arts = ["trajectory.csv"]
-    for t_snap in snapshots:
+    for t_snap in v["snapshots"]:
         # exact flow to the snapshot instant
         _, snap = evolve(p, state0, t_snap, record_times=np.array([0.0, t_snap]))
-        x, fields = synthesize_physical(snap, grid)
+        x, fields = synthesize_physical(snap, v["grid"])
         name = f"snapshot_t{t_snap:g}.csv"
         write_csv(
             out / name,
@@ -259,7 +307,7 @@ def _run_simulate(p, block, out, summary, seed):
     summary["artifacts"] = arts
 
 
-def _run_control(p, block, out, summary, seed):
+def _run_control(p, v, out, summary):
     from .control import (
         synthesize_boundary_control,
         synthesize_everywhere_control,
@@ -267,26 +315,17 @@ def _run_control(p, block, out, summary, seed):
     )
     from .dynamics import random_state
 
-    variant = block.get("variant", "everywhere")
-    if variant not in ("everywhere", "boundary", "localized"):
-        raise ValidationError(f"unknown control variant {variant!r}")
-    N = _count(block, "N", 16, MAX_GRAM_N)
-    T = _positive(block, "T", 1.0)
-    summary.update({"variant": variant, "N": N, "T": T})
+    variant, N, T = v["variant"], v["N"], v["T"]
+    summary.update(v)
+    state0 = random_state(p, N, subspace="Zmm" if variant == "boundary" else "Zm",
+                          seed=v["seed"])
     if variant == "everywhere":
-        state0 = random_state(p, N, subspace="Zm", seed=seed)
         sig, resid, _ = synthesize_everywhere_control(p, state0, T, N)
         cond = None
     elif variant == "boundary":
-        kind = _kind(block)
-        state0 = random_state(p, N, subspace="Zmm", seed=seed)
-        sig, resid, cond, _ = synthesize_boundary_control(p, state0, T, N, kind)
-        summary["kind"] = kind
+        sig, resid, cond, _ = synthesize_boundary_control(p, state0, T, N, v["kind"])
     else:
-        lo, hi = _interval(block)
-        state0 = random_state(p, N, subspace="Zm", seed=seed)
-        sig, resid, cond, _ = synthesize_localized_control(p, state0, T, N, (lo, hi))
-        summary["interval"] = [lo, hi]
+        sig, resid, cond, _ = synthesize_localized_control(p, state0, T, N, v["interval"])
     # free flow never raises the energy, so a residual >= 1 is no better
     # than no control at all
     if not (math.isfinite(sig.norm_l2) and resid < 1.0):
@@ -312,24 +351,17 @@ def _run_control(p, block, out, summary, seed):
     summary["artifacts"] = ["control.csv"]
 
 
-def _run_observability(p, block, out, summary, seed):
+def _run_observability(p, v, out, summary):
     from .observability import (
         boundary_observability_constant,
         interior_observability_constant,
-        minimal_time,
     )
 
-    N = _count(block, "N", 8, MAX_GRAM_N)
-    T = _positive(block, "T", 1.2 * minimal_time(p))
-    payload = {"N": N, "T": T}
-    if "interval" in block:
-        lo, hi = _interval(block)
-        lmin, lmax = interior_observability_constant(p, N, T, (lo, hi))
-        payload["interval"] = [lo, hi]
+    payload = {key: v[key] for key in v if key != "seed"}
+    if "interval" in v:
+        lmin, lmax = interior_observability_constant(p, v["N"], v["T"], v["interval"])
     else:
-        kind = _kind(block)
-        lmin, lmax = boundary_observability_constant(p, N, T, kind)
-        payload["kind"] = kind
+        lmin, lmax = boundary_observability_constant(p, v["N"], v["T"], v["kind"])
     payload["lambda_min"] = lmin
     payload["lambda_max"] = lmax
     payload["cond"] = lmax / lmin if lmin > 0 else None
@@ -338,11 +370,10 @@ def _run_observability(p, block, out, summary, seed):
     summary["artifacts"] = ["observability.json"]
 
 
-def _run_ingham(p, block, out, summary, seed):
+def _run_ingham(p, v, out, summary):
     from .observability import ingham_frame_bounds, minimal_time
 
-    N = _count(block, "N", 12, MAX_GRAM_N)
-    T = _positive(block, "T", 1.1 * minimal_time(p))
+    N, T = v["N"], v["T"]
     c1, c2 = ingham_frame_bounds(p, N, T)
     payload = {"N": N, "T": T, "C1_hat": c1, "C2_hat": c2,
                "T0": minimal_time(p)}
@@ -351,19 +382,11 @@ def _run_ingham(p, block, out, summary, seed):
     summary["artifacts"] = ["ingham.json"]
 
 
-def _run_lack(p, block, out, summary, seed):
+def _run_lack(p, v, out, summary):
     from .observability import lack_experiment
-    from .spectral import solve_beta_cubic
 
-    N_list = _field(block, "N_list", [4, 8, 16, 32], lambda v: [_integer(n) for n in v],
-                    lambda v: 1 <= min(v) <= max(v) <= MAX_LACK_N and len(set(v)) >= 2,
-                    f"a list of at least two distinct integers in [1, {MAX_LACK_N}]")
-    lo, hi = _interval(block)
-    band_mult = _count(block, "band_mult", 4, MAX_BAND, least=2)
-    beta = solve_beta_cubic(p).beta
-    bhat = min(abs(b) for b in beta)
-    T = _positive(block, "T", 0.8 * (2 * np.pi - hi) / bhat)
-    res = lack_experiment(p, N_list, T, (lo, hi), band_mult=band_mult)
+    N_list, T, (lo, hi) = v["N_list"], v["T"], v["interval"]
+    res = lack_experiment(p, N_list, T, (lo, hi), band_mult=v["band_mult"])
     write_csv(
         out / "lack.csv",
         ["N", "ratio", "slope"],
@@ -374,22 +397,19 @@ def _run_lack(p, block, out, summary, seed):
     summary["artifacts"] = ["lack.csv"]
 
 
-def _run_stabilize(p, block, out, summary, seed):
+def _run_stabilize(p, v, out, summary):
     from .dynamics import random_state
     from .stabilize import (
         build_feedback,
         closed_loop_simulate,
         fit_decay_rate,
         growth_threshold,
+        spillover_report,
     )
 
-    N = _count(block, "N", 8, MAX_GRAM_N)
-    omega = _positive(block, "omega", 2.0)
-    kind = _kind(block)
-    T_end = _positive(block, "T_end", 40.0)
-    spillover = _flag(block, "spillover")
+    N, omega, kind, T_end = v["N"], v["omega"], v["kind"], v["T_end"]
     law = build_feedback(p, N, omega, kind)
-    z0 = random_state(p, N, subspace="Zmm", seed=seed)
+    z0 = random_state(p, N, subspace="Zmm", seed=v["seed"])
     traj = closed_loop_simulate(p, law, z0, T_end)
     nu = fit_decay_rate(traj)
     rows = zip(traj.times, traj.energies, traj.norm_rho, traj.norm_u,
@@ -409,9 +429,7 @@ def _run_stabilize(p, block, out, summary, seed):
         "growth_threshold": growth_threshold(p, N),
         "T_end": T_end,
     }
-    if spillover:
-        from .stabilize import spillover_report
-
+    if v["spillover"]:
         payload["spillover"] = spillover_report(p, law, z0, T_end)
     write_json(out / "stabilize.json", payload)
     summary.update(payload)
@@ -429,66 +447,46 @@ _RUNNERS = {
 }
 
 
-def _seed(block, override):
-    """The run seed: the --seed override if given, else the block's seed."""
-    source = block if override is None else {"seed": override}
-    return _field(source, "seed", 0, _integer, lambda v: v >= 0, "an integer >= 0")
-
-
-def _write_early_summary(out, summary) -> None:
-    """summary.json for a configuration error, when the output directory is
-    known and can be made."""
-    if out is None:
-        return
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "summary.json", summary)
-    except OSError:
-        pass
-
-
 def run(command: str, config_path: str, out_dir: str | None = None,
         seed: int | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
     out = Path(out_dir) if out_dir else None
+    summary = {"version": __version__, "command": command}
     try:
         cfg = json.loads(Path(config_path).read_text())
         if not isinstance(cfg, dict):
             raise ValidationError("config must be a JSON object")
         out = Path(out_dir or cfg.get("out", "."))
-        if command not in COMMANDS:
+        if command not in _RUNNERS:
             raise ValidationError(f"unknown command {command!r}")
-        blocks = [k for k in cfg if k in COMMANDS]
-        if blocks != [command]:
-            raise ValidationError(
-                f"config must carry exactly the {command!r} command block, "
-                f"found {blocks}"
-            )
-        p = _params_from_config(cfg)
+        if command not in cfg or not {"model", "out", command}.issuperset(cfg):
+            raise ValidationError(f"config must carry 'model', the {command!r} "
+                                  f"block and at most 'out', found {sorted(cfg)}")
+        p = FluidParams(**read_fields("model", MODEL_FIELDS, cfg.get("model")))
         block = cfg[command]
         if not isinstance(block, dict):
             raise ValidationError("command block must be an object")
-        eff_seed = _seed(block, seed)
+        if seed is not None:
+            block = {**block, "seed": seed}
         out.mkdir(parents=True, exist_ok=True)
     except (ValidationError, json.JSONDecodeError, OSError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        _write_early_summary(out, {
-            "version": __version__, "command": command,
-            "status": "validation-error", "error": str(exc),
-        })
+        summary.update(status="validation-error", error=str(exc))
+        with suppress(OSError):  # a summary.json whenever out is known
+            if out is not None:
+                out.mkdir(parents=True, exist_ok=True)
+                write_json(out / "summary.json", summary)
         return 2
 
     dc = derive_constants(p)
-    summary = {
-        "version": __version__,
-        "command": command,
-        "model": {k: v for k, v in cfg["model"].items()},
-        "derived": {"b": dc.b, "big_d": dc.big_d, "inv_kappa": dc.inv_kappa},
-        "seed": eff_seed,
-        "status": "ok",
-    }
+    summary["status"] = "ok"
+    summary["model"] = {k: v for k, v in cfg["model"].items()}
+    summary["derived"] = {"b": dc.b, "big_d": dc.big_d, "inv_kappa": dc.inv_kappa}
     try:
-        _RUNNERS[command](p, block, out, summary, eff_seed)
+        name = table_name(command, block)
+        values = read_fields(name, TABLES[name], block, p)
+        summary["seed"] = values["seed"]
+        _RUNNERS[command](p, values, out, summary)
         code = 0
     except ValidationError as exc:
         summary["status"] = "validation-error"
@@ -510,7 +508,7 @@ def main(argv=None) -> int:
         description="spectral control toolkit for the relaxed compressible "
                     "Navier-Stokes system on a periodic interval",
     )
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=list(_RUNNERS))
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--seed", type=int, default=None,

@@ -31,7 +31,7 @@ from ._gram import (
 )
 from .dynamics import SpectralState, energy_norm, evolve
 from .errors import IllConditioned, ObservationVanished, RankDeficient, ValidationError
-from .model import FluidParams
+from .model import BOUNDARY_KINDS, FluidParams
 from .observability import minimal_time
 from .spectral import (
     TWO_PI,
@@ -44,7 +44,6 @@ from .spectral import (
 
 COND_LIMIT = 1e14
 RANK_TOL = 1e-10              # Hautus test: smallest/largest singular value
-BOUNDARY_KINDS = ("density", "velocity", "stress")
 
 
 @dataclass

@@ -19,11 +19,10 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
 from .errors import GridTooCoarse, ValidationError
-from .model import FluidParams
+from .model import SUBSPACES, FluidParams
 from .spectral import (TWO_PI, ModeEigenSystem, mode_matrix, nonzero_modes,
                        spectral_table, z_weights)
 
-SUBSPACES = ("Z", "Zm", "Zmm")
 # Quadrature panels of one record interval of a forced evolve.  The largest
 # case in use needs 27; each panel adds gl_points samples to the forcing
 # array (2N+1, 3, nodes) and to its propagated terms.  With the default 8

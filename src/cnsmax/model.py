@@ -13,6 +13,12 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
+# The truncated state spaces (`dynamics.SpectralState`): all of L^2, "Zm"
+# with zero-mean u and S, "Zmm" with a zero n = 0 mode.
+SUBSPACES = ("Z", "Zm", "Zmm")
+# The traces a single boundary actuator sets (`control`, `stabilize`).
+BOUNDARY_KINDS = ("density", "velocity", "stress")
+
 
 @dataclass(frozen=True)
 class FluidParams:

@@ -198,10 +198,11 @@ def test_numerical_failure_exits_3_in_time(tmp_path, command, block):
     ("control", {"variant": "boundary", "N": 2, "T": 1e300}),
     ("stabilize", {"N": 8, "T_end": 1e300}),
     ("stabilize", {"N": 3, "omega": 1.0, "T_end": 1e300}),
+    ("stabilize", {"N": 64}),
 ])
 def test_huge_horizon_exits_2_in_time(tmp_path, command, block):
     # the quadrature panels, integrator steps or exact samples a horizon
-    # needs are bounded before any of them is allocated or run
+    # needs, and stabilize's N, are bounded before any work is run
     code, text = _cli_child(tmp_path, command, block)
     assert code == 2
     assert json.loads(text)["status"] == "validation-error"
@@ -268,6 +269,17 @@ def test_seed_flag_overrides(tmp_path):
     cb = (outb / "control.csv").read_bytes()
     cc = (outc / "control.csv").read_bytes()
     assert cb == cc and ca != cb
+
+
+def test_cli_import_loads_neither_scipy_nor_mpmath():
+    # each command imports its numerics lazily, inside its runner
+    path = [str(Path(cnsmax.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    code = ("import sys, cnsmax.cli; "
+            "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 def test_svg_scatter_contract(tmp_path):
