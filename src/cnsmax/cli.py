@@ -196,7 +196,8 @@ def _lack_horizon(p, v) -> float:
 
     hi = v["interval"][1]
     if hi == 2 * np.pi:
-        raise ValidationError("the default T is 0 as the interval reaches 2*pi; give T")
+        raise ValidationError(f"the default T is 0 as interval {v['interval']} "
+                              "reaches 2*pi; give T")
     bhat = min(abs(b) for b in solve_beta_cubic(p).beta)
     return float(0.8 * (2 * np.pi - hi) / bhat)
 

@@ -301,3 +301,12 @@ def test_lack_cli(tmp_path):
     rows = (out / "lack.csv").read_text().strip().splitlines()
     assert rows[0] == "N,ratio,slope"
     assert len(rows) == 4
+
+
+def test_lack_default_horizon_error_names_its_cause(tmp_path):
+    cfg = _write_cfg(tmp_path, "c.json",
+                     {"model": P1_MODEL, "lack": {"interval": [0, 2 * np.pi]}})
+    out = tmp_path / "out"
+    assert run("lack", cfg, str(out)) == 2
+    error = json.loads((out / "summary.json").read_text())["error"]
+    assert "default T is 0" in error and "2*pi" in error and "np." not in error
