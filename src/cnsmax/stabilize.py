@@ -46,7 +46,8 @@ sample.
 
 The double-precision route (`_integrate`) steps the closed loop with a
 second-order exponential integrator, a few NumPy vector operations per
-step, and keeps only the recorded states.
+step, and keeps only the recorded states.  The step is linear, so the
+dt/2 state of its self-convergence check is one matrix power.
 """
 
 from __future__ import annotations
@@ -70,12 +71,13 @@ SOLVE_GUARD_BITS = 138        # fixed-point bits of _int_solve beyond prec
 SAMPLE_BLOCK = 64             # samples per block of the exact evaluator
 LIMB_BITS = 16                # limb width of the exact products, exact to 2^20 - 1 columns
 # Work bounds of closed_loop_simulate, far above the largest cases in use
-# (about 81k integrator steps, 451 exact samples): the double-precision
-# route runs T_end / dt steps and as many again at dt/2, about 7 us each;
-# an exact sample costs about 1 ms at N = 8.  Both keep a run at the bound
-# under a minute.
+# (about 27k integrator steps, 451 exact samples): the double-precision
+# route runs T_end / dt steps, about 7 us each (15 s at the bound), and
+# takes its dt/2 state from one matrix power; an exact sample costs about
+# 1 ms at N = 8 (33 s at the bound).
 MAX_STEPS = 1 << 21
 MAX_SAMPLES = 1 << 15
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)
 
 
 def growth_threshold(p: FluidParams, N: int) -> float:
@@ -141,8 +143,7 @@ def _double_parts(z) -> list:
 
 def _bits(re, im) -> np.ndarray:
     """Bit length of max(|re|, |im|) for each pair of integer arrays."""
-    return np.array([max(abs(a), abs(b)).bit_length()
-                     for a, b in zip(re.flat, im.flat)]).reshape(np.shape(re))
+    return _bit_length(np.maximum(np.abs(re), np.abs(im))).astype(np.int64)
 
 
 def _int_solve(M, c, prec: int):
@@ -526,11 +527,12 @@ def closed_loop_simulate(
 
     Well-conditioned laws integrate the eigen-coordinate ODE with a
     second-order exponential integrator at step dt = 0.1 / max|lambda| and
-    a dt vs dt/2 self-convergence check.  Ill-conditioned laws use the exact
-    route: the Lyapunov identity makes x = M^{-1} c evolve by pure modal
-    decay e^{-(2 omega + conj lambda)t}, so the trajectory is evaluated in
-    closed form with exact integer sums (`_exact_loop`) and there is no
-    time-step error; it is sampled about every RECORD_STRIDE steps dt.
+    check the final state against the dt/2 one, taken from one matrix
+    power (`_integrate`).  Ill-conditioned laws use the exact route: the
+    Lyapunov identity makes x = M^{-1} c evolve by pure modal decay
+    e^{-(2 omega + conj lambda)t}, so the trajectory is evaluated in closed
+    form with exact integer sums (`_exact_loop`) and there is no time-step
+    error; it is sampled about every RECORD_STRIDE steps dt.
     Either route holds only the recorded samples in memory, and a horizon
     needing more than MAX_STEPS steps or MAX_SAMPLES exact samples is a
     ValidationError.
@@ -561,53 +563,60 @@ def closed_loop_simulate(
     )
 
 
+def _step_vectors(law: FeedbackLaw, T_end, step):
+    """Step count nst, step h = T_end / nst and the vectors e^{lambda h},
+    u = phi1 conj(b) and v = phi2 conj(b) of `_integrate`'s step."""
+    lam = law.lam
+    nst = int(np.ceil(T_end / step))
+    h = T_end / nst
+    eL = np.exp(lam * h)
+    z = lam * h
+    small = np.abs(z) < 1e-8
+    lam_s = np.where(small, 1.0, lam)
+    phi1 = np.where(small, h, (eL - 1.0) / lam_s)
+    phi2 = np.where(small, h / 2.0, (eL - 1.0 - z) / (lam_s * z))
+    bconj = np.conj(law.b_vec)
+    return nst, h, eL, phi1 * bconj, phi2 * bconj
+
+
+def _final_state(law: FeedbackLaw, g, c0, T_end, step):
+    """c0 after every step of `_integrate` at `step`, as one matrix power:
+    the step is c+ = Phi c, Phi = P + v g^T (P - I), P = diag(e^{lambda h}) + u g^T."""
+    nst, _, eL, u, v = _step_vectors(law, T_end, step)
+    P = np.diag(eL) + np.outer(u, g)
+    return np.linalg.matrix_power(P + np.outer(v, g @ (P - np.eye(eL.size))), nst) @ c0
+
+
 def _integrate(law: FeedbackLaw, c0, T_end, dt):
     """Exponential-integrator route: recorded eigen-coordinate states,
     controls and times.
 
-    Each step is c+ = pred + phi2 conj(b) (g . pred - q) with the predictor
-    pred = e^{lambda h} c + phi1 conj(b) q and q = g . c.  The products
-    phi1 conj(b), phi2 conj(b) are formed once per run, and the end-of-step
-    g . c+ is the next step's q and the recorded control.  The dt run keeps
-    every RECORD_STRIDE-th state and the last; the dt/2 run only its final
-    state, which the self-convergence check compares.
+    Each step is c+ = pred + v (g . pred - q), pred = e^{lambda h} c + u q,
+    q = g . c (`_step_vectors`); g . c+ is the next q and the recorded
+    control.  Every RECORD_STRIDE-th state and the last are kept.  The
+    final state must be within 1e-6 ||c0|| of the dt/2 one, a matrix power
+    (`_final_state`); a non-finite drift fails too.
     """
-    lam = law.lam
     g = law.gain_vector()
-    bconj = np.conj(law.b_vec)
-
-    def run(step, stride=0):
-        nst = int(np.ceil(T_end / step))
-        h = T_end / nst
-        eL = np.exp(lam * h)
-        z = lam * h
-        small = np.abs(z) < 1e-8
-        lam_s = np.where(small, 1.0, lam)
-        phi1 = np.where(small, h, (eL - 1.0) / lam_s)
-        phi2 = np.where(small, h / 2.0, (eL - 1.0 - z) / (lam_s * z))
-        u, v = phi1 * bconj, phi2 * bconj
-        every = stride or nst     # 0: the final state only
-        c = c0
+    nst, h, eL, u, v = _step_vectors(law, T_end, dt)
+    c = c0
+    q = g @ c
+    keep, traj, qs = [0], [c], [complex(q)]
+    for k in range(1, nst + 1):
+        pred = eL * c + u * q
+        c = pred + v * (g @ pred - q)
         q = g @ c
-        keep, traj, qs = [0], [c], [complex(q)]
-        for k in range(1, nst + 1):
-            pred = eL * c + u * q
-            c = pred + v * (g @ pred - q)
-            q = g @ c
-            if k % every == 0 or k == nst:
-                keep.append(k)
-                traj.append(c)
-                qs.append(complex(q))
-        return np.array(traj), np.array(qs), np.array(keep) * h
-
-    traj, qs, times = run(dt, RECORD_STRIDE)
-    c_half = run(dt / 2.0)[0][-1]
-    drift = np.linalg.norm(traj[-1] - c_half) / max(np.linalg.norm(c0), 1e-300)
-    if drift > 1e-6:
+        if k % RECORD_STRIDE == 0 or k == nst:
+            keep.append(k)
+            traj.append(c)
+            qs.append(complex(q))
+    c_half = _final_state(law, g, c0, T_end, dt / 2.0)
+    drift = np.linalg.norm(c - c_half) / max(np.linalg.norm(c0), 1e-300)
+    if not drift <= 1e-6:
         raise StepTooLarge(
             f"dt vs dt/2 self-convergence drift {drift:.3e} exceeds 1e-6"
         )
-    return traj, qs, times
+    return np.array(traj), np.array(qs), np.array(keep) * h
 
 
 def spillover_report(

@@ -520,7 +520,8 @@ def test_integrate_short_horizon_drift_unchanged(p1):
 
 def test_integrate_memory_peak(p1):
     # only the recorded states are kept: the traced peak of the f64 route
-    # over 26928 + 53856 steps stays far below one state per step (47 MB)
+    # over 26928 steps (the dt/2 state is one matrix power) stays far below
+    # one state per step (47 MB)
     import tracemalloc
 
     law = build_feedback(p1, 3, 1.0)
@@ -532,6 +533,46 @@ def test_integrate_memory_peak(p1):
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+@pytest.mark.parametrize("N, omega, T_end, seed",
+                         [(3, 1.0, 400.0, 1), (2, 2.0, 40.0, 0), (2, 2.0, 40.0, 7),
+                          (1, 2.0, 5.0, 4), (1, 2.0, 10.0, 4)])
+def test_final_state_matches_stepping(p1, N, omega, T_end, seed):
+    # the matrix power of the one-step map lands where every dt/2 step of
+    # the exponential integrator, taken one by one, lands
+    from cnsmax._gram import eigen_coefficients
+    from cnsmax.stabilize import _final_state
+
+    law = build_feedback(p1, N, omega)
+    c0 = eigen_coefficients(law.table, random_state(p1, N, "Zmm", seed=seed))
+    step = 0.1 / float(np.abs(law.lam).max()) / 2.0
+    g = law.gain_vector()
+    lam, bconj = law.lam, np.conj(law.b_vec)
+    nst = int(np.ceil(T_end / step))
+    h = T_end / nst
+    eL = np.exp(lam * h)
+    phi1 = (eL - 1.0) / lam
+    phi2 = (eL - 1.0 - lam * h) / (lam * lam * h)
+    c = c0.copy()
+    for _ in range(nst):
+        q0 = g @ c
+        pred = eL * c + phi1 * bconj * q0
+        c = pred + phi2 * bconj * (g @ pred - q0)
+    got = _final_state(law, g, c0, T_end, step)
+    assert np.linalg.norm(got - c) <= 1e-9 * np.linalg.norm(c0)
+
+
+def test_integrate_nonfinite_drift_fails(p1):
+    # NaN compares False with any bound: the drift check must still refuse
+    from cnsmax.errors import StepTooLarge
+    from cnsmax.stabilize import _integrate
+
+    law = build_feedback(p1, 1, 2.0)
+    c0 = np.full(law.lam.size, np.nan, dtype=complex)
+    dt = 0.1 / float(np.abs(law.lam).max())
+    with pytest.raises(StepTooLarge, match="drift nan exceeds"):
+        _integrate(law, c0, 10.0, dt)
 
 
 def _random_ints(rng, shape, bits):
