@@ -3,7 +3,8 @@
 Exact-control synthesis, observability constants, Ingham frame bounds and
 the feedback Gramian all reduce to Hermitian forms whose entries combine a
 time integral of an exponential pair with a spatial overlap integral; both
-have closed forms collected here.
+have closed forms collected here, with the boundary observation functional
+B* xi* that weights the boundary forms.
 """
 
 from __future__ import annotations
@@ -12,9 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import FluidParams
-from .spectral import TWO_PI, SpectralTable, nonzero_modes, spectral_table, z_weights
+from .errors import ObservationVanished, ValidationError
+from .model import BOUNDARY_KINDS, FluidParams
+from .spectral import (
+    TWO_PI,
+    ModeEigenSystem,
+    SpectralTable,
+    nonzero_modes,
+    spectral_table,
+    z_weights,
+)
 
 
 def texp(z, T: float):
@@ -84,6 +92,39 @@ def build_branch_table(p: FluidParams, N: int, subspace: str = "Zmm") -> BranchT
         psi = np.append(psi, np.sqrt(2.0 * p.b_eff * np.pi))
     return BranchTable(p=p, idx_n=idx_n, idx_l=idx_l, lam=lam, alpha=alpha,
                        psi=psi, modes=modes)
+
+
+def _boundary_values(p: FluidParams, kind: str, a: np.ndarray, psi, ns, ls):
+    """B* xi* of adjoint triples a (K, 3) with normalizers psi (K,) that
+    belong to modes ns and branches ls."""
+    if kind not in BOUNDARY_KINDS:
+        raise ValidationError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
+    b = p.b_eff
+    if kind == "density":
+        vals = (b * p.u_s * a[:, 0] + b * p.rho_s * a[:, 1]) / psi
+    elif kind == "velocity":
+        vals = (b * p.rho_s * a[:, 0] + p.rho_s * p.u_s * a[:, 1] - a[:, 2]) / psi
+    else:
+        vals = -a[:, 1] / psi
+    small = np.abs(vals) < 1e-13
+    if np.any(small):
+        i = int(np.argmax(small))
+        raise ObservationVanished(
+            f"boundary observation ({kind}) vanished at n={ns[i]}, branch {ls[i] + 1}"
+        )
+    return vals
+
+
+def boundary_observation(kind: str, mode: ModeEigenSystem, l: int, p: FluidParams):
+    """Boundary observation B* xi*_{n,l} for one actuator placement."""
+    vals = _boundary_values(p, kind, mode.xi_star_coeffs[[l]], mode.psi[[l]],
+                            [mode.n], [l])
+    return complex(vals[0])
+
+
+def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
+    """B* xi*_a over a branch table (boundary placements; no n=0 rows)."""
+    return _boundary_values(tab.p, kind, tab.alpha, tab.psi, tab.idx_n, tab.idx_l)
 
 
 def terminal_gram(tab: BranchTable) -> np.ndarray:

@@ -186,7 +186,7 @@ def read_fields(name: str, table: dict, block, p=None) -> dict:
 
 
 def _waiting_time(p) -> float:
-    from .observability import minimal_time
+    from .spectral import minimal_time
 
     return minimal_time(p)
 
@@ -372,7 +372,8 @@ def _run_observability(p, v, out, summary):
 
 
 def _run_ingham(p, v, out, summary):
-    from .observability import ingham_frame_bounds, minimal_time
+    from .observability import ingham_frame_bounds
+    from .spectral import minimal_time
 
     N, T = v["N"], v["T"]
     c1, c2 = ingham_frame_bounds(p, N, T)

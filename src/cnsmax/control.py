@@ -22,6 +22,7 @@ import numpy as np
 
 from ._gram import (
     BranchTable,
+    boundary_observation_vector,
     build_branch_table,
     eigen_coefficients,
     kernel_gram,
@@ -30,12 +31,12 @@ from ._gram import (
     windowed_gram,
 )
 from .dynamics import SpectralState, energy_norm, evolve
-from .errors import IllConditioned, ObservationVanished, RankDeficient, ValidationError
-from .model import BOUNDARY_KINDS, FluidParams
-from .observability import minimal_time
+from .errors import IllConditioned, RankDeficient, ValidationError
+from .model import FluidParams
 from .spectral import (
     TWO_PI,
     ModeEigenSystem,
+    minimal_time,
     mode_system,
     nonzero_modes,
     spectral_table,
@@ -230,43 +231,6 @@ def synthesize_everywhere_control(
     return sig, resid, final
 
 
-def check_boundary_kind(kind: str) -> None:
-    if kind not in BOUNDARY_KINDS:
-        raise ValidationError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
-
-
-def _boundary_values(p: FluidParams, kind: str, a: np.ndarray, psi, ns, ls):
-    """B* xi* of adjoint triples a (K, 3) with normalizers psi (K,) that
-    belong to modes ns and branches ls."""
-    check_boundary_kind(kind)
-    b = p.b_eff
-    if kind == "density":
-        vals = (b * p.u_s * a[:, 0] + b * p.rho_s * a[:, 1]) / psi
-    elif kind == "velocity":
-        vals = (b * p.rho_s * a[:, 0] + p.rho_s * p.u_s * a[:, 1] - a[:, 2]) / psi
-    else:
-        vals = -a[:, 1] / psi
-    small = np.abs(vals) < 1e-13
-    if np.any(small):
-        i = int(np.argmax(small))
-        raise ObservationVanished(
-            f"boundary observation ({kind}) vanished at n={ns[i]}, branch {ls[i] + 1}"
-        )
-    return vals
-
-
-def boundary_observation(kind: str, mode: ModeEigenSystem, l: int, p: FluidParams):
-    """Boundary observation B* xi*_{n,l} for one actuator placement."""
-    vals = _boundary_values(p, kind, mode.xi_star_coeffs[[l]], mode.psi[[l]],
-                            [mode.n], [l])
-    return complex(vals[0])
-
-
-def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
-    """B* xi*_a over a branch table (boundary placements; no n=0 rows)."""
-    return _boundary_values(tab.p, kind, tab.alpha, tab.psi, tab.idx_n, tab.idx_l)
-
-
 def _warn_below_waiting_time(p: FluidParams, T: float) -> None:
     t0 = minimal_time(p)
     if T <= t0:
@@ -381,17 +345,3 @@ def synthesize_localized_control(
                         samples=coeff_rows(times), mode_labels=all_n.tolist(),
                         norm_l2=norm)
     return sig, resid, cond, final
-
-
-def admissibility_constant(p: FluidParams, N: int, T: float, kind: str = "density"):
-    """Numerical admissibility constant at truncation.
-
-    Largest generalized eigenvalue of the boundary observation form against
-    the terminal energy Gram: sup over terminal data of
-    int_0^T |B* T*_{T-t} z|^2 dt / ||z||^2.
-    """
-    from .observability import gram_pencil_eigvals
-
-    tab = build_branch_table(p, N, "Zmm")
-    bv = boundary_observation_vector(tab, kind)
-    return float(gram_pencil_eigvals(kernel_gram(tab, T, bv), tab)[-1])

@@ -81,7 +81,6 @@ class TrajectoryRecord:
     norm_u: np.ndarray
     norm_S: np.ndarray
     control: np.ndarray | None = None
-    log_energies: np.ndarray | None = None
 
     def __post_init__(self):
         m = len(self.times)

@@ -1,5 +1,6 @@
-"""Ingham frame bounds, canonical-product interpolants, observability
-constants, and the small-time lack-of-controllability scaling experiment.
+"""Ingham frame bounds, canonical-product interpolants, observability and
+admissibility constants, and the small-time lack-of-controllability scaling
+experiment.
 
 All quadratic forms are assembled in closed form over flattened modal
 indices; finite sections are always positive definite, so the reported
@@ -9,13 +10,13 @@ indices; finite sections are always positive definite, so the reported
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.special import gammaln
 
 from ._gram import (
+    boundary_observation_vector,
     build_branch_table,
     exponential_gram,
     kernel_gram,
@@ -39,7 +40,6 @@ from .spectral import (
 class ExpGram:
     """Hermitian Gram of the adjoint exponential family on [0, T]."""
 
-    indices: list[tuple[int, int]]
     T: float
     entries: np.ndarray
     eig_min: float
@@ -53,13 +53,6 @@ class LackResult:
     slope: float
 
 
-@lru_cache(maxsize=64)
-def minimal_time(p: FluidParams) -> float:
-    """Controllability waiting time 2*pi*(1/|beta_1| + 1/|beta_2| + 1/|beta_3|)."""
-    roots = solve_beta_cubic(p)
-    return float(TWO_PI * np.sum(1.0 / np.abs(np.asarray(roots.beta))))
-
-
 def exp_gram(p: FluidParams, N: int, T: float) -> ExpGram:
     """Gram of the 3*(2N) adjoint exponentials of modes 0 < |n| <= N."""
     tab = build_branch_table(p, N, "Zmm")
@@ -68,9 +61,8 @@ def exp_gram(p: FluidParams, N: int, T: float) -> ExpGram:
     if herm > 1e-12 * max(1.0, float(np.abs(g).max())):
         raise NumericalFailure(f"exponential Gram lost Hermitian symmetry: {herm:.2e}")
     ev = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-    idx = list(zip(tab.idx_n.tolist(), (tab.idx_l + 1).tolist()))
     # a Gram matrix has no negative eigenvalue: below 0 is rounding noise
-    return ExpGram(indices=idx, T=T, entries=g,
+    return ExpGram(T=T, entries=g,
                    eig_min=max(float(ev[0]), 0.0), eig_max=float(ev[-1]))
 
 
@@ -156,9 +148,9 @@ def interior_observability_constant(
 
 
 def boundary_observability_constant(p: FluidParams, N: int, T: float, kind: str):
-    """As above with the scalar boundary observation functional."""
-    from .control import boundary_observation_vector
-
+    """As above with the scalar boundary observation functional.  The
+    largest eigenvalue is the numerical admissibility constant: the sup over
+    terminal data of int_0^T |B* T*_{T-t} z|^2 dt / ||z||^2."""
     tab = build_branch_table(p, N, "Zmm")
     bv = boundary_observation_vector(tab, kind)
     vals = gram_pencil_eigvals(kernel_gram(tab, T, bv), tab)

@@ -4,7 +4,8 @@ For each Fourier mode n != 0 the generator restricts to a 3x3 block whose
 characteristic cubic has three simple roots (for valid parameters).  The
 three root branches follow -omega_j + i*beta_j*n as |n| grows, where the
 beta_j are the real roots of a parameter cubic and the omega_j are positive
-offsets.  This module computes those objects, the direct/adjoint eigenvector
+offsets.  This module computes those objects, the controllability waiting
+time T0 = 2 pi sum 1/|beta_j| they fix, the direct/adjoint eigenvector
 coefficient triples with their biorthogonal normalization, the basis-change
 matrix between the weighted Fourier frame and the eigenbasis, and the
 eigenvalue-multiplicity detector used to reject degenerate parameter sets.
@@ -180,6 +181,13 @@ def solve_beta_cubic(p: FluidParams) -> CubicRoots:
     return CubicRoots(beta=tuple(beta), omega=tuple(omega), p_prime=tuple(p_prime))
 
 
+@lru_cache(maxsize=64)
+def minimal_time(p: FluidParams) -> float:
+    """Controllability waiting time 2*pi*(1/|beta_1| + 1/|beta_2| + 1/|beta_3|)."""
+    roots = solve_beta_cubic(p)
+    return float(TWO_PI * np.sum(1.0 / np.abs(np.asarray(roots.beta))))
+
+
 def asymptotic_frequencies(p: FluidParams, roots: CubicRoots, n: int) -> np.ndarray:
     """Predicted eigenvalue triple -omega_j + i*beta_j*n for branch pairing."""
     if n == 0:
@@ -302,19 +310,15 @@ def q_degeneracy(p: FluidParams, n, lam) -> np.ndarray:
     )
 
 
-def spectral_table(p: FluidParams, ns, lambdas=None) -> SpectralTable:
+def spectral_table(p: FluidParams, ns) -> SpectralTable:
     """All per-mode spectral data of the nonzero modes ns in one batch.
 
-    lambdas, if given, replaces the branch-paired eigenvalue rows (m, 3).
     Biorthogonality <xi_{n,l}, xi*_{n,p}>_Z = delta_{lp} is built into the
     normalizers theta and psi.  Multiple eigenvalues are flagged, not
     rejected; see SpectralTable.require_simple.
     """
     ns = np.asarray(ns, dtype=int).reshape(-1)
-    if lambdas is None:
-        lam = mode_eigenvalues_batch(p, ns)
-    else:
-        lam = np.asarray(lambdas, dtype=complex).reshape(-1, 3)
+    lam = mode_eigenvalues_batch(p, ns)
     n = ns[:, None]
     b = p.b_eff
     inu = 1j * n * p.u_s
@@ -368,16 +372,10 @@ def detect_multiplicity(p: FluidParams, n: int) -> MultiplicityReport:
                               min_gap=float(tab.min_gap[0]), min_q=float(tab.min_q[0]))
 
 
-def eigenvectors(
-    p: FluidParams, n: int, lambdas=None, tol_psi: float = TOL_PSI
-) -> ModeEigenSystem:
-    """Direct and adjoint eigenvector coefficients of mode n (one table row)."""
-    return spectral_table(p, [n], lambdas).require_simple(tol_psi).mode(0)
-
-
 def mode_system(p: FluidParams, n: int) -> ModeEigenSystem:
-    """Eigenvalues and eigenvectors of mode n in one call."""
-    return eigenvectors(p, n)
+    """Eigenvalues, direct and adjoint eigenvector coefficients of mode n
+    (one table row); rejects multiple eigenvalues and vanishing normalizers."""
+    return spectral_table(p, [n]).require_simple().mode(0)
 
 
 def z_weights(p: FluidParams) -> np.ndarray:

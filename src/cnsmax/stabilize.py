@@ -55,9 +55,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import mpmath as mp
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from ._gram import build_branch_table, eigen_coefficients
+from ._gram import boundary_observation_vector, build_branch_table, eigen_coefficients
 from .dynamics import SpectralState, TrajectoryRecord
 from .errors import (DegenerateWindow, IllConditioned, NumericalFailure,
                      OmegaTooSmall, StepTooLarge, ValidationError)
@@ -227,8 +229,6 @@ def _mode_exponentials(y0, rates, grid, bits: int):
     reaches 2^60 or |rates d| exceeds 1: the double-precision time grid
     then cannot resolve the rates.
     """
-    import mpmath as mp
-
     s, d, d_exp = grid
     r_max = float(np.abs(rates).max())
     if r_max * s * len(d) >= 2.0 ** 60:
@@ -394,8 +394,6 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     states, shape (len(times), K + E), and the controls, shape
     (len(times),).
     """
-    import mpmath as mp
-
     lam, bv = law.lam, law.b_vec
     K = lam.size
     E = 0 if extra is None else len(extra[0])
@@ -452,8 +450,6 @@ def build_feedback(
     p: FluidParams, N: int, omega: float, kind: str = "density"
 ) -> FeedbackLaw:
     """Assemble the feedback Gramian and verify its definiteness."""
-    from .control import boundary_observation_vector
-
     g_hat = growth_threshold(p, N)
     if omega <= max(g_hat, 0.0):
         raise OmegaTooSmall(
@@ -488,8 +484,6 @@ def build_feedback(
 def quadrature_gramian(law: FeedbackLaw, points: int = 400):
     """Independent Gauss-Legendre evaluation of the Gramian integral,
     truncated where the integrand's weight has decayed to 1e-12."""
-    from numpy.polynomial.legendre import leggauss
-
     lam, bv, om = law.lam, law.b_vec, law.omega
     rate = float(2.0 * om + 2.0 * lam.real.min())
     T_big = -np.log(1e-12) / rate
@@ -559,7 +553,6 @@ def closed_loop_simulate(
         norm_u=comp[:, 1],
         norm_S=comp[:, 2],
         control=qs,
-        log_energies=np.log(np.maximum(energies, 1e-300)),
     )
 
 
@@ -637,8 +630,6 @@ def spillover_report(
     x(t) (`_exact_loop`), sampled at 129 times on [0, T_end].  Returns the
     fitted rates of the design truncation and of the extended plant.
     """
-    from .control import boundary_observation_vector
-
     N2 = 2 * law.N
     tab2 = build_branch_table(p, N2, "Zmm")
     extra = np.abs(tab2.idx_n) > law.N
@@ -655,8 +646,8 @@ def spillover_report(
     return {
         "N": law.N,
         "N2": N2,
-        "nu_fit_design": _fit_rate(times, np.log(np.maximum(e_design, 1e-300))),
-        "nu_fit_extended": _fit_rate(times, np.log(np.maximum(e_design + e_extra, 1e-300))),
+        "nu_fit_design": _fit_rate(times, e_design),
+        "nu_fit_extended": _fit_rate(times, e_design + e_extra),
         "spillover_energy_peak": float(e_extra.max()),
     }
 
@@ -667,15 +658,15 @@ def fit_decay_rate(traj: TrajectoryRecord):
     Fits (1/2) log energy against t over [0.2, 0.9] * T_end and returns the
     negated slope; underflowed samples are dropped (window auto-shortened).
     """
-    loge = traj.log_energies
-    if loge is None:
-        with np.errstate(divide="ignore"):
-            loge = np.log(np.asarray(traj.energies, dtype=float))
-    return _fit_rate(traj.times, loge)
+    return _fit_rate(traj.times, traj.energies)
 
 
-def _fit_rate(times, loge) -> float:
-    """The fit of `fit_decay_rate` on log energies loge at the given times."""
+def _fit_rate(times, energies) -> float:
+    """The fit of `fit_decay_rate` on the energies at the given times.
+
+    The log is taken of the energies floored at 1e-300; samples at or below
+    1e-290 are dropped, so the floor never enters the fit."""
+    loge = np.log(np.maximum(np.asarray(energies, dtype=float), 1e-300))
     t = np.asarray(times, dtype=float)
     T_end = t[-1]
     mask = (t >= 0.2 * T_end) & (t <= 0.9 * T_end) & np.isfinite(loge)

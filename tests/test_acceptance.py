@@ -11,22 +11,21 @@ from numpy.polynomial.legendre import leggauss
 
 from cnsmax import FluidParams, derive_constants
 from cnsmax.control import (
-    boundary_observation_vector,
     gramian_closed_form,
     synthesize_boundary_control,
     synthesize_everywhere_control,
     synthesize_localized_control,
 )
-from cnsmax._gram import build_branch_table, kernel_gram
+from cnsmax._gram import boundary_observation_vector, build_branch_table, kernel_gram
 from cnsmax.dynamics import random_state
 from cnsmax.observability import (
     exponential_gram,
     ingham_frame_bounds,
     lack_experiment,
-    minimal_time,
 )
 from cnsmax.spectral import (
     TWO_PI,
+    minimal_time,
     branch_residual_slope,
     gamma_matrix,
     mode_eigenvalues_batch,

@@ -10,7 +10,7 @@ import pytest
 import cnsmax
 from cnsmax.cli import emit_svg_scatter, run
 from cnsmax.errors import ValidationError
-from cnsmax.observability import minimal_time
+from cnsmax.spectral import minimal_time
 
 P1_MODEL = {"rho_s": 1.0, "u_s": 1.0, "b": 1.0, "kappa": 1.0, "mu": 1.0}
 T0_P1 = minimal_time(cnsmax.FluidParams(**P1_MODEL))

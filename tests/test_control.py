@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from cnsmax._gram import build_branch_table, kernel_gram
-from cnsmax.control import (
-    admissibility_constant,
+from cnsmax._gram import (
     boundary_observation,
     boundary_observation_vector,
+    build_branch_table,
+    kernel_gram,
+)
+from cnsmax.control import (
     gramian_closed_form,
     hautus_check,
     minimal_control_mode,
@@ -18,9 +20,9 @@ from cnsmax.control import (
     synthesize_localized_control,
 )
 from cnsmax.dynamics import SpectralState, energy_norm, random_state
-from cnsmax.errors import IllConditioned, RankDeficient
-from cnsmax.observability import minimal_time
-from cnsmax.spectral import TWO_PI, mode_system, solve_beta_cubic
+from cnsmax.errors import IllConditioned, RankDeficient, ValidationError
+from cnsmax.observability import boundary_observability_constant
+from cnsmax.spectral import TWO_PI, minimal_time, mode_system, solve_beta_cubic
 
 
 def test_hautus_ranks(p1):
@@ -168,6 +170,12 @@ def test_boundary_observation_identities(p1):
             assert abs(gots) > 0
 
 
+def test_boundary_observation_rejects_unknown_kind(p1):
+    tab = build_branch_table(p1, 2, "Zmm")
+    with pytest.raises(ValidationError, match="density.*velocity.*stress.*'pressure'"):
+        boundary_observation_vector(tab, "pressure")
+
+
 def test_boundary_control_null_and_conditioning(p1):
     T0 = minimal_time(p1)
     z0 = random_state(p1, 4, "Zmm", seed=4)
@@ -238,6 +246,7 @@ def test_localized_control_residual_and_norm_growth(p1):
 
 def test_admissibility_constant_stable_under_refinement(p1):
     T = 1.2 * minimal_time(p1)
-    c4 = admissibility_constant(p1, 4, T)
-    c8 = admissibility_constant(p1, 8, T)
+    # the admissibility constant is lambda_max of the boundary pencil
+    c4 = boundary_observability_constant(p1, 4, T, "density")[1]
+    c8 = boundary_observability_constant(p1, 8, T, "density")[1]
     assert c8 <= 10.0 * max(c4, 1e-12) and c4 <= 10.0 * c8

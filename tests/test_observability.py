@@ -14,10 +14,9 @@ from cnsmax.observability import (
     ingham_frame_bounds,
     interior_observability_constant,
     lack_experiment,
-    minimal_time,
     psi_interpolant,
 )
-from cnsmax.spectral import TWO_PI, mode_eigenvalues_batch, mode_system
+from cnsmax.spectral import TWO_PI, minimal_time, mode_eigenvalues_batch, mode_system
 
 
 def test_minimal_time(p1):
@@ -144,7 +143,7 @@ def test_interior_observability_constant(p1):
 
 def test_boundary_observability_single_mode(p1):
     # one-dimensional form: constant = |B* xi*|^2 (e^{2 Re lam T} - 1)/(2 Re lam)
-    from cnsmax.control import boundary_observation
+    from cnsmax._gram import boundary_observation
 
     n, l, T = 2, 1, 1.7
     m = mode_system(p1, n)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from cnsmax import FluidParams
 from cnsmax.errors import MultiplicityDetected
 from cnsmax.spectral import (
     asymptotic_frequencies,
     biorthogonality_matrix,
     branch_residual_slope,
     detect_multiplicity,
-    eigenvectors,
     gamma_matrix,
     min_eigenvalue_gap,
     mode_eigenvalues,
@@ -200,12 +200,13 @@ def test_detect_multiplicity_clean_spectrum(p1):
     assert gap > 0
 
 
-def test_multiplicity_guard_fires(p1):
-    # synthetic degenerate triple: psi -> 0 must be caught
-    lam = mode_eigenvalues(p1, 3)
-    fake = np.array([lam[0], lam[1], lam[1]])
-    with pytest.raises(MultiplicityDetected):
-        eigenvectors(p1, 3, fake, tol_psi=1e30)
+def test_multiplicity_guard_fires():
+    # b -> 0 drives q_n to zero: a genuinely degenerate parameter set
+    p = FluidParams(rho_s=1.0, u_s=1.0, kappa=1.0, mu=1.0, b=1e-300)
+    assert detect_multiplicity(p, 3).flag
+    with pytest.raises(MultiplicityDetected) as err:
+        mode_system(p, 3)
+    assert err.value.n == 3 and err.value.min_q < 1e-30
 
 
 def test_branch_residual_slope(p1):

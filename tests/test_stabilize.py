@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cnsmax.control import boundary_observation
+from cnsmax._gram import boundary_observation
 from cnsmax.dynamics import SpectralState, TrajectoryRecord, component_norms, random_state
 from cnsmax.errors import DegenerateWindow, OmegaTooSmall
 from cnsmax.spectral import mode_system
@@ -165,8 +165,7 @@ def test_spillover_matches_expm_oracle(p1, seed):
     # with a dense matrix exponential on the report's sample grid
     from scipy.linalg import expm
 
-    from cnsmax._gram import build_branch_table, eigen_coefficients
-    from cnsmax.control import boundary_observation_vector
+    from cnsmax._gram import build_branch_table, boundary_observation_vector, eigen_coefficients
     from cnsmax.stabilize import _state_norms, spillover_report
 
     N, T, samples = 1, 10.0, 129
@@ -426,8 +425,7 @@ def test_exact_loop_matches_mp_oracle(p1, N, seed):
 @pytest.mark.parametrize("seed", [0, 2])
 def test_exact_loop_spillover_rows_match_oracle(p1, seed):
     # the extra rows [M_e, diag(c0_e - M_e x0)] are identical doubles too
-    from cnsmax._gram import build_branch_table, eigen_coefficients
-    from cnsmax.control import boundary_observation_vector
+    from cnsmax._gram import build_branch_table, boundary_observation_vector, eigen_coefficients
     from cnsmax.stabilize import _exact_loop
 
     law = build_feedback(p1, 2, 2.0)
