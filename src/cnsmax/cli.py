@@ -38,19 +38,24 @@ MAX_STABILIZE_N = 44     # stabilize N, for time: its exact solve is cubic in
                          # 6N, and a spillover run at N=44 took 55-58 s
 
 
-def fmt(x) -> str:
-    """Fixed 17-significant-digit scientific format (locale independent)."""
-    return f"{float(x):.16e}"
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length 1-D arrays as the columns of a CSV under header.
 
-
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            cells.append(str(v) if isinstance(v, (int, np.integer)) else fmt(v))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    The row format is fixed once per file from the column dtypes: `%d` for an
+    integer column, `%.16e` (17 significant digits, locale independent) for
+    any other.  Each row is formatted with one `%` and streamed to the file,
+    so the whole file is never held in memory.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(c.shape != (n,) for c in columns):
+        raise ValueError("write_csv needs one equal-length 1-D column per "
+                         "header name")
+    row_format = ",".join("%d" if c.dtype.kind in "iu" else "%.16e"
+                          for c in columns) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(row_format % row for row in zip(*columns))
 
 
 def _json_default(v):
@@ -67,25 +72,21 @@ def write_json(path: Path, obj) -> None:
 
 
 def emit_svg_scatter(points, path: Path, title: str = "spectrum") -> None:
-    """Standalone deterministic SVG scatter of complex points (Re, Im axes)."""
-    pts = [(float(re), float(im)) for re, im in points]
-    if not pts:
+    """Standalone deterministic SVG scatter of (Re, Im) points, streamed to
+    path one circle per line."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not len(pts):
         raise ValidationError("cannot render an empty point set")
     W, H, m = 800, 600, 60
-    xs = [pt[0] for pt in pts]
-    ys = [pt[1] for pt in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    xs, ys = pts[:, 0], pts[:, 1]
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
     dx = (x1 - x0) or 1.0
     dy = (y1 - y0) or 1.0
     x0, x1 = x0 - 0.05 * dx, x1 + 0.05 * dx
     y0, y1 = y0 - 0.05 * dy, y1 + 0.05 * dy
-
-    def sx(x):
-        return m + (x - x0) / (x1 - x0) * (W - 2 * m)
-
-    def sy(y):
-        return H - m - (y - y0) / (y1 - y0) * (H - 2 * m)
+    sx = m + (xs - x0) / (x1 - x0) * (W - 2 * m)
+    sy = H - m - (ys - y0) / (y1 - y0) * (H - 2 * m)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
@@ -110,13 +111,12 @@ def emit_svg_scatter(points, path: Path, title: str = "spectrum") -> None:
             f'<text x="{m - 8:.1f}" y="{py:.1f}" font-size="10" '
             f'text-anchor="end">{lab:.3g}</text>'
         )
-    for re, im in pts:
-        parts.append(
-            f'<circle cx="{sx(re):.3f}" cy="{sy(im):.3f}" r="3" '
-            f'fill="steelblue" fill-opacity="0.8"/>'
-        )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    circle = ('<circle cx="%.3f" cy="%.3f" r="3" fill="steelblue" '
+              'fill-opacity="0.8"/>\n')
+    with open(path, "w") as f:
+        f.write("\n".join(parts) + "\n")
+        f.writelines(circle % xy for xy in zip(sx, sy))
+        f.write("</svg>\n")
 
 
 # Field types, named as the errors state them.  A table row is
@@ -129,7 +129,7 @@ TIME = "a finite number >= 0"
 FLAG = "true or false"
 CHOICE = "one of"
 INTERVAL = "[l1, l2] with 0 <= l1 < l2 <= 2*pi"
-TIMES = "a list of finite times >= 0"
+TIMES = "a list of distinct finite times >= 0 of length at most"
 COUNTS = "a list of two or more distinct integers in"
 
 
@@ -142,8 +142,10 @@ def _convert(kind: str, value, bounds: list):
                  for x in value]
         if kind == INTERVAL:
             ok = len(value) == 2 and value[0] < value[1] <= 2 * np.pi
+        elif kind == TIMES:
+            ok = len(set(value)) == len(value) <= bounds[0]
         else:
-            ok = kind == TIMES or len(set(value)) >= 2
+            ok = len(set(value)) >= 2
     elif kind == COUNT:
         if isinstance(value, float) and value.is_integer():
             value = int(value)
@@ -223,7 +225,9 @@ _BLOCKS = {
         "subspace": (CHOICE, "Zm", *SUBSPACES),
         "grid": (COUNT, lambda p, v: max(4 * v["N"], 64),
                  lambda p, v: 2 * v["N"] + 1, MAX_GRID),
-        "snapshots": (TIMES, lambda p, v: [v["T"]]),
+        # each snapshot writes a grid-row CSV
+        "snapshots": (TIMES, lambda p, v: [v["T"]],
+                      lambda p, v: MAX_GRID // v["grid"]),
     },
     "control everywhere": _CONTROL,
     "control boundary": {**_CONTROL, "kind": _KIND},
@@ -260,14 +264,15 @@ def _run_spectrum(p, v, out, summary):
     from .spectral import solve_beta_cubic, spectrum_rows
 
     n_max = v["n_max"]
-    rows = spectrum_rows(p, n_max)
+    cols = spectrum_rows(p, n_max)
     write_csv(
         out / "spectrum.csv",
         ["n", "branch", "re_lambda", "im_lambda", "theta", "re_psi", "im_psi",
          "mult_flag"],
-        rows,
+        cols,
     )
-    pts = [(r[2], r[3]) for r in rows] + [(0.0, 0.0)]
+    # the eigenvalues and the 0-mode marker
+    pts = np.column_stack([np.append(cols[2], 0.0), np.append(cols[3], 0.0)])
     emit_svg_scatter(pts, out / "eigenvalues.svg",
                      title=f"eigenvalues, |n| <= {n_max}")
     roots = solve_beta_cubic(p)
@@ -275,6 +280,13 @@ def _run_spectrum(p, v, out, summary):
     summary["beta"] = list(roots.beta)
     summary["omega"] = list(roots.omega)
     summary["artifacts"] = ["spectrum.csv", "eigenvalues.svg"]
+
+
+def snapshot_label(t: float) -> str:
+    """t in the name of its snapshot file: `:g` when that reads back as t,
+    else the round-trip `repr`, so distinct times never share a file."""
+    short = f"{t:g}"
+    return short if float(short) == t else repr(t)
 
 
 def _run_simulate(p, v, out, summary):
@@ -287,19 +299,15 @@ def _run_simulate(p, v, out, summary):
     write_csv(
         out / "trajectory.csv",
         ["t", "energy", "norm_rho", "norm_u", "norm_S"],
-        zip(rec.times, rec.energies, rec.norm_rho, rec.norm_u, rec.norm_S),
+        [rec.times, rec.energies, rec.norm_rho, rec.norm_u, rec.norm_S],
     )
     arts = ["trajectory.csv"]
     for t_snap in v["snapshots"]:
         # exact flow to the snapshot instant
         _, snap = evolve(p, state0, t_snap, record_times=np.array([0.0, t_snap]))
         x, fields = synthesize_physical(snap, v["grid"])
-        name = f"snapshot_t{t_snap:g}.csv"
-        write_csv(
-            out / name,
-            ["x", "rho", "u", "S"],
-            zip(x, fields[0].real, fields[1].real, fields[2].real),
-        )
+        name = f"snapshot_t{snapshot_label(t_snap)}.csv"
+        write_csv(out / name, ["x", "rho", "u", "S"], [x, *fields.real])
         arts.append(name)
     summary["N"] = N
     summary["T"] = T
@@ -335,16 +343,16 @@ def _run_control(p, v, out, summary):
 
     if sig.samples.ndim == 1:
         write_csv(out / "control.csv", ["t", "re_q", "im_q"],
-                  zip(sig.times, sig.samples.real, sig.samples.imag))
+                  [sig.times, sig.samples.real, sig.samples.imag])
     else:
         header = ["t"]
         for n in sig.mode_labels:
             header += [f"re_f_{n}", f"im_f_{n}"]
-        rows = np.empty((len(sig.times), 1 + 2 * len(sig.mode_labels)))
-        rows[:, 0] = sig.times
-        rows[:, 1::2] = sig.samples.real.T
-        rows[:, 2::2] = sig.samples.imag.T
-        write_csv(out / "control.csv", header, rows)
+        cols = np.empty((1 + 2 * len(sig.mode_labels), len(sig.times)))
+        cols[0] = sig.times
+        cols[1::2] = sig.samples.real
+        cols[2::2] = sig.samples.imag
+        write_csv(out / "control.csv", header, cols)
     summary["residual"] = resid
     summary["control_norm"] = sig.norm_l2
     if cond is not None:
@@ -389,11 +397,8 @@ def _run_lack(p, v, out, summary):
 
     N_list, T, (lo, hi) = v["N_list"], v["T"], v["interval"]
     res = lack_experiment(p, N_list, T, (lo, hi), band_mult=v["band_mult"])
-    write_csv(
-        out / "lack.csv",
-        ["N", "ratio", "slope"],
-        [(n, r, res.slope) for n, r in zip(res.N_list, res.ratios)],
-    )
+    write_csv(out / "lack.csv", ["N", "ratio", "slope"],
+              [res.N_list, res.ratios, np.full(len(res.ratios), res.slope)])
     summary.update({"N_list": N_list, "T": T, "interval": [lo, hi],
                     "ratios": res.ratios, "slope": res.slope})
     summary["artifacts"] = ["lack.csv"]
@@ -414,12 +419,11 @@ def _run_stabilize(p, v, out, summary):
     z0 = random_state(p, N, subspace="Zmm", seed=v["seed"])
     traj = closed_loop_simulate(p, law, z0, T_end)
     nu = fit_decay_rate(traj)
-    rows = zip(traj.times, traj.energies, traj.norm_rho, traj.norm_u,
-               traj.norm_S, traj.control.real, traj.control.imag)
     write_csv(
         out / "trajectory.csv",
         ["t", "energy", "norm_rho", "norm_u", "norm_S", "re_q", "im_q"],
-        rows,
+        [traj.times, traj.energies, traj.norm_rho, traj.norm_u, traj.norm_S,
+         traj.control.real, traj.control.imag],
     )
     payload = {
         "omega": omega,

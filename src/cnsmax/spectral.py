@@ -437,8 +437,9 @@ def min_eigenvalue_gap(p: FluidParams, N: int) -> float:
     return best
 
 
-def spectrum_rows(p: FluidParams, N: int):
-    """Rows (n, branch, re, im, theta, re_psi, im_psi, mult_flag) for |n| <= N.
+def spectrum_rows(p: FluidParams, N: int) -> tuple[np.ndarray, ...]:
+    """Columns (n, branch, re, im, theta, re_psi, im_psi, mult_flag) of the
+    rows of 0 < |n| <= N; n, branch and mult_flag are integer arrays.
 
     Flagged modes are reported with NaN normalizers instead of rejected.
     """
@@ -447,12 +448,11 @@ def spectrum_rows(p: FluidParams, N: int):
     flag = tab.flag[:, None]
     theta = np.where(flag, np.nan, tab.theta)
     psi = np.where(flag, complex("nan"), tab.psi)
-    cols = (
+    return (
         np.repeat(tab.ns, 3), np.tile([1, 2, 3], tab.ns.size),
-        tab.lambdas.real, tab.lambdas.imag, theta, psi.real, psi.imag,
-        np.repeat(tab.flag.astype(int), 3),
+        tab.lambdas.ravel().real, tab.lambdas.ravel().imag, theta.ravel(),
+        psi.ravel().real, psi.ravel().imag, np.repeat(tab.flag.astype(int), 3),
     )
-    return list(zip(*(np.ravel(c).tolist() for c in cols)))
 
 
 def branch_residual_slope(

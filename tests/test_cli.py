@@ -2,15 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cnsmax
-from cnsmax.cli import emit_svg_scatter, run
+from cnsmax import cli
+from cnsmax.cli import emit_svg_scatter, run, write_csv
 from cnsmax.errors import ValidationError
-from cnsmax.spectral import minimal_time
+from cnsmax.spectral import minimal_time, spectrum_rows
 
 P1_MODEL = {"rho_s": 1.0, "u_s": 1.0, "b": 1.0, "kappa": 1.0, "mu": 1.0}
 T0_P1 = minimal_time(cnsmax.FluidParams(**P1_MODEL))
@@ -120,6 +122,8 @@ def test_malformed_config_exits_2(tmp_path):
     ("ingham", {"N": 1e300}),
     ("lack", {"N_list": [4, 1e300]}),
     ("simulate", {"record_points": 1e300}),
+    ("simulate", {"N": 2, "T": 1.0, "snapshots": [0.5, 0.5000001, 0.5]}),
+    ("simulate", {"N": 2, "grid": 1 << 19, "snapshots": [0.5, 1.0, 1.5]}),
 ])
 def test_invalid_block_field_exits_2(tmp_path, command, block):
     cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
@@ -255,6 +259,109 @@ def test_simulate_and_snapshots(tmp_path):
     assert lines[0] == "t,energy,norm_rho,norm_u,norm_S"
 
 
+def test_snapshot_names_keep_distinct_times_apart(tmp_path):
+    cfg = _write_cfg(
+        tmp_path, "c.json",
+        {"model": P1_MODEL,
+         "simulate": {"N": 2, "T": 1.0, "snapshots": [0.5, 0.5000001, 1.0]}},
+    )
+    out = tmp_path / "out"
+    assert run("simulate", cfg, str(out)) == 0
+    names = ["snapshot_t0.5.csv", "snapshot_t0.5000001.csv", "snapshot_t1.csv"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["artifacts"] == ["trajectory.csv", *names]
+    first, second, _ = ((out / name).read_bytes() for name in names)
+    assert first != second
+
+
+@pytest.mark.parametrize("t, label", [
+    (5.0, "5"), (0.5, "0.5"), (0.0, "0"), (1e-07, "1e-07"), (1e20, "1e+20"),
+    (0.5000001, "0.5000001"), (1 / 3, "0.3333333333333333"),
+    (123456.7, "123456.7"),
+])
+def test_snapshot_label_reads_back_as_its_time(t, label):
+    assert cli.snapshot_label(t) == label
+    assert float(label) == t
+
+
+@pytest.mark.parametrize("block, error", [
+    ({"snapshots": [0.5, 0.5000001, 0.5]}, "snapshots must be"),
+    ({"grid": 1 << 19, "snapshots": [0.5, 1.0, 1.5]}, "of length at most [2]"),
+    ({"grid": cli.MAX_GRID, "snapshots": [0.5, 1.0]}, "of length at most [1]"),
+])
+def test_snapshot_list_errors_name_the_field(block, error):
+    p = cnsmax.FluidParams(**P1_MODEL)
+    with pytest.raises(ValidationError) as exc:
+        cli.read_fields("simulate", cli.TABLES["simulate"], {"N": 2, **block}, p)
+    assert str(exc.value).startswith("snapshots must be") and error in str(exc.value)
+
+
+def test_one_snapshot_stays_legal_at_every_grid():
+    p = cnsmax.FluidParams(**P1_MODEL)
+    for grid in (5, 64, cli.MAX_GRID // 3, cli.MAX_GRID):
+        v = cli.read_fields("simulate", cli.TABLES["simulate"],
+                            {"N": 2, "grid": grid, "snapshots": [1.0]}, p)
+        assert v["snapshots"] == [1.0]
+
+
+def _per_cell_csv(header, rows) -> bytes:
+    """The former per-cell rule: str for an integer, 17 digits otherwise."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            str(v) if isinstance(v, (int, np.integer)) else f"{float(v):.16e}"
+            for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1 / 3])
+
+
+def _spectrum_columns():
+    return spectrum_rows(cnsmax.FluidParams(**P1_MODEL), 4)
+
+
+@pytest.mark.parametrize("columns", [
+    [_SPECIAL, _SPECIAL[::-1]],
+    [np.arange(-5, 5, dtype=np.int64), np.arange(10, dtype=np.int32),
+     np.arange(10, dtype=np.uint16), np.linspace(-1, 1, 10)],
+    list(_spectrum_columns()),
+    [np.array([], dtype=np.int64), np.array([])],
+    list(np.random.default_rng(5).standard_normal((67, 40))),
+], ids=["special-floats", "numpy-ints", "spectrum", "empty", "control-shape"])
+def test_write_csv_matches_per_cell_rule(tmp_path, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "a.csv", header, columns)
+    oracle = _per_cell_csv(header, zip(*columns))
+    assert (tmp_path / "a.csv").read_bytes() == oracle
+
+
+def test_spectrum_columns_keep_integer_dtypes():
+    cols = _spectrum_columns()
+    assert [c.dtype.kind for c in cols] == ["i", "i"] + ["f"] * 5 + ["i"]
+
+
+def test_write_csv_streams(tmp_path):
+    # the control.csv shape of an everywhere control at N=16
+    cols = np.random.default_rng(0).standard_normal((67, 2049))
+    path = tmp_path / "control.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, [f"c{i}" for i in range(67)], cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 16
+
+
+def test_write_csv_refuses_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "a.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "a.csv", ["a"], [np.zeros(3), np.zeros(3)])
+
+
 def test_seed_flag_overrides(tmp_path):
     cfg = _write_cfg(
         tmp_path, "c.json",
@@ -289,6 +396,31 @@ def test_svg_scatter_contract(tmp_path):
     emit_svg_scatter(pts, tmp_path / "a.svg")
     emit_svg_scatter(pts, tmp_path / "b.svg")
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+def _per_point_circles(pts) -> list[str]:
+    """The circles of the former per-point SVG loop, in Python floats."""
+    W, H, m = 800, 600, 60
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    dx, dy = (x1 - x0) or 1.0, (y1 - y0) or 1.0
+    x0, x1 = x0 - 0.05 * dx, x1 + 0.05 * dx
+    y0, y1 = y0 - 0.05 * dy, y1 + 0.05 * dy
+    return [f'<circle cx="{m + (x - x0) / (x1 - x0) * (W - 2 * m):.3f}" '
+            f'cy="{H - m - (y - y0) / (y1 - y0) * (H - 2 * m):.3f}" r="3" '
+            f'fill="steelblue" fill-opacity="0.8"/>' for x, y in pts]
+
+
+@pytest.mark.parametrize("pts", [
+    np.random.default_rng(3).standard_normal((500, 2)).tolist(),
+    [(1.5, -2.0), (1.5, 7.0), (1.5, 0.1)],
+    [(0.0, 0.0)],
+], ids=["random", "one-abscissa", "one-point"])
+def test_svg_circles_match_per_point_rule(tmp_path, pts):
+    emit_svg_scatter(pts, tmp_path / "a.svg")
+    lines = (tmp_path / "a.svg").read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("<circle")] == _per_point_circles(pts)
+    assert lines[-1] == "</svg>"
 
 
 def test_lack_cli(tmp_path):

@@ -176,7 +176,7 @@ def _cell(key: str, row) -> str:
         cli.POSITIVE: "> 0",
         cli.FLAG: "true/false",
         cli.INTERVAL: re.escape("0 <= l1 < l2 <= 2 pi"),
-        cli.TIMES: "each >= 0",
+        cli.TIMES: "distinct, each >= 0, at most " + "".join(text),
     }[kind]
     shown = ".+?" if callable(default) else re.escape(json.dumps(default))
     return rf"`{key}` \({shown}; {bound}\)"
