@@ -187,14 +187,20 @@ def test_numerical_failure_exits_3(tmp_path):
     ("control", {"variant": "everywhere", "N": 2, "T": 1e-12}),
     ("control", {"variant": "everywhere", "N": 2, "T": 1e-300}),
     ("lack", {"N_list": [2, 4], "T": 1e-300}),
+    ("stabilize", {"N": 8, "omega": 1e15}),
 ])
 def test_numerical_failure_exits_3_in_time(tmp_path, command, block):
-    # huge omega leaves the exact evaluator's exponent range; a tiny horizon
-    # gives a control no better than none, or observation ratios <= 0
+    # huge omega leaves the exact evaluator's exponent range, or (at 1e15,
+    # inside that range) makes the time grid's rounding residues move
+    # e^(rt) too far; a tiny horizon gives a control no better than none,
+    # or observation ratios <= 0
     code, text = _cli_child(tmp_path, command, block)
     assert code == 3
-    assert json.loads(text)["status"] == "numerical-failure"
+    summary = json.loads(text)
+    assert summary["status"] == "numerical-failure"
     assert "Infinity" not in text and "NaN" not in text
+    if block.get("omega") == 1e15:
+        assert "the time grid's rounding moves e^(rt)" in summary["error"]
 
 
 @pytest.mark.parametrize("command, block", [

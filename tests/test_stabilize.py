@@ -264,6 +264,31 @@ def test_closed_loop_mp_calls_independent_of_samples(p1, monkeypatch):
     assert [c for _, c in counts] == [{"exp": K, "lu_solve": 0}] * 2
 
 
+@pytest.mark.parametrize("spillover", [False, True])
+def test_exact_loop_mp_exponentials_on_residue_grid(p1, monkeypatch, spillover):
+    # the 451-sample grid of `stabilize` at T_end = 40 has 441 nonzero
+    # rounding residues in 11 distinct steps; they cost integer step
+    # factors only, so mp.exp runs once per design and extra mode
+    from cnsmax._gram import build_branch_table, boundary_observation_vector, eigen_coefficients
+    from cnsmax.stabilize import _exact_loop
+
+    law = build_feedback(p1, 2, 2.0)
+    z0 = random_state(p1, 4, "Zmm", seed=3)
+    c0 = eigen_coefficients(law.table, SpectralState(N=2, coeffs=z0.coeffs[2:7],
+                                                     subspace="Zmm"))
+    extra = None
+    if spillover:
+        tab2 = build_branch_table(p1, 4, "Zmm")
+        ex = np.abs(tab2.idx_n) > 2
+        extra = (tab2.lam[ex], boundary_observation_vector(tab2, law.kind)[ex],
+                 eigen_coefficients(tab2, z0)[ex])
+    calls = _count_mp_calls(monkeypatch, ("exp",))
+    states, _ = _exact_loop(law, c0, np.linspace(0.0, 40.0, 451), 30, extra=extra)
+    K, E = law.lam.size, states.shape[1] - law.lam.size
+    assert E == (12 if spillover else 0)
+    assert calls == {"exp": K + E}
+
+
 def _to_mp(a):
     """mp.matrix holding a complex NumPy array (a vector becomes a column);
     the conversion is exact, precision is the caller's mp context."""
@@ -403,18 +428,24 @@ def _mp_closed_form(law, c0, times, dps, extra=None):
     return np.array(states), np.array(qs)
 
 
-@pytest.mark.parametrize("N, seed", [(3, 0), (3, 7), (8, 0), (8, 7)])
-def test_exact_loop_matches_mp_oracle(p1, N, seed):
+@pytest.mark.parametrize("N, seed, samples", [
+    (3, 0, 33), (3, 7, 33), (8, 0, 33), (8, 7, 33), (3, 0, 46), (3, 7, 46),
+], ids=["3-0", "3-7", "8-0", "8-7", "3-0-46", "3-7-46"])
+def test_exact_loop_matches_mp_oracle(p1, N, seed, samples):
     # integer mat-vecs round the same exact sums as mp.fdot: identical
     # states.  q(t) = -b . x(t) cancels heavily (at N=8, |x_a| ~ 1e17 for
-    # |q| ~ 1e8), so it too must be the exact sum rounded once
+    # |q| ~ 1e8), so it too must be the exact sum rounded once.  Every
+    # rounding residue of the 33-sample grid is 0; the 46-sample grid has
+    # 35 nonzero residues and 6 distinct steps, so its step factors carry
+    # the residue correction
     from cnsmax._gram import eigen_coefficients
-    from cnsmax.stabilize import _exact_loop
+    from cnsmax.stabilize import _exact_loop, _grid_residues
 
     law = build_feedback(p1, N, 2.0)
     assert law.precision_dps > 0
     c0 = eigen_coefficients(law.table, random_state(p1, N, "Zmm", seed=seed))
-    times = np.linspace(0.0, 40.0, 33)
+    times = np.linspace(0.0, 40.0, samples)
+    assert any(_grid_residues(times)[1]) == (samples == 46)
     states, q = _exact_loop(law, c0, times, law.precision_dps)
     want, want_q = _mp_closed_form(law, c0, times, law.precision_dps)
     assert np.array_equal(states, want)
