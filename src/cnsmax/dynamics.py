@@ -13,10 +13,10 @@ whole composite Gauss-Legendre grid, as an array (2N+1, 3, nodes) over modes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm
 
 from .errors import GridTooCoarse, ValidationError
 from .model import SUBSPACES, FluidParams
@@ -28,6 +28,27 @@ from .spectral import (TWO_PI, ModeEigenSystem, mode_matrix, nonzero_modes,
 # array (2N+1, 3, nodes) and to its propagated terms.  With the default 8
 # nodes a panel, one such array at the bound is about 190 MiB for N = 256.
 MAX_PANELS = 1024
+
+PADE13 = [factorial(26 - k) // (factorial(k) * factorial(13 - k)) for k in range(14)]
+THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of every matrix of a stack (..., n, n) by scaling and
+    squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): the [13/13] Pade
+    approximant p(x)/p(-x), p with the coefficients PADE13 and exact in double
+    for a 1-norm below THETA13, at a / 2^s, then squared s times."""
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / THETA13)[1], 0)
+    a = a / np.ldexp(1.0, s)[..., None, None]
+    b, eye, a2 = PADE13, np.eye(a.shape[-1]), a @ a
+    pw = np.stack([a2, a2 @ a2, a2 @ a2 @ a2])  # a^2, a^4, a^6
+    u9, u3, v8, v2 = (np.tensordot(b[k:k + 5:2], pw, 1) for k in (9, 3, 8, 2))
+    u = a @ (pw[2] @ u9 + u3 + b[1] * eye)
+    v = pw[2] @ v8 + v2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        r = np.where((s > k)[..., None, None], r @ r, r)
+    return r
 
 
 @dataclass

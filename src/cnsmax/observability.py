@@ -9,11 +9,10 @@ indices; finite sections are always positive definite, so the reported
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.special import gammaln
 
 from ._gram import (
     boundary_observation_vector,
@@ -125,13 +124,26 @@ def psi_interpolant(p: FluidParams, nj: tuple[int, int], z: complex, K: int) -> 
     return complex(val / ((z - zm) * dP))
 
 
+def eigh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian pencil (a, b), b positive definite
+    and block diagonal like `terminal_gram` (3x3 blocks, then at most one 1x1):
+    eigvalsh(L^-1 a L^-H), L the blocks' Cholesky factors (Golub & Van Loan 8.7)."""
+    m = b.shape[0] // 3
+    i = np.arange(m)
+    linv = np.linalg.inv(np.linalg.cholesky(b[:3 * m, :3 * m].reshape(m, 3, m, 3)[i, :, i]))
+    for _ in range(2):  # a <- (L^-1 a)^H, so twice gives L^-1 a L^-H
+        a = np.vstack([(linv @ a[:3 * m].reshape(m, 3, -1)).reshape(3 * m, -1),
+                       np.diag(b)[3 * m:, None].real ** -0.5 * a[3 * m:]]).conj().T
+    return np.linalg.eigvalsh(a)
+
+
 def gram_pencil_eigvals(M: np.ndarray, tab) -> np.ndarray:
     """Ascending generalized eigenvalues of the Hermitian part of an
     observation Gram M against the terminal energy Gram of the same table,
     floored at 0: the pencil is positive semidefinite, so a negative
     eigenvalue is rounding noise."""
     R = terminal_gram(tab)
-    vals = eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T), eigvals_only=True)
+    vals = eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T))
     return np.maximum(vals, 0.0)
 
 
@@ -169,7 +181,7 @@ def _bump_profile_coeffs(lo: float, hi: float, M: int = 1 << 14) -> np.ndarray:
 
 def _log_pn(ns: np.ndarray, N: int) -> np.ndarray:
     """log |P^N(n)| = log prod_{j=-N}^{N} (n - j) for n > N."""
-    return gammaln(ns + N + 1.0) - gammaln(ns - N + 0.0)
+    return np.array([math.lgamma(n + N + 1.0) - math.lgamma(n - N) for n in ns.tolist()])
 
 
 def lack_experiment(

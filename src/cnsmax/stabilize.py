@@ -150,9 +150,9 @@ def _bits(re, im) -> np.ndarray:
     return _bit_length(np.maximum(np.abs(re), np.abs(im))).astype(np.int64)
 
 
-def _int_solve(M, c, prec: int):
-    """x = M^{-1} c for a complex double matrix M and vector c, by Gaussian
-    elimination with partial pivoting on Python integers.
+def _int_solve(m_parts, c, prec: int):
+    """x = M^{-1} c for complex doubles M (as its `_double_parts`) and c, by
+    Gaussian elimination with partial pivoting on Python integers.
 
     M and c are each scaled by a power of two to largest entry below 1 and
     held in fixed point at 2^-F, F = prec + SOLVE_GUARD_BITS: exact except
@@ -164,10 +164,10 @@ def _int_solve(M, c, prec: int):
     """
     F = prec + SOLVE_GUARD_BITS
     K = len(c)
-    e_M = int(np.frexp(np.abs(M).max())[1])
+    e_M = 1 + max((e + bc for _, man, e, bc in m_parts if man), default=0)
     e_c = int(np.frexp(np.abs(c).max())[1])
     ints = np.empty((K, K + 1, 2), dtype=object)
-    ints[:, :K] = _fixed_point(_double_parts(M), e_M - F).reshape(K, K, 2)
+    ints[:, :K] = _fixed_point(m_parts, e_M - F).reshape(K, K, 2)
     ints[:, K] = _fixed_point(_double_parts(c), e_c - F).reshape(K, 2)
     re, im = ints[..., 0], ints[..., 1]
     for k in range(K):
@@ -415,13 +415,15 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     grid = _grid_residues(times)
     with mp.workdps(dps):
         prec = mp.mp.prec
-        x_re, x_im, x_exp = _int_solve(law.M, np.asarray(c0), prec)
+        m_parts = _double_parts(law.M)
+        x_re, x_im, x_exp = _int_solve(m_parts, np.asarray(c0), prec)
         y0 = (np.concatenate([x_re, np.ones(E, dtype=object)]),
               np.concatenate([x_im, np.zeros(E, dtype=object)]),
               np.array([x_exp] * K + [0] * E))
         # the mantissa tuples of R row by row: M and -b are doubles, the
         # rows [M_e, diag(c0_e - M_e x0)] mp values
-        parts = _double_parts(np.hstack([law.M, np.zeros((K, E))]))
+        parts = [t for a in range(0, 2 * K * K, 2 * K)
+                 for t in m_parts[a:a + 2 * K] + [(0, 0, 0, 0)] * (2 * E)]
         if extra is not None:
             lam_e, b_e, c0_e = extra
             x0 = [mp.mpc(mp.ldexp(x_re[a], x_exp), mp.ldexp(x_im[a], x_exp))

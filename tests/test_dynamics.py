@@ -67,6 +67,24 @@ def test_propagate_mode_expm_fallback_agrees(p1, monkeypatch):
     assert np.allclose(got, want, atol=1e-11)
 
 
+def test_expm_matches_scipy(p1):
+    # the fallback exponential against scipy.linalg.expm on the (m, k, 3, 3)
+    # stacks that _ModePropagator.flow builds, a Jordan block and zeros
+    from scipy.linalg import expm as scipy_expm
+
+    from cnsmax.dynamics import expm
+
+    ns = np.concatenate([np.arange(-256, 0), np.arange(1, 257)])
+    blocks = np.array([mode_matrix(p1, n) for n in ns])
+    taus = np.linspace(0.0, 2.0, 9)
+    jordan = np.eye(3) + np.eye(3, k=1)
+    for a in (taus[None, :, None, None] * blocks[:, None], jordan, np.zeros((2, 4, 3, 3))):
+        got, want = expm(a), scipy_expm(a)
+        assert got.shape == want.shape
+        err = np.linalg.norm(got - want, axis=(-2, -1))
+        assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=(-2, -1)))
+
+
 def test_propagator_uniformly_bounded(p1):
     # ||e^{t A_n}|| stays below a modest constant over modes and times
     worst = 0.0

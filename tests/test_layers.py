@@ -3,15 +3,22 @@
 Each module may import only from a lower layer; the three leaves share a
 layer, so none imports another.  `cli.py` is exempt from the module-level
 rule: it imports its layers lazily so that `import cnsmax.cli` loads
-neither scipy nor mpmath.
+neither mpmath nor the numerics layers.  The package runs on its runtime
+dependencies alone: no module loads scipy (a test oracle only), and every
+third-party module it imports is listed in pyproject.toml.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PKG = Path(__file__).resolve().parents[1] / "src" / "cnsmax"
+ROOT = Path(__file__).resolve().parents[1]
+PKG = ROOT / "src" / "cnsmax"
 
 LAYERS = [
     {"errors"},
@@ -71,3 +78,41 @@ def test_no_function_level_imports(name):
            for inner in ast.walk(fn)
            if isinstance(inner, (ast.Import, ast.ImportFrom))}
     assert sorted(bad) == []
+
+
+def _runtime_dependencies():
+    """Distribution names in [project] dependencies of pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    return {re.match(r"[\w.-]+", dep).group(0).lower()
+            for dep in re.findall(r'"([^"]+)"', block)}
+
+
+def _top_level_imports(name):
+    """Top-level names of the absolute imports at module level of a module."""
+    for node in _tree(name).body:
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_third_party_imports_are_runtime_dependencies():
+    deps = _runtime_dependencies()
+    third_party = {(name, top) for name in _modules() for top in _top_level_imports(name)
+                   if top not in sys.stdlib_module_names | {"cnsmax", "__future__"}}
+    assert third_party, "the package imports no third-party module"
+    missing = sorted(f"{name}.py imports {top}" for name, top in third_party if top not in deps)
+    assert missing == []
+
+
+def test_no_module_loads_scipy():
+    # every module in a fresh interpreter: scipy is a test oracle only
+    modules = ["cnsmax" if m == "__init__" else f"cnsmax.{m}" for m in _modules()]
+    code = (f"import importlib, sys; [importlib.import_module(m) for m in {modules!r}]; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join([str(PKG.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

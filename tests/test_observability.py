@@ -3,7 +3,14 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from cnsmax import FluidParams
-from cnsmax._gram import BranchTable, terminal_gram, windowed_gram
+from cnsmax._gram import (
+    BranchTable,
+    boundary_observation_vector,
+    build_branch_table,
+    kernel_gram,
+    terminal_gram,
+    windowed_gram,
+)
 from cnsmax.errors import HypothesisViolated
 from cnsmax.observability import (
     boundary_observability_constant,
@@ -11,6 +18,7 @@ from cnsmax.observability import (
     canonical_product_derivative,
     exp_gram,
     exponential_gram,
+    gram_pencil_eigvals,
     ingham_frame_bounds,
     interior_observability_constant,
     lack_experiment,
@@ -164,6 +172,42 @@ def test_boundary_observability_single_mode(p1):
     assert got.real == pytest.approx(want, rel=1e-12)
     nrm = terminal_gram(tab)[0, 0].real
     assert want / nrm > 0
+
+
+@pytest.mark.parametrize("subspace", ["Zmm", "Zm"])
+@pytest.mark.parametrize("N", [1, 8, 64])
+@pytest.mark.parametrize("f", [0.3, 1.2])
+def test_gram_pencil_eigvals_match_scipy(p1, subspace, N, f):
+    # the block Cholesky reduction against scipy's generalized eigh: boundary
+    # tables (Zmm) and interior ones with the trailing n = 0 row (Zm)
+    from scipy.linalg import eigh
+
+    T = f * minimal_time(p1)
+    tab = build_branch_table(p1, N, subspace)
+    if subspace == "Zmm":
+        M = kernel_gram(tab, T, boundary_observation_vector(tab, "density"))
+    else:
+        M = windowed_gram(tab, T, tab.sigma_coeff, 0.0, np.pi)
+    R = terminal_gram(tab)
+    got = gram_pencil_eigvals(M, tab)
+    want = np.maximum(eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T),
+                           eigvals_only=True), 0.0)
+    assert abs(got[-1] - want[-1]) <= 1e-13 * want[-1]
+    if want[0] > 0:
+        assert abs(got[0] - want[0]) <= 1e-6 * want[0]
+    else:  # scipy's lambda_min was rounding noise below 0: ours is noise too
+        assert got[0] <= tab.size * np.finfo(float).eps * want[-1]
+
+
+def test_log_pn_matches_gammaln():
+    from scipy.special import gammaln
+
+    from cnsmax.observability import _log_pn
+
+    for N in (8, 16, 32, 64, 128, 256):
+        ns = np.arange(N + 1, 4 * N + 1).astype(float)
+        want = gammaln(ns + N + 1.0) - gammaln(ns - N)
+        assert np.allclose(_log_pn(ns, N), want, rtol=1e-12, atol=0.0)
 
 
 def test_boundary_observability_constant_trend(p1):

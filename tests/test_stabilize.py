@@ -315,15 +315,15 @@ def test_int_solve_matches_lu_solve(p1, N):
     import mpmath as mp
 
     from cnsmax._gram import eigen_coefficients
-    from cnsmax.stabilize import _int_solve
+    from cnsmax.stabilize import _double_parts, _int_solve
 
     law = build_feedback(p1, N, 2.0)
     c0 = eigen_coefficients(law.table, random_state(p1, N, "Zmm", seed=1))
     with mp.workdps(law.precision_dps):
         prec = mp.mp.prec
-    re, im, exp = _int_solve(law.M, c0, prec)
+    re, im, exp = _int_solve(_double_parts(law.M), c0, prec)
     perm = np.roll(np.arange(c0.size)[::-1], 5)
-    p_re, p_im, p_exp = _int_solve(law.M[perm], c0[perm], prec)
+    p_re, p_im, p_exp = _int_solve(_double_parts(law.M[perm]), c0[perm], prec)
     assert p_exp == exp
     assert np.array_equal(p_re, re) and np.array_equal(p_im, im)
     with mp.workdps(law.precision_dps + 40):
@@ -336,19 +336,20 @@ def test_int_solve_matches_lu_solve(p1, N):
 
 def test_int_solve_pivots_and_guards():
     from cnsmax.errors import IllConditioned
-    from cnsmax.stabilize import _int_solve
+    from cnsmax.stabilize import _double_parts, _int_solve
 
     # a zero leading entry needs a row exchange; the solution is exact
-    re, im, exp = _int_solve(np.array([[0, 2j], [1, 1]]), np.array([2j, 3]), 100)
+    re, im, exp = _int_solve(_double_parts(np.array([[0, 2j], [1, 1]])), np.array([2j, 3]), 100)
     assert [(a * 2.0 ** exp, b * 2.0 ** exp) for a, b in zip(re, im)] == [
         (2.0, 0.0), (1.0, 0.0)]
     # a pivot 2^-40 below the largest entry passes; 2^-200 leaves fewer
     # than prec = 100 bits above 2^-F, F = 100 + 138, and is refused
     ok = np.array([[1, 1], [1, 1 + 2.0 ** -40]], dtype=complex)
-    _int_solve(ok, np.array([1, 2], dtype=complex), 100)
+    _int_solve(_double_parts(ok), np.array([1, 2], dtype=complex), 100)
     for M in ([[1, 2], [2, 4]], [[1, 1], [1, 1 + 2.0 ** -200]]):
         with pytest.raises(IllConditioned):
-            _int_solve(np.array(M, dtype=complex), np.array([1, 2], dtype=complex), 100)
+            _int_solve(_double_parts(np.array(M, dtype=complex)),
+                       np.array([1, 2], dtype=complex), 100)
 
 
 def test_mode_exponentials_relative_accuracy():
