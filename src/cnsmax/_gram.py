@@ -17,7 +17,6 @@ from .errors import ObservationVanished, ValidationError
 from .model import BOUNDARY_KINDS, FluidParams
 from .spectral import (
     TWO_PI,
-    ModeEigenSystem,
     SpectralTable,
     nonzero_modes,
     spectral_table,
@@ -94,11 +93,11 @@ def build_branch_table(p: FluidParams, N: int, subspace: str = "Zmm") -> BranchT
                        psi=psi, modes=modes)
 
 
-def _boundary_values(p: FluidParams, kind: str, a: np.ndarray, psi, ns, ls):
-    """B* xi* of adjoint triples a (K, 3) with normalizers psi (K,) that
-    belong to modes ns and branches ls."""
+def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
+    """B* xi*_a over a branch table (boundary placements; no n=0 rows)."""
     if kind not in BOUNDARY_KINDS:
         raise ValidationError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
+    p, a, psi = tab.p, tab.alpha, tab.psi
     b = p.b_eff
     if kind == "density":
         vals = (b * p.u_s * a[:, 0] + b * p.rho_s * a[:, 1]) / psi
@@ -109,22 +108,9 @@ def _boundary_values(p: FluidParams, kind: str, a: np.ndarray, psi, ns, ls):
     small = np.abs(vals) < 1e-13
     if np.any(small):
         i = int(np.argmax(small))
-        raise ObservationVanished(
-            f"boundary observation ({kind}) vanished at n={ns[i]}, branch {ls[i] + 1}"
-        )
+        raise ObservationVanished(f"boundary observation ({kind}) vanished at "
+                                  f"n={tab.idx_n[i]}, branch {tab.idx_l[i] + 1}")
     return vals
-
-
-def boundary_observation(kind: str, mode: ModeEigenSystem, l: int, p: FluidParams):
-    """Boundary observation B* xi*_{n,l} for one actuator placement."""
-    vals = _boundary_values(p, kind, mode.xi_star_coeffs[[l]], mode.psi[[l]],
-                            [mode.n], [l])
-    return complex(vals[0])
-
-
-def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
-    """B* xi*_a over a branch table (boundary placements; no n=0 rows)."""
-    return _boundary_values(tab.p, kind, tab.alpha, tab.psi, tab.idx_n, tab.idx_l)
 
 
 def terminal_gram(tab: BranchTable) -> np.ndarray:

@@ -410,7 +410,6 @@ def _run_stabilize(p, v, out, summary):
         build_feedback,
         closed_loop_simulate,
         fit_decay_rate,
-        growth_threshold,
         spillover_report,
     )
 
@@ -432,7 +431,7 @@ def _run_stabilize(p, v, out, summary):
         "nu_fit": nu,
         "closed_loop_abscissa": law.abscissa,
         "cond_M": law.cond_M,
-        "growth_threshold": growth_threshold(p, N),
+        "growth_threshold": law.growth,
         "T_end": T_end,
     }
     if v["spillover"]:

@@ -1,8 +1,9 @@
 """Exact control synthesis: everywhere/localized interior and boundary HUM.
 
-Everywhere controls are one batch over the spectral table: the closed-form
+Everywhere controls are one batch over the Zm branch table: the closed-form
 3x3 controllability Gramians of all modes, one stacked solve, one array
-expression for every mode's control (n = 0 is a scalar integrator).
+expression for every mode's control; the table's last row, n = 0, is a
+scalar integrator that takes the same formulas as a 1x1 block.
 Localized and boundary controls share one solve of the HUM moment problem
 on a dense Hermitian Gramian over all retained modal indices.  Every control
 is re-verified by independently evolving the truncated system with it as a
@@ -33,15 +34,7 @@ from ._gram import (
 from .dynamics import SpectralState, energy_norm, evolve
 from .errors import IllConditioned, RankDeficient, ValidationError
 from .model import FluidParams
-from .spectral import (
-    TWO_PI,
-    ModeEigenSystem,
-    minimal_time,
-    mode_system,
-    nonzero_modes,
-    spectral_table,
-    z_weights,
-)
+from .spectral import TWO_PI, ModeEigenSystem, minimal_time, mode_system
 
 COND_LIMIT = 1e14
 RANK_TOL = 1e-10              # Hautus test: smallest/largest singular value
@@ -93,11 +86,14 @@ def hautus_check(p: FluidParams, n: int, B_override=None):
     return HautusReport(n=n, sigma_ratios=np.array(ratios), rank=3)
 
 
-def mode_control_operator(p: FluidParams, mode: ModeEigenSystem | None) -> np.ndarray:
+def mode_control_operator(
+    p: FluidParams, mode: ModeEigenSystem | BranchTable | None
+) -> np.ndarray:
     """Control column of an everywhere density actuator, eigenbasis coords.
 
+    mode is a ModeEigenSystem, or a BranchTable for one entry per row, (K,);
     mode=None addresses the n = 0 block, where the operator is the scalar
-    sqrt(b); a SpectralTable gives the columns of all its modes, (m, 3).
+    sqrt(b), as it is on the last row of a Zm branch table.
     """
     if mode is None:
         return np.array([np.sqrt(p.b_eff)])
@@ -106,7 +102,7 @@ def mode_control_operator(p: FluidParams, mode: ModeEigenSystem | None) -> np.nd
 
 def _gramian_blocks(p: FluidParams, lam, psi, T: float) -> np.ndarray:
     """Closed-form controllability Gramians over [0, T] of the everywhere
-    actuator from eigenvalue and normalizer rows (..., 3): (..., 3, 3)."""
+    actuator from eigenvalue and normalizer rows (..., k): (..., k, k)."""
     z = lam[..., :, None] + np.conj(lam)[..., None, :]
     W = TWO_PI * p.b_eff**2 * texp(z, T) / (np.conj(psi)[..., :, None] * psi[..., None, :])
     # strip rounding skew; the exact form is Hermitian
@@ -131,10 +127,7 @@ def _steer(B, lam, W, d0, d1, T: float):
     Returns a callable ts (1-D) -> controls of every mode, (m, len(ts)).
     """
     y = d1 - np.exp(T * lam) * d0
-    if W.shape[-1] == 1:  # the scalar n = 0 block
-        eta = y / W[..., 0]
-    else:
-        eta = np.linalg.solve(W, y[..., None])[..., 0]
+    eta = np.linalg.solve(W, y[..., None])[..., 0]
 
     def controls(ts):
         tau = T - ts[:, None]
@@ -164,16 +157,6 @@ def minimal_control_mode(p: FluidParams, mode: ModeEigenSystem | None, T: float,
     return f, data
 
 
-def _everywhere_coords(p: FluidParams, tab, state: SpectralState):
-    """Eigen-coordinates of state for the everywhere actuator: the n = 0
-    block's d_0 = <z, xi*_0>_Z, shape (1, 1), and the rows of the modes of
-    the spectral table tab, (m, 3)."""
-    d_zero = complex(p.b_eff * (state.coeff(0)[0] / np.sqrt(TWO_PI)) * TWO_PI
-                     / np.sqrt(2.0 * p.b_eff * np.pi))
-    c = np.sqrt(z_weights(p)) * state.rows(tab.ns)
-    return np.array([[d_zero]]), (tab.gamma @ c[..., None])[..., 0]
-
-
 def _verify(p: FluidParams, state0: SpectralState, T: float, forcing,
             target: SpectralState | None = None):
     """Evolve state0 under forcing by the independent quadrature; returns the
@@ -200,16 +183,19 @@ def synthesize_everywhere_control(
     reported residual comes from an independent quadrature evolution.
     Returns (ControlSignal, residual, final_state).
     """
-    tab = spectral_table(p, nonzero_modes(N)).require_simple()
-    d0 = _everywhere_coords(p, tab, state0)
-    d1 = ([np.zeros_like(d) for d in d0] if target is None
-          else _everywhere_coords(p, tab, target))
-    zero = gramian_closed_form(p, None, T)
-    zero_control = _steer(zero.B_n[None], np.zeros((1, 1), dtype=complex),
-                          zero.W[None], d0[0], d1[0], T)
-    mode_controls = _steer(mode_control_operator(p, tab), tab.lambdas,
-                           _gramian_blocks(p, tab.lambdas, tab.psi, T),
-                           d0[1], d1[1], T)
+    tab = build_branch_table(p, N, "Zm")
+    B = mode_control_operator(p, tab)
+    d0 = eigen_coefficients(tab, state0)
+    d1 = np.zeros_like(d0) if target is None else eigen_coefficients(tab, target)
+
+    def steer(rows, k):
+        # the table rows `rows`, taken as blocks of k branches each
+        B_k, lam, psi, d0_k, d1_k = (v[rows].reshape(-1, k)
+                                     for v in (B, tab.lam, tab.psi, d0, d1))
+        return _steer(B_k, lam, _gramian_blocks(p, lam, psi, T), d0_k, d1_k, T)
+
+    # the 3x3 blocks of modes -N..-1, 1..N, then the 1x1 block of n = 0
+    mode_controls, zero_control = steer(np.s_[:-1], 3), steer(np.s_[-1:], 1)
     sb = np.sqrt(p.b_eff)
 
     def coeffs(ts):

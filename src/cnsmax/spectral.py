@@ -8,9 +8,9 @@ offsets.  This module computes those objects, the controllability waiting
 time T0 = 2 pi sum 1/|beta_j| they fix, the direct/adjoint eigenvector
 coefficient triples with their biorthogonal normalization, the basis-change
 matrix between the weighted Fourier frame and the eigenbasis, and the
-eigenvalue-multiplicity detector used to reject degenerate parameter sets.
+eigenvalue-multiplicity flags used to reject degenerate parameter sets.
 Every per-mode quantity comes from `spectral_table`, batched over an array
-of modes; the single-mode functions are one-row slices of it.
+of modes; `mode_system` and `gamma_matrix` read one row of it.
 """
 
 from __future__ import annotations
@@ -85,10 +85,10 @@ class SpectralTable:
             psi=self.psi[i], gamma=self.gamma[i],
         )
 
-    def require_simple(self, tol_psi: float = TOL_PSI) -> "SpectralTable":
+    def require_simple(self) -> "SpectralTable":
         """Raise MultiplicityDetected at the first flagged mode or the first
-        with a normalizer |psi| < tol_psi; return the table otherwise."""
-        _reject(self, self.flag | np.any(np.abs(self.psi) < tol_psi, axis=1))
+        with a normalizer |psi| < TOL_PSI; return the table otherwise."""
+        _reject(self, self.flag | np.any(np.abs(self.psi) < TOL_PSI, axis=1))
         return self
 
 
@@ -107,14 +107,6 @@ class GammaMatrix:
     n: int
     entries: np.ndarray          # (3, 3) complex
     det_closed_form: complex
-
-
-@dataclass(frozen=True)
-class MultiplicityReport:
-    n: int
-    flag: bool
-    min_gap: float
-    min_q: float
 
 
 def _beta_cubic_coeffs(p: FluidParams):
@@ -161,24 +153,20 @@ def solve_beta_cubic(p: FluidParams) -> CubicRoots:
     if np.any(np.abs(p_prime) == 0.0):
         raise NumericalFailure("slope cubic has a critical root")
     omega = -(b * p.rho_s - p.u_s**2 - 2.0 * p.u_s * beta - beta**2) / (p.kappa * p_prime)
+    roots = CubicRoots(beta=tuple(beta), omega=tuple(omega), p_prime=tuple(p_prime))
 
     # sign cross-validation against the true real parts at a far mode
-    n_chk = 10_000
-    lam = _kernels.char_roots_batch(*_char_cubic_coeffs(p, [n_chk]))[0]
-    pred = -omega + 1j * beta * n_chk
-    cost = min(
-        sum(abs(lam[list(perm)] - pred)) for perm in permutations(range(3))
-    )
-    cost_flip = min(
-        sum(abs(lam[list(perm)] - (omega + 1j * beta * n_chk)))
-        for perm in permutations(range(3))
-    )
+    n_chk = [10_000]
+    lam = _kernels.char_roots_batch(*_char_cubic_coeffs(p, n_chk))
+    pred = asymptotic_frequencies(roots, n_chk)
+    cost = _permutation_costs(lam, pred).min()
+    cost_flip = _permutation_costs(lam, pred + 2.0 * omega).min()  # +omega_j
     if cost_flip < cost:
         raise NumericalFailure(
             "omega sign validation failed: eigensolve at |n|=1e4 favors the "
             f"opposite sign (costs {cost:.3e} vs {cost_flip:.3e})"
         )
-    return CubicRoots(beta=tuple(beta), omega=tuple(omega), p_prime=tuple(p_prime))
+    return roots
 
 
 @lru_cache(maxsize=64)
@@ -188,11 +176,10 @@ def minimal_time(p: FluidParams) -> float:
     return float(TWO_PI * np.sum(1.0 / np.abs(np.asarray(roots.beta))))
 
 
-def asymptotic_frequencies(p: FluidParams, roots: CubicRoots, n: int) -> np.ndarray:
-    """Predicted eigenvalue triple -omega_j + i*beta_j*n for branch pairing."""
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    return -np.asarray(roots.omega) + 1j * np.asarray(roots.beta) * n
+def asymptotic_frequencies(roots: CubicRoots, ns) -> np.ndarray:
+    """Predicted eigenvalue triples -omega_j + i*beta_j*n of the modes ns,
+    (m, 3), for branch pairing."""
+    return -np.asarray(roots.omega)[None, :] + 1j * np.outer(ns, roots.beta)
 
 
 def mode_matrix(p: FluidParams, n: int) -> np.ndarray:
@@ -216,15 +203,18 @@ def mode_matrix(p: FluidParams, n: int) -> np.ndarray:
 _PERMS = np.array(list(permutations(range(3))))
 
 
+def _permutation_costs(lam: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Total distance of lam[:, perm] from pred, (m, 3), for each of the 6
+    permutations of the roots: (m, 6)."""
+    return np.abs(lam[:, _PERMS] - pred[:, None, :]).sum(axis=2)
+
+
 def _pair_to_predictions(lam: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """Minimal-total-distance assignment of computed roots to predictions.
 
     lam, pred: (m, 3).  Exhaustive over the 6 permutations, vectorized in m.
     """
-    costs = np.stack(
-        [np.abs(lam[:, perm] - pred).sum(axis=1) for perm in _PERMS], axis=1
-    )
-    best = costs.argmin(axis=1)
+    best = _permutation_costs(lam, pred).argmin(axis=1)
     rows = np.arange(lam.shape[0])[:, None]
     return lam[rows, _PERMS[best]]
 
@@ -280,9 +270,7 @@ def mode_eigenvalues_batch(p: FluidParams, ns) -> np.ndarray:
     resid = np.abs(((lam + a2[:, None]) * lam + a1[:, None]) * lam + a0[:, None])
     if not np.all(resid <= 1e-11 * np.maximum(scale, 1.0)):
         raise NumericalFailure("characteristic cubic residual overflow")
-    roots = solve_beta_cubic(p)
-    pred = -np.asarray(roots.omega)[None, :] + 1j * np.outer(ns, roots.beta)
-    lam = _pair_to_predictions(lam, pred)
+    lam = _pair_to_predictions(lam, asymptotic_frequencies(solve_beta_cubic(p), ns))
     if not _rc_identities_ok(p, ns, lam):
         raise NumericalFailure("root-coefficient identities violated")
     return lam
@@ -357,19 +345,6 @@ def spectral_table(p: FluidParams, ns) -> SpectralTable:
     return SpectralTable(ns=ns, lambdas=lam, xi_coeffs=xi, theta=theta,
                          xi_star_coeffs=alpha, psi=psi, gamma=gamma,
                          min_gap=min_gap, min_q=min_q, flag=flag)
-
-
-def mode_eigenvalues(p: FluidParams, n: int) -> np.ndarray:
-    """Branch-paired eigenvalues of one mode; rejects multiple eigenvalues."""
-    # tol_psi = 0: only the multiplicity flag rejects
-    return spectral_table(p, [n]).require_simple(0.0).lambdas[0]
-
-
-def detect_multiplicity(p: FluidParams, n: int) -> MultiplicityReport:
-    """Check one mode for (near-)multiple eigenvalues; never raises."""
-    tab = spectral_table(p, [n])
-    return MultiplicityReport(n=n, flag=bool(tab.flag[0]),
-                              min_gap=float(tab.min_gap[0]), min_q=float(tab.min_q[0]))
 
 
 def mode_system(p: FluidParams, n: int) -> ModeEigenSystem:
@@ -459,10 +434,8 @@ def branch_residual_slope(
     p: FluidParams, n_lo: int = 20, n_hi: int = 200
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-log slope of max_j |lambda_n^j - (-omega_j + i beta_j n)| in n."""
-    roots = solve_beta_cubic(p)
     ns = np.arange(n_lo, n_hi + 1)
     lam = mode_eigenvalues_batch(p, ns)
-    pred = -np.asarray(roots.omega)[None, :] + 1j * np.outer(ns, roots.beta)
-    resid = np.abs(lam - pred).max(axis=1)
+    resid = np.abs(lam - asymptotic_frequencies(solve_beta_cubic(p), ns)).max(axis=1)
     slope = float(np.polyfit(np.log(ns), np.log(resid), 1)[0])
     return slope, ns, resid

@@ -99,13 +99,14 @@ class FeedbackLaw:
     b_vec: np.ndarray             # (K,) boundary observations B* xi*_a
     M: np.ndarray                 # (K, K) Gramian, eigenbasis coordinates
     cond_M: float
+    growth: float                 # growth_threshold(p, N)
     table: object = field(repr=False)
     precision_dps: int = 0        # 0 -> double precision solves suffice
 
     @property
     def abscissa(self) -> float:
         """Exact closed-loop spectral abscissa via the Lyapunov similarity."""
-        return float(-2.0 * self.omega + (-self.lam.real).max())
+        return -2.0 * self.omega + self.growth
 
     def gain_vector(self) -> np.ndarray:
         """Row vector g with q = g . c (solved against M^T), in double
@@ -493,7 +494,7 @@ def build_feedback(
         dps = int(30 + 1.3 * np.log10(cond))
     return FeedbackLaw(
         omega=omega, N=N, kind=kind, lam=lam, b_vec=bv, M=M,
-        cond_M=cond, table=tab, precision_dps=dps,
+        cond_M=cond, growth=g_hat, table=tab, precision_dps=dps,
     )
 
 

@@ -10,6 +10,12 @@ def p1() -> FluidParams:
     return FluidParams(rho_s=1.0, u_s=1.0, kappa=1.0, mu=1.0, b=1.0)
 
 
+@pytest.fixture(scope="session")
+def pb() -> FluidParams:
+    """A set with b != 1, where a mix-up of b, sqrt(b) and b^2 shows."""
+    return FluidParams(rho_s=1.3, u_s=0.7, kappa=0.9, mu=1.7, b=2.1)
+
+
 def make_params(seed: int) -> FluidParams:
     """Seeded random valid parameter set, moderate dynamic range."""
     rng = np.random.default_rng(seed)

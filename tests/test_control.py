@@ -5,7 +5,6 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from cnsmax._gram import (
-    boundary_observation,
     boundary_observation_vector,
     build_branch_table,
     kernel_gram,
@@ -36,8 +35,9 @@ def test_hautus_ranks(p1):
         hautus_check(p1, 3, B_override=np.array([1.0, 0.0, 1.0]))
 
 
-def test_mode_control_operator(p1):
-    assert mode_control_operator(p1, None)[0] == pytest.approx(1.0)
+def test_mode_control_operator(p1, pb):
+    for p in (p1, pb):
+        assert mode_control_operator(p, None)[0] == pytest.approx(np.sqrt(p.b_eff))
     norms = []
     for n in list(range(1, 201, 13)) + [200, -200]:
         Bn = mode_control_operator(p1, mode_system(p1, n))
@@ -49,9 +49,10 @@ def test_mode_control_operator(p1):
     assert np.allclose(b100, b200, rtol=1e-2)
 
 
-def test_gramian_zero_mode(p1):
-    data = gramian_closed_form(p1, None, 2.0)
-    assert data.W[0, 0] == pytest.approx(2.0)
+def test_gramian_zero_mode(p1, pb):
+    for p in (p1, pb):
+        data = gramian_closed_form(p, None, 2.0)
+        assert data.W[0, 0] == pytest.approx(p.b_eff * 2.0)
 
 
 def test_gramian_closed_form_vs_quadrature(p1):
@@ -99,15 +100,16 @@ def test_gramian_large_n_diagonal_limits(p1):
     assert off100.max() < 0.2 * off5.max()
 
 
-def test_minimal_control_zero_mode(p1):
+def test_minimal_control_zero_mode(p1, pb):
     # constant control -c/(sqrt(b) T) empties the scalar integrator
     T, c = 2.0, 1.7 + 0.3j
-    f, _ = minimal_control_mode(p1, None, T, [c])
-    vals = [f(t) for t in (0.0, 0.5, 1.9)]
-    assert np.allclose(vals, vals[0])
-    assert vals[0] == pytest.approx(-c / (np.sqrt(p1.b_eff) * T))
-    reached = c + np.sqrt(p1.b_eff) * vals[0] * T
-    assert abs(reached) < 1e-14
+    for p in (p1, pb):
+        f, _ = minimal_control_mode(p, None, T, [c])
+        vals = [f(t) for t in (0.0, 0.5, 1.9)]
+        assert np.allclose(vals, vals[0])
+        assert vals[0] == pytest.approx(-c / (np.sqrt(p.b_eff) * T))
+        reached = c + np.sqrt(p.b_eff) * vals[0] * T
+        assert abs(reached) < 1e-14
 
 
 def test_minimal_control_mode_drives_to_zero(p1):
@@ -136,38 +138,56 @@ def test_minimal_control_mode_drives_to_zero(p1):
     assert worst_ratio < 50.0
 
 
-def test_everywhere_control(p1):
-    z0 = random_state(p1, 8, "Zm", seed=1)
-    sig, resid, final = synthesize_everywhere_control(p1, z0, 1.0, 8)
-    assert resid <= 1e-8
-    assert sig.norm_l2 < 50.0
-    # zero initial state -> identically zero control
-    sig0, resid0, _ = synthesize_everywhere_control(p1, SpectralState(N=4), 1.0, 4)
-    assert np.max(np.abs(sig0.samples)) == 0.0
+def test_everywhere_control(p1, pb):
+    for p in (p1, pb):
+        z0 = random_state(p, 8, "Zm", seed=1)
+        sig, resid, final = synthesize_everywhere_control(p, z0, 1.0, 8)
+        assert resid <= 1e-8
+        assert sig.norm_l2 < 50.0
+        # zero initial state -> identically zero control
+        sig0, resid0, _ = synthesize_everywhere_control(p, SpectralState(N=4), 1.0, 4)
+        assert np.max(np.abs(sig0.samples)) == 0.0
 
 
-def test_everywhere_two_point_steering(p1):
-    z0 = random_state(p1, 6, "Zm", seed=2)
-    z1 = random_state(p1, 6, "Zm", seed=3)
-    sig, resid, final = synthesize_everywhere_control(p1, z0, 1.0, 6, target=z1)
-    assert resid <= 1e-8
+def test_everywhere_two_point_steering(p1, pb):
+    for p in (p1, pb):
+        z0 = random_state(p, 6, "Zm", seed=2)
+        z1 = random_state(p, 6, "Zm", seed=3)
+        sig, resid, final = synthesize_everywhere_control(p, z0, 1.0, 6, target=z1)
+        assert resid <= 1e-8
+
+
+@pytest.mark.parametrize("N, T", [(4, 0.5), (8, 1.0), (16, 2.0)])
+@pytest.mark.parametrize("params", ["p1", "pb"])
+def test_everywhere_equals_full_circle_localized(params, N, T, request):
+    # on the full circle the localized control is the everywhere control:
+    # the two routes solve the same minimal-norm problem from different
+    # Gramians (3x3 blocks against the dense windowed Gramian)
+    p = request.getfixturevalue(params)
+    z0 = random_state(p, N, "Zm", seed=N)
+    sig_e, resid_e, _ = synthesize_everywhere_control(p, z0, T, N)
+    sig_l, resid_l, _, _ = synthesize_localized_control(p, z0, T, N, (0.0, TWO_PI))
+    assert resid_e <= 1e-8 and resid_l <= 1e-8
+    ends = [0, -1]
+    assert np.array_equal(sig_l.times[ends], sig_e.times[ends])
+    scale = np.abs(sig_e.samples).max()
+    assert np.abs(sig_l.samples[:, ends] - sig_e.samples[:, ends]).max() <= 1e-10 * scale
+    # the everywhere norm is a trapezoid, the localized one sqrt(x* G x)
+    assert sig_l.norm_l2 == pytest.approx(sig_e.norm_l2, rel=1e-5)
 
 
 def test_boundary_observation_identities(p1):
     b = p1.b_eff
-    for n in (1, 4, -9):
-        m = mode_system(p1, n)
-        for l in range(3):
-            lam_b = np.conj(m.lambdas[l])
-            got = boundary_observation("density", m, l, p1)
-            want = b * lam_b / (m.psi[l] * 1j * n)
-            assert got == pytest.approx(want, rel=1e-10)
-            gotv = boundary_observation("velocity", m, l, p1)
-            wantv = -lam_b * (lam_b - 1j * n * p1.u_s) / (n**2 * m.psi[l])
-            assert gotv == pytest.approx(wantv, rel=1e-10)
-            gots = boundary_observation("stress", m, l, p1)
-            assert gots == pytest.approx(-m.xi_star_coeffs[l, 1] / m.psi[l])
-            assert abs(gots) > 0
+    tab = build_branch_table(p1, 9, "Zmm")
+    n, lam_b, psi = tab.idx_n, np.conj(tab.lam), tab.psi
+    got = boundary_observation_vector(tab, "density")
+    assert np.allclose(got, b * lam_b / (psi * 1j * n), rtol=1e-10, atol=0)
+    gotv = boundary_observation_vector(tab, "velocity")
+    wantv = -lam_b * (lam_b - 1j * n * p1.u_s) / (n**2 * psi)
+    assert np.allclose(gotv, wantv, rtol=1e-10, atol=0)
+    gots = boundary_observation_vector(tab, "stress")
+    assert np.allclose(gots, -tab.alpha[:, 1] / psi, rtol=1e-12, atol=0)
+    assert np.all(np.abs(gots) > 0)
 
 
 def test_boundary_observation_rejects_unknown_kind(p1):

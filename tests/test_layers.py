@@ -5,7 +5,9 @@ layer, so none imports another.  `cli.py` is exempt from the module-level
 rule: it imports its layers lazily so that `import cnsmax.cli` loads
 neither mpmath nor the numerics layers.  The package runs on its runtime
 dependencies alone: no module loads scipy (a test oracle only), and every
-third-party module it imports is listed in pyproject.toml.
+third-party module it imports is listed in pyproject.toml.  It holds no dead
+code: no module-level import goes unused, and every module-level function
+and class is referenced from src/, tests/ or perfbench/.
 """
 
 import ast
@@ -116,3 +118,50 @@ def test_no_module_loads_scipy():
                           env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _exported(tree):
+    """The strings of a module-level __all__ list."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if getattr(target, "id", None) == "__all__"
+            for elt in node.value.elts}
+
+
+@pytest.mark.parametrize("name", _modules())
+def test_no_unused_module_imports(name):
+    tree = _tree(name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    unused = [f"{name}.py:{node.lineno} imports {bound}"
+              for node in tree.body
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+              for alias in node.names
+              for bound in [alias.asname or alias.name.split(".")[0]]
+              if bound not in used]
+    assert unused == []
+
+
+def _references():
+    """Identifiers read by any file under src/, tests/ or perfbench/:
+    names, attributes, and string constants (the benchmark tracer patches
+    functions by their name)."""
+    refs = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    refs.add(node.value)
+    return refs
+
+
+def test_every_module_level_definition_is_referenced():
+    refs = _references()
+    orphans = [f"{name}.py:{node.lineno} {node.name}"
+               for name in _modules() for node in _tree(name).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name not in refs]
+    assert orphans == []

@@ -151,14 +151,11 @@ def test_interior_observability_constant(p1):
 
 def test_boundary_observability_single_mode(p1):
     # one-dimensional form: constant = |B* xi*|^2 (e^{2 Re lam T} - 1)/(2 Re lam)
-    from cnsmax._gram import boundary_observation
+    from cnsmax._gram import boundary_observation_vector, kernel_gram
 
     n, l, T = 2, 1, 1.7
     m = mode_system(p1, n)
     lam = m.lambdas[l]
-    bv = boundary_observation("density", m, l, p1)
-    want = abs(bv) ** 2 * (np.exp(2 * lam.real * T) - 1.0) / (2 * lam.real)
-    from cnsmax._gram import kernel_gram
 
     tab = BranchTable(
         p=p1,
@@ -168,6 +165,8 @@ def test_boundary_observability_single_mode(p1):
         alpha=m.xi_star_coeffs[l][None, :],
         psi=np.array([m.psi[l]]),
     )
+    bv = boundary_observation_vector(tab, "density")[0]
+    want = abs(bv) ** 2 * (np.exp(2 * lam.real * T) - 1.0) / (2 * lam.real)
     got = kernel_gram(tab, T, np.array([bv]))[0, 0]
     assert got.real == pytest.approx(want, rel=1e-12)
     nrm = terminal_gram(tab)[0, 0].real

@@ -7,10 +7,8 @@ from cnsmax.spectral import (
     asymptotic_frequencies,
     biorthogonality_matrix,
     branch_residual_slope,
-    detect_multiplicity,
     gamma_matrix,
     min_eigenvalue_gap,
-    mode_eigenvalues,
     mode_eigenvalues_batch,
     mode_matrix,
     mode_system,
@@ -69,16 +67,20 @@ def test_omega_difference_identity(p1):
 
 def test_asymptotic_frequencies(p1):
     r = solve_beta_cubic(p1)
-    pred = asymptotic_frequencies(p1, r, 10)
-    assert pred[0] == pytest.approx(-0.5431 + 8.0194j, abs=2e-3)
+    pred = asymptotic_frequencies(r, [10, -3])
+    assert pred.shape == (2, 3)
+    assert pred[0, 0] == pytest.approx(-0.5431 + 8.0194j, abs=2e-3)
     # real parts sum to -1/kappa for any n
-    assert pred.real.sum() == pytest.approx(-1.0, rel=1e-9)
+    assert np.allclose(pred.real.sum(axis=1), -1.0, rtol=1e-9)
+    # the row of -3 is the row of 10 with the slopes rescaled
+    assert np.allclose(pred[1].imag, -0.3 * pred[0].imag, rtol=1e-14)
     # conjugate reflection between n and -n up to the O(1/n) residual
     lam_p = mode_eigenvalues_batch(p1, [10])[0]
     lam_m = mode_eigenvalues_batch(p1, [-10])[0]
     assert np.allclose(np.conj(lam_m), lam_p, atol=1e-12)
+    # n = 0 has no branches to pair
     with pytest.raises(ValueError):
-        asymptotic_frequencies(p1, r, 0)
+        mode_eigenvalues_batch(p1, [3, 0])
 
 
 def test_mode_matrix(p1):
@@ -91,7 +93,7 @@ def test_mode_matrix(p1):
         mode_matrix(p1, 0)
     # eigenvalues of the matrix match the characteristic-cubic roots
     lam = np.sort_complex(np.linalg.eigvals(mode_matrix(p1, 7)))
-    lam2 = np.sort_complex(mode_eigenvalues(p1, 7))
+    lam2 = np.sort_complex(spectral_table(p1, [7]).lambdas[0])
     assert np.allclose(lam, lam2, atol=1e-10)
     # the batched table against a dense eigensolve of every mode |n| <= 512
     ns = nonzero_modes(512)
@@ -103,7 +105,7 @@ def test_mode_matrix(p1):
 
 
 def test_mode_eigenvalues_p1_n10(p1):
-    lam = mode_eigenvalues(p1, 10)
+    lam = spectral_table(p1, [10]).lambdas[0]
     assert lam[0] == pytest.approx(-0.54326 + 8.00346j, abs=5e-4)
     assert lam.real.sum() == pytest.approx(-1.0, abs=1e-10)
     assert lam.imag.sum() == pytest.approx(-20.0, abs=1e-9)
@@ -190,11 +192,11 @@ def test_riesz_frame_bounds(p1):
 
 
 def test_detect_multiplicity_clean_spectrum(p1):
-    for n in list(range(1, 201, 7)) + [200, -200]:
-        rep = detect_multiplicity(p1, n)
-        assert not rep.flag
-        m = mode_system(p1, n)
-        assert np.all(np.abs(m.psi) > 1e-10)
+    ns = list(range(1, 201, 7)) + [200, -200]
+    tab = spectral_table(p1, ns)
+    assert not tab.flag.any()
+    assert np.all(np.abs(tab.psi) > 1e-10)
+    tab.require_simple()
     # empirical spectral-gap floor over the full computed range
     gap = min_eigenvalue_gap(p1, 200)
     assert gap > 0
@@ -203,7 +205,7 @@ def test_detect_multiplicity_clean_spectrum(p1):
 def test_multiplicity_guard_fires():
     # b -> 0 drives q_n to zero: a genuinely degenerate parameter set
     p = FluidParams(rho_s=1.0, u_s=1.0, kappa=1.0, mu=1.0, b=1e-300)
-    assert detect_multiplicity(p, 3).flag
+    assert spectral_table(p, [3]).flag[0]
     with pytest.raises(MultiplicityDetected) as err:
         mode_system(p, 3)
     assert err.value.n == 3 and err.value.min_q < 1e-30
