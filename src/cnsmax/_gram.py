@@ -74,10 +74,16 @@ class BranchTable:
         return self.alpha[:, 0] / self.psi
 
 
-def build_branch_table(p: FluidParams, N: int, subspace: str = "Zmm") -> BranchTable:
+def build_branch_table(p: FluidParams, N: int, subspace: str = "Zmm", *,
+                       modes: SpectralTable | None = None) -> BranchTable:
+    """The branch rows of the modes 1 <= |n| <= N, plus the n = 0 row for
+    Zm.  `modes` is spectral_table(p, nonzero_modes(N)) when the caller has
+    solved it already; MultiplicityDetected unless it is simple."""
     if subspace not in ("Zm", "Zmm"):
         raise ValidationError("branch table exists for Zm or Zmm only")
-    modes = spectral_table(p, nonzero_modes(N)).require_simple()
+    if modes is None:
+        modes = spectral_table(p, nonzero_modes(N))
+    modes = modes.require_simple()
     idx_n = np.repeat(modes.ns, 3)
     idx_l = np.tile(np.arange(3), modes.ns.size)
     lam = modes.lambdas.ravel()

@@ -35,7 +35,7 @@ MAX_GRID = 1 << 20       # simulate grid: about 400 B a point
 MAX_LACK_N = 1 << 14     # lack N_list entries, with band_mult <= MAX_BAND:
 MAX_BAND = 16            # 2 (band_mult - 1) N modes, 520 MiB
 MAX_STABILIZE_N = 44     # stabilize N, for time: its exact solve is cubic in
-                         # 6N, and a spillover run at N=44 took 55-58 s
+                         # 6N, and a spillover run at N=44 took 32-35 s
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:

@@ -38,11 +38,14 @@ once per mode and distinct step (a linspace grid has few), and each mode
 keeps its own int64 exponent (`_mode_exponentials`; rates too large for
 either raise NumericalFailure).  Every state, every extra-mode response and
 the control q(t) are then rows of one matrix applied to those values,
-formed as exact sums of integer mantissa products (`_limb_matmul`:
-LIMB_BITS-bit limbs held in float64, multiplied by BLAS with every partial
-sum an integer below 2^52, so exact in any summation order), each rounded
-once at the working precision and then to double in integer code
-(`_round_to_double`), as mp.fdot rounds.  mpmath is left with one
+formed as exact sums of integer mantissa products (`_limb_sums`: limbs as
+wide as the column count allows (`_limb_bits`), held in float64 and
+multiplied by BLAS with every partial sum an integer below 2^52, so exact
+in any summation order, then carried in int64).  Each sum is rounded once
+at the working precision and then to double, as mp.fdot rounds, straight
+from its limbs (`_round_limb_sums`): the 64 bits below its leading bit
+decide the double unless they sit next to a tie, and only those few sums
+become Python integers for `_round_to_double`.  mpmath is left with one
 exponential per mode and the rows M_e: no mp.lu_solve and nothing per
 sample.
 
@@ -66,19 +69,19 @@ from .dynamics import SpectralState, TrajectoryRecord
 from .errors import (DegenerateWindow, IllConditioned, NumericalFailure,
                      OmegaTooSmall, StepTooLarge, ValidationError)
 from .model import FluidParams
-from .spectral import TWO_PI, mode_eigenvalues_batch, nonzero_modes, z_weights
+from .spectral import (TWO_PI, mode_eigenvalues_batch, nonzero_modes, spectral_table,
+                       z_weights)
 
 F64_COND_LIMIT = 1e12
 COND_HARD_LIMIT = 1e30
 RECORD_STRIDE = 16            # integrator steps per recorded sample
 SOLVE_GUARD_BITS = 138        # fixed-point bits of _int_solve beyond prec
 SAMPLE_BLOCK = 64             # samples per block of the exact evaluator
-LIMB_BITS = 16                # limb width of the exact products, exact to 2^20 - 1 columns
 # Work bounds of closed_loop_simulate, far above the largest cases in use
 # (about 27k integrator steps, 451 exact samples): the double-precision
 # route runs T_end / dt steps, about 7 us each (15 s at the bound), and
 # takes its dt/2 state from one matrix power; an exact sample costs about
-# 0.4 ms at N = 8 (13 s at the bound, one core).
+# 0.27 ms at N = 8 (9 s at the bound, one core).
 MAX_STEPS = 1 << 21
 MAX_SAMPLES = 1 << 15
 _bit_length = np.frompyfunc(int.bit_length, 1, 1)
@@ -185,8 +188,10 @@ def _int_solve(m_parts, c, prec: int):
         lr = ((ar * pr + ai * pi) << F) // den
         li = ((ai * pr - ar * pi) << F) // den
         ur, ui = re[k, k + 1:], im[k, k + 1:]
-        re[k + 1:, k + 1:] -= (np.outer(lr, ur) - np.outer(li, ui)) >> F
-        im[k + 1:, k + 1:] -= (np.outer(lr, ui) + np.outer(li, ur)) >> F
+        # (lr + i li)(ur + i ui) from three products, exactly
+        rr, ii = np.outer(lr, ur), np.outer(li, ui)
+        re[k + 1:, k + 1:] -= (rr - ii) >> F
+        im[k + 1:, k + 1:] -= (np.outer(lr + li, ur + ui) - rr - ii) >> F
     xr = np.zeros(K, dtype=object)
     xi = np.zeros(K, dtype=object)
     for k in range(K - 1, -1, -1):
@@ -291,69 +296,117 @@ def _mode_exponentials(y0, rates, grid, bits: int):
         yield re, im, ex
 
 
-def _limbs(ints) -> np.ndarray:
-    """Signed LIMB_BITS-bit limbs of an integer array, as float64 of shape
-    (n, *ints.shape) with ints = sum_k limbs[k] 2^(k LIMB_BITS) exactly.
+def _limb_bits(cols: int) -> int:
+    """The widest limb whose float64 products sum exactly over cols
+    columns: limbs below 2^L make every partial sum an integer below
+    cols 2^(2L) <= 2^52 for L = (52 - cols.bit_length()) // 2, exact in
+    any summation order.  ValueError when no width fits."""
+    bits = (52 - cols.bit_length()) // 2
+    if bits < 1:
+        raise ValueError(f"no limb width is exact in float64 over {cols} columns")
+    return bits
 
-    n is the fewest limbs with every |ints| < 2^(n LIMB_BITS - 1).  The
-    limbs are the words of each entry's two's complement: the n - 1 low
-    ones in [0, 2^LIMB_BITS), the top one signed, in
-    [-2^(LIMB_BITS-1), 2^(LIMB_BITS-1)).
+
+def _limbs(ints, bits: int) -> np.ndarray:
+    """Signed `bits`-bit limbs of an integer array, as float64 of shape
+    (n, *ints.shape) with ints = sum_k limbs[k] 2^(k bits) exactly.
+
+    n is the fewest limbs with every |ints| < 2^(n bits - 1).  The limbs
+    are the bits-wide fields of each entry's two's complement, cut out of
+    its little-endian 64-bit words: the n - 1 low ones in [0, 2^bits), the
+    top one signed, in [-2^(bits-1), 2^(bits-1)).
     """
     flat = np.asarray(ints, dtype=object).ravel().tolist()
-    n = max(map(abs, flat), default=0).bit_length() // LIMB_BITS + 1
-    buf = b"".join(v.to_bytes(n * LIMB_BITS // 8, "little", signed=True) for v in flat)
-    words = np.frombuffer(buf, dtype=f"<u{LIMB_BITS // 8}").reshape(len(flat), n)
-    limbs = words.T.astype(np.float64, order="C")
+    n = max(map(abs, flat), default=0).bit_length() // bits + 1
+    width = -(-n * bits // 64)
+    buf = b"".join([v.to_bytes(8 * width, "little", signed=True) for v in flat])
+    words = np.frombuffer(buf, dtype="<u8").reshape(len(flat), width).T.copy()
+    mask = np.uint64((1 << bits) - 1)
+    limbs = np.empty((n, len(flat)))
+    for k in range(n):
+        i, s = divmod(k * bits, 64)
+        field = words[i] >> np.uint64(s)
+        if s + bits > 64:
+            field |= words[i + 1] << np.uint64(64 - s)
+        limbs[k] = field & mask
     top = limbs[-1]
-    top[top >= 2.0 ** (LIMB_BITS - 1)] -= 2.0 ** LIMB_BITS
+    top[top >= 2.0 ** (bits - 1)] -= 2.0 ** bits
     return limbs.reshape(n, *np.shape(ints))
 
 
-def _limb_sums(a_limbs, y_limbs) -> bytes:
-    """The entries of a @ y from `_limbs(a)` and `_limbs(y)`, as the
-    little-endian two's complement bytes of each entry, row by row, all of
-    one width.
+def _carry(acc, bits: int) -> None:
+    """Normalize int64 limbs in place: each limb but the last into
+    [0, 2^bits), its carry added to the next."""
+    for k in range(len(acc) - 1):
+        carry = acc[k] >> bits
+        acc[k] -= carry << bits
+        acc[k + 1] += carry
 
-    Each limb of a times each limb of y is one BLAS product, added at its
-    limb weight into int64 sums, so the transient is one product whatever
-    the limb counts.  The carries are then normalized: every limb is the
-    low LIMB_BITS / 8 bytes of an int64.
+
+def _limb_sums(a_limbs, y_limbs, bits: int) -> np.ndarray:
+    """The entries of a @ y from `_limbs(a, bits)` and `_limbs(y, bits)`,
+    as normalized int64 limbs acc of shape (n, rows, B): each entry is
+    sum_k acc[k] 2^(k bits), every limb but the top one in [0, 2^bits)
+    and the top one carrying the sign.
+
+    The limbs of a, stacked, times each limb of y is one BLAS product,
+    exact in float64, and is added at its limb weight into int64 sums in
+    integer arithmetic (a float64 sum of several products can pass 2^53).
+    ValueError unless `_limb_bits` allows `bits` over a's columns.
     """
     n_a, rows, cols = a_limbs.shape
     n_y, _, B = y_limbs.shape
-    # |a @ y| < cols 2^((n_a + n_y) LIMB_BITS - 2) fits n signed limbs
-    n = n_a + n_y + -(-(cols.bit_length() - 1) // LIMB_BITS)
-    acc = np.zeros((n, rows, B), dtype="<i8")
-    for i in range(n_a):
-        for j in range(n_y):
-            np.add(acc[i + j], a_limbs[i] @ y_limbs[j], out=acc[i + j], casting="unsafe")
-    for k in range(n - 1):
-        carry = acc[k] >> LIMB_BITS
-        acc[k] -= carry << LIMB_BITS
-        acc[k + 1] += carry
-    words = acc.view(np.uint8).reshape(n, rows, B, 8)[..., :LIMB_BITS // 8]
-    return words.transpose(1, 2, 0, 3).tobytes()
+    if bits > _limb_bits(cols):
+        raise ValueError(f"{bits}-bit limbs over {cols} columns are not exact in float64")
+    # |a @ y| < cols 2^((n_a + n_y) bits - 2) fits n signed limbs
+    n = n_a + n_y + -(-(cols.bit_length() - 1) // bits)
+    acc = np.zeros((n, rows, B), dtype=np.int64)
+    a = a_limbs.reshape(n_a * rows, cols)
+    for j in range(n_y):
+        np.add(acc[j:j + n_a], (a @ y_limbs[j]).reshape(n_a, rows, B),
+               out=acc[j:j + n_a], dtype=np.int64, casting="unsafe")
+    _carry(acc, bits)
+    return acc
 
 
-def _limb_matmul(a_limbs, y) -> np.ndarray:
-    """a @ y exactly, as an object array of Python integers, for a given as
-    `_limbs(a)` and an integer array y of shape (cols, B).
+def _round_limb_sums(acc, bits: int, exps, prec: int) -> np.ndarray:
+    """v 2^exps for the entries v = sum_k acc[k] 2^(k bits) of a
+    `_limb_sums` accumulator, rounded as `_round_to_double` rounds them
+    (exps broadcasts against acc.shape[1:]).  acc is overwritten.
 
-    Each limb of a times each limb of y is a float64 BLAS product.  Limbs
-    are below 2^LIMB_BITS, so with cols < 2^(52 - 2 LIMB_BITS) every
-    partial sum is an integer below 2^52, exact in any summation order;
-    more columns are a ValueError.  The exact sums (`_limb_sums`) are
-    rebuilt from their bytes.
+    |v| is read as the 64-bit window w below its leading bit,
+    |v| = (w + f) 2^(len(v) - 64) with 0 <= f < 1, and w is rounded half
+    even to 53 bits.  Rounding v at prec >= 64 bits first moves it by at
+    most half a unit of w's last bit, so the double is the same unless the
+    11 bits of w that 53 bits discard read 0x3FF or 0x400; only those
+    entries are rebuilt as integers for `_round_to_double`.  Overflow
+    gives +-inf.  ValueError unless 64 <= prec <= 1023.
     """
-    _, rows, cols = a_limbs.shape
-    if cols >= 1 << (52 - 2 * LIMB_BITS):
-        raise ValueError(f"{LIMB_BITS}-bit limbs over {cols} columns are not exact in float64")
-    buf = _limb_sums(a_limbs, _limbs(y))
-    width = len(buf) // (rows * y.shape[1])
-    out = [int.from_bytes(buf[i:i + width], "little", signed=True)
-           for i in range(0, len(buf), width)]
-    return np.array(out, dtype=object).reshape(rows, y.shape[1])
+    if not 64 <= prec <= 1023:
+        raise ValueError("prec must be between 64 and 1023 bits")
+    sign = np.where(acc[-1] < 0, -1, 1)
+    acc *= sign
+    _carry(acc, bits)                      # the limbs of |v|
+    lead = len(acc) - 1 - np.argmax(acc[::-1] != 0, axis=0)
+    # the leading limb and the ceil(63 / bits) below it, which hold the 63
+    # bits after its top bit; zero below limb 0
+    ks = np.arange(1 - (-63 // bits))[:, None, None]
+    idx = lead - ks
+    limbs = np.take_along_axis(acc, np.maximum(idx, 0), 0) * (idx >= 0)
+    lead_bits = np.frexp(limbs[0].astype(np.float64))[1]   # 0 for v = 0
+    pos = 64 - lead_bits - ks * bits
+    w = np.bitwise_or.reduce((limbs.astype(np.uint64) << np.clip(pos, 0, 63).astype(np.uint64))
+                             >> np.maximum(-pos, 0).astype(np.uint64), axis=0)
+    tail = w & np.uint64(0x7FF)
+    man = ((w >> np.uint64(11)) + (tail > 0x400)).astype(np.float64)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(sign * man, exps + lead * bits + lead_bits - 53)
+    near = np.nonzero((tail == 0x3FF) | (tail == 0x400))
+    if near[0].size:
+        ints = [sg * sum(c << (k * bits) for k, c in enumerate(col))
+                for sg, col in zip(sign[near].tolist(), acc[(slice(None), *near)].T.tolist())]
+        out[near] = _round_to_double(ints, np.broadcast_to(exps, out.shape)[near].tolist(), prec)
+    return out
 
 
 def _round_to_double(mans, exps, prec: int) -> list[float]:
@@ -401,13 +454,13 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     common exponent, exactly: M and b are doubles, M_e and the free terms mp
     values.  Each y(t) is split at a block exponent prec + 64 bits below its
     largest x(t) entry; only bits that far below are dropped.  The real
-    form [[Re R, -Im R], [Im R, Re R]] of R, split into limbs once, times
-    [Re y; Im y] is one exact float64 limb product per block of samples
-    (`_limb_matmul`), so every entry is an exact integer sum.  Each is
-    rounded once at the working precision, then to double
-    (`_round_to_double`), as mp.fdot rounds its exact sum.  Returns the
-    states, shape (len(times), K + E), and the controls, shape
-    (len(times),).
+    form [[Re R, -Im R], [Im R, Re R]] of R, split once into limbs as wide
+    as its 2 (K + E) columns allow, times [Re y; Im y] is one exact limb
+    product per block of samples (`_limb_sums`), so every entry is an
+    exact integer sum, held as int64 limbs.  Each is rounded once at the
+    working precision, then to double, as mp.fdot rounds its exact sum,
+    from those limbs (`_round_limb_sums`).  Returns the states, shape
+    (len(times), K + E), and the controls, shape (len(times),).
     """
     lam, bv = law.lam, law.b_vec
     K = lam.size
@@ -440,7 +493,8 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     r_low = min((e for _, m, e, _ in parts if m), default=0)
     r_int = _fixed_point(parts, r_low).reshape(K + E + 1, K + E, 2)
     r_re, r_im = r_int[..., 0], r_int[..., 1]
-    a_limbs = _limbs(np.block([[r_re, -r_im], [r_im, r_re]]))
+    bits = _limb_bits(2 * (K + E))
+    a_limbs = _limbs(np.block([[r_re, -r_im], [r_im, r_re]]), bits)
     rows = K + E + 1
     out = np.empty((rows, len(times)), dtype=complex)
     start = 0
@@ -453,9 +507,8 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
         y_low = np.where(nz.any(axis=0), top, 0) - prec - 64
         shift = np.concatenate([y_exp, y_exp]) - y_low
         y = np.concatenate([y_re, y_im])
-        sums = _limb_matmul(a_limbs, (y << np.maximum(shift, 0)) >> np.maximum(-shift, 0))
-        exps = np.broadcast_to(r_low + y_low, sums.shape).ravel().tolist()
-        vals = np.reshape(_round_to_double(sums.ravel().tolist(), exps, prec), sums.shape)
+        y_limbs = _limbs((y << np.maximum(shift, 0)) >> np.maximum(-shift, 0), bits)
+        vals = _round_limb_sums(_limb_sums(a_limbs, y_limbs, bits), bits, r_low + y_low, prec)
         stop = start + len(y_low)
         out.real[:, start:stop] = vals[:rows]
         out.imag[:, start:stop] = vals[rows:]
@@ -466,13 +519,18 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
 def build_feedback(
     p: FluidParams, N: int, omega: float, kind: str = "density"
 ) -> FeedbackLaw:
-    """Assemble the feedback Gramian and verify its definiteness."""
-    g_hat = growth_threshold(p, N)
+    """Assemble the feedback Gramian and verify its definiteness.
+
+    One eigen-solve serves both checks: omega against the growth bound
+    (OmegaTooSmall) first, then the simplicity of the spectrum
+    (MultiplicityDetected)."""
+    modes = spectral_table(p, nonzero_modes(N))
+    g_hat = float((-modes.lambdas.real).max())
     if omega <= max(g_hat, 0.0):
         raise OmegaTooSmall(
             f"omega={omega} must exceed max(growth threshold {g_hat:.4f}, 0)"
         )
-    tab = build_branch_table(p, N, "Zmm")
+    tab = build_branch_table(p, N, "Zmm", modes=modes)
     bv = boundary_observation_vector(tab, kind)
     lam = tab.lam
     denon = 2.0 * omega + np.conj(lam)[None, :] + lam[:, None]

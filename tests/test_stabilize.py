@@ -610,17 +610,26 @@ def _random_ints(rng, shape, bits):
                      for s, w in zip(signs, widths)], dtype=object).reshape(shape)
 
 
+def _accumulated(acc, bits):
+    """The integers sum_k acc[k] 2^(k bits) of a limb accumulator."""
+    return np.array([sum(int(c) << (k * bits) for k, c in enumerate(col))
+                     for col in acc.reshape(len(acc), -1).T.tolist()],
+                    dtype=object).reshape(acc.shape[1:])
+
+
 @pytest.mark.parametrize("case", ["special", "mixed", "one_column", "spillover_N8"])
 def test_limb_matmul_matches_object_product(case):
-    from cnsmax.stabilize import _limb_matmul, _limbs
+    # the normalized limb accumulator of the BLAS product holds the exact
+    # integer product, at the widest limb the column count allows
+    from cnsmax.stabilize import _limb_bits, _limb_sums, _limbs
 
     rng = np.random.default_rng(3)
     if case == "special":
         # zeros, +-1 and powers of two at limb edges, beside 600-bit entries
-        a = np.array([[0, 1, -1, 1 << 16], [-(1 << 16), (1 << 15) - 1, 0, 0],
-                      [(1 << 640) - 1, -(1 << 639), 1 << 32, -1]], dtype=object)
-        y = np.array([[1, -1, 0], [-(1 << 700), 0, 1], [(1 << 15), 1 << 31, -3],
-                      [0, (1 << 17) - 1, (1 << 650) + 1]], dtype=object)
+        a = np.array([[0, 1, -1, 1 << 24], [-(1 << 24), (1 << 23) - 1, 0, 0],
+                      [(1 << 640) - 1, -(1 << 639), 1 << 48, -1]], dtype=object)
+        y = np.array([[1, -1, 0], [-(1 << 700), 0, 1], [(1 << 23), 1 << 47, -3],
+                      [0, (1 << 25) - 1, (1 << 650) + 1]], dtype=object)
     elif case == "mixed":
         a = _random_ints(rng, (7, 5), 700)
         a[0] = 0
@@ -634,22 +643,39 @@ def test_limb_matmul_matches_object_product(case):
         # the spillover R at N = 8: K + E = 96 columns, K + E + 1 rows
         a = _random_ints(rng, (97, 96), 130)
         y = _random_ints(rng, (96, 64), 250)
-    got = _limb_matmul(_limbs(a), y)
-    assert got.dtype == object and got.shape == (a.shape[0], y.shape[1])
-    assert all(type(v) is int for v in got.flat)
-    assert np.array_equal(got, a @ y)
+    bits = _limb_bits(a.shape[1])
+    assert bits == {"special": 24, "mixed": 24, "one_column": 25, "spillover_N8": 22}[case]
+    acc = _limb_sums(_limbs(a, bits), _limbs(y, bits), bits)
+    assert acc.dtype == np.int64 and acc.shape[1:] == (a.shape[0], y.shape[1])
+    assert np.all((acc[:-1] >= 0) & (acc[:-1] < 1 << bits))
+    assert np.array_equal(_accumulated(acc, bits), a @ y)
 
 
 def test_limb_matmul_refuses_inexact_limbs():
-    # cols < 2^(52 - 2 LIMB_BITS) keeps every partial sum below 2^52
-    from cnsmax.stabilize import LIMB_BITS, _limb_matmul, _limbs
+    # L = (52 - cols.bit_length()) // 2 keeps cols 2^(2L) <= 2^52: limbs at
+    # their extremes stay exact at the most columns each width allows, one
+    # width more is refused, and a count no width fits raises
+    from cnsmax.stabilize import _limb_bits, _limb_sums, _limbs
 
-    assert LIMB_BITS == 16
-    a = np.array([[3] * 96], dtype=object)
-    y = np.array([[5]] * 96, dtype=object)
-    assert _limb_matmul(_limbs(a), y)[0, 0] == 15 * 96
-    with pytest.raises(ValueError):
-        _limb_matmul(np.zeros((1, 1, 1 << 20)), y)   # 2^20 columns
+    assert _limb_bits(96) == 22 and _limb_bits(1056) == 20
+    for bits in (25, 24, 22, 21, 20, 19):
+        cols = (1 << (52 - 2 * bits)) - 1
+        assert _limb_bits(cols) == bits and _limb_bits(cols + 1) == bits - 1
+        # limbs [2^L - 1, 2^L - 1, -2^(L-1)] and [2^L - 1, 2^L - 1, 2^(L-1) - 1]
+        lo = -(1 << (3 * bits - 1)) + (1 << (2 * bits)) - 1
+        hi = (1 << (3 * bits - 1)) - 1
+        assert _limbs(np.array([lo, hi], dtype=object), bits).tolist() == [
+            [2.0 ** bits - 1] * 2, [2.0 ** bits - 1] * 2,
+            [-2.0 ** (bits - 1), 2.0 ** (bits - 1) - 1]]
+        a = np.array([[lo] * cols, [hi] * cols], dtype=object)
+        y = np.array([[lo, hi]] * cols, dtype=object)
+        acc = _limb_sums(_limbs(a, bits), _limbs(y, bits), bits)
+        assert np.array_equal(_accumulated(acc, bits), a @ y)
+        with pytest.raises(ValueError, match="not exact"):
+            _limb_sums(_limbs(a, bits + 1), _limbs(y, bits + 1), bits + 1)
+    assert _limb_bits((1 << 50) - 1) == 1
+    with pytest.raises(ValueError, match="no limb width"):
+        _limb_bits(1 << 50)
 
 
 def _mp_rounded(man, exp, prec):
@@ -692,3 +718,158 @@ def test_round_to_double_matches_mpmath():
     assert got[cases.index((1, 1024))] == math.inf
     assert got[cases.index((-1, 1024))] == -math.inf
     assert 0 < got[cases.index((3, -1076))] < 2.0 ** -1022
+
+
+def _round_limbs(ints, exps, prec, bits=22):
+    """`_round_limb_sums` on the accumulator of 1 @ [ints]."""
+    from cnsmax.stabilize import _limb_sums, _limbs, _round_limb_sums
+
+    one = _limbs(np.ones((1, 1), dtype=object), bits)
+    acc = _limb_sums(one, _limbs(np.array([ints], dtype=object), bits), bits)
+    return _round_limb_sums(acc, bits, np.array(exps), prec)[0].tolist()
+
+
+def _count_exact_roundings(monkeypatch):
+    """The list that collects every mantissa `_round_to_double` is given."""
+    import cnsmax.stabilize as stab
+
+    exact = []
+    rounded = stab._round_to_double
+
+    def counted(mans, exps, prec):
+        exact.extend(mans)
+        return rounded(mans, exps, prec)
+
+    monkeypatch.setattr(stab, "_round_to_double", counted)
+    return exact
+
+
+def _same_doubles(got, want):
+    import math
+
+    assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
+    assert got == want
+
+
+def test_round_limb_sums_hand_cases(monkeypatch):
+    # the limb-domain rounding gives _round_to_double's doubles bit for
+    # bit, and only windows whose 11 discarded bits read 0x3FF or 0x400
+    # reach the exact integer rounding
+    import cnsmax.stabilize as stab
+
+    rounded = stab._round_to_double
+    top = 1 << 63
+    cases = [
+        (0, 0, 64), (1, 0, 64), (-1, 0, 64), ((1 << 53) - 1, 3, 64),
+        # windows ending in 0x3FF or 0x400, with and without bits below
+        (top + 0x3FF, 0, 64), (top + 0x400, 0, 64), (-(top + 0x400), 0, 64),
+        ((top + 0x3FF << 9) + 511, -20, 64), ((top + 0x3FF << 9) + 256, -20, 64),
+        ((top + 0x400 << 9) + 255, 5, 72), ((top + 0xC00 << 9) + 256, 5, 72),
+        ((top + 0xBFF << 40) + (1 << 39), 0, 100),
+        # ties at prec: the prec rounding decides the double
+        ((top + 0x3FF << 1) + 1, 0, 64), ((top + 0xBFF << 1) + 1, 0, 64),
+        (-((top + 0x3FF << 1) + 1), 0, 64),
+        # a mantissa carry into the next binade
+        ((1 << 64) - 1, 0, 64), (-((1 << 64) - 1), 7, 64), ((1 << 200) - 1, 0, 180),
+        ((top + 0x7FF << 30) + 5, 0, 64),
+        # negatives that borrow across every limb
+        (-(1 << 660), 0, 64), (-(1 << 660) + 1, 0, 64), (-(1 << 659) - 1, -600, 300),
+        (-((1 << 22) ** 20), 0, 200), (-(((1 << 22) ** 20) - 1), 0, 200),
+        # +-inf overflow, and the largest double
+        (1, 1024, 64), (-1, 1024, 64), (top, 961, 64), (-(top + 0x7FF), 961, 64),
+        ((1 << 53) - 1 << 11, 960, 64), ((1 << 64) - 1, 960, 64),
+        # subnormals, their ties and underflow to +-0
+        (1, -1074, 64), (3, -1076, 64), (-5, -1076, 64), (1, -1075, 64), (1, -1080, 64),
+        (-1, -1080, 64), (top + 12345, -1130, 64), (-(1 << 70) - 1, -1140, 64),
+        ((top + 0x3FF << 2) + 3, -1100, 66),
+    ]
+    want = [_mp_rounded(m, e, prec) for m, e, prec in cases]
+    assert want == [rounded([m], [e], prec)[0] for m, e, prec in cases]
+    exact = _count_exact_roundings(monkeypatch)
+    near = sorted(m for m, _, _ in cases if _window(m) & 0x7FF in (0x3FF, 0x400))
+    assert len(near) >= 12
+    for bits in (22, 20, 16, 25):
+        exact.clear()
+        _same_doubles([_round_limbs([m], [e], prec, bits)[0] for m, e, prec in cases], want)
+        assert sorted(exact) == near
+    assert _round_limbs([1, -1], [1024, 1024], 64) == [np.inf, -np.inf]
+    assert 0 < _round_limbs([3], [-1076], 64)[0] < 2.0 ** -1022
+
+
+def _window(man):
+    """The 64 bits of |man| below and at its leading bit."""
+    n = abs(man).bit_length()
+    return abs(man) >> max(n - 64, 0) << max(64 - n, 0)
+
+
+def test_round_limb_sums_refuses_short_prec():
+    # below 64 bits the prec rounding can move a double that the window
+    # rounds; above 1023 bits float() of the mantissa can overflow
+    for prec in (63, 53, 1024):
+        with pytest.raises(ValueError, match="prec"):
+            _round_limbs([12345], [0], prec)
+
+
+def test_round_limb_sums_matches_round_to_double_property():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from cnsmax.stabilize import _round_to_double
+
+    ints = st.integers(0, 700).flatmap(lambda n: st.integers(-(1 << n), 1 << n))
+    row = st.lists(st.tuples(ints, st.integers(-1300, 1100)), min_size=1, max_size=24)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(row, st.integers(64, 400), st.integers(1, 25))
+    def check(cases, prec, bits):
+        mans, exps = [m for m, _ in cases], [e for _, e in cases]
+        _same_doubles(_round_limbs(mans, exps, prec, bits), _round_to_double(mans, exps, prec))
+
+    check()
+
+
+def test_exact_loop_rounds_few_entries_exactly(p1, monkeypatch):
+    # the window rounding settles all but the outputs whose discarded bits
+    # sit next to a tie: at most 1% of the N = 8, 451-sample loop
+    import cnsmax.stabilize as stab
+    from cnsmax._gram import eigen_coefficients
+
+    law = build_feedback(p1, 8, 2.0)
+    c0 = eigen_coefficients(law.table, random_state(p1, 8, "Zmm", seed=0))
+    exact = _count_exact_roundings(monkeypatch)
+    states, q = stab._exact_loop(law, c0, np.linspace(0.0, 40.0, 451), law.precision_dps)
+    outputs = 2 * (states.size + q.size)
+    assert outputs == 44_198
+    assert 0 < len(exact) <= outputs // 100
+
+
+def test_build_feedback_one_eigensolve(p1, monkeypatch):
+    # the growth bound and the branch table read one spectral table
+    import cnsmax.spectral as spectral
+    import cnsmax.stabilize as stab
+
+    solves = []
+    solve = spectral.mode_eigenvalues_batch
+
+    def counted(p, ns):
+        solves.append(len(ns))
+        return solve(p, ns)
+
+    monkeypatch.setattr(spectral, "mode_eigenvalues_batch", counted)
+    monkeypatch.setattr(stab, "mode_eigenvalues_batch", counted)
+    build_feedback(p1, 8, 2.0)
+    assert solves == [16]
+
+
+def test_build_feedback_checks_omega_before_multiplicity():
+    # b = 1e-300 makes every mode's normalizer q_n vanish: omega below the
+    # growth bound is still OmegaTooSmall (exit 2), and above it the
+    # multiplicity (exit 3)
+    from cnsmax import FluidParams
+    from cnsmax.errors import MultiplicityDetected
+
+    p = FluidParams(rho_s=1.0, u_s=1.0, kappa=1.0, mu=1.0, b=1e-300)
+    with pytest.raises(OmegaTooSmall):
+        build_feedback(p, 2, 0.1)
+    with pytest.raises(MultiplicityDetected):
+        build_feedback(p, 2, 5.0)
