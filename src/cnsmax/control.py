@@ -1,9 +1,14 @@
-"""Exact control synthesis: everywhere/localized interior and boundary HUM.
+"""Exact control synthesis: Hautus test, everywhere/localized interior and
+boundary HUM.
 
-Everywhere controls are one batch over the Zm branch table: the closed-form
-3x3 controllability Gramians of all modes, one stacked solve, one array
-expression for every mode's control; the table's last row, n = 0, is a
-scalar integrator that takes the same formulas as a 1x1 block.
+Per-mode data comes from the Zm branch table alone.  The Hautus test is one
+batched SVD of the 3x4 matrices [diag(lambda_k - lambda_l) | B_n] of every
+mode n != 0, read from the table's rows; the n = 0 mean, the table's last
+row, is a scalar integrator, controllable iff its column B_0 is nonzero.
+Everywhere controls are one batch over the same table: the closed-form 3x3
+controllability Gramians of all modes, one stacked solve, one array
+expression for every mode's control; n = 0 takes the same formulas as a
+1x1 block.
 Localized and boundary controls share one solve of the HUM moment problem
 on a dense Hermitian Gramian over all retained modal indices.  Every control
 is re-verified by independently evolving the truncated system with it as a
@@ -36,6 +41,13 @@ from .errors import IllConditioned, RankDeficient, ValidationError
 from .model import FluidParams
 from .spectral import TWO_PI, ModeEigenSystem, minimal_time, mode_system
 
+# mode_system stays importable from here: the perfbench tracer patches it by
+# name in every module that holds it
+__all__ = ["COND_LIMIT", "RANK_TOL", "ModeControlData", "ControlSignal", "HautusReport",
+           "hautus_check", "mode_control_operator", "gramian_closed_form",
+           "synthesize_everywhere_control", "synthesize_boundary_control",
+           "synthesize_localized_control", "mode_system"]
+
 COND_LIMIT = 1e14
 RANK_TOL = 1e-10              # Hautus test: smallest/largest singular value
 
@@ -61,42 +73,42 @@ class ControlSignal:
 
 @dataclass
 class HautusReport:
-    n: int
-    sigma_ratios: np.ndarray   # smallest/largest singular value per eigenvalue
-    rank: int
+    ns: np.ndarray             # (K,) mode of each row of the Zm branch table
+    sigma_ratios: np.ndarray   # (K,) smallest/largest singular value per eigenvalue
 
 
-def hautus_check(p: FluidParams, n: int, B_override=None):
-    """Rank of [lambda I - A_n ; B_n] at every eigenvalue of mode n."""
-    if n == 0:
-        b0 = np.sqrt(p.b_eff) if B_override is None else B_override
-        ratio = np.array([1.0 if abs(b0) > 0 else 0.0])
-        if abs(b0) <= RANK_TOL:
-            raise RankDeficient(0, 0.0, abs(b0))
-        return HautusReport(n=0, sigma_ratios=ratio, rank=1)
-    m = mode_system(p, n)
-    Bn = mode_control_operator(p, m) if B_override is None else np.asarray(B_override)
-    ratios = []
-    for lam in m.lambdas:
-        mat = np.concatenate([np.diag(lam - m.lambdas), Bn.reshape(3, 1)], axis=1)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        ratios.append(sv[-1] / sv[0])
-        if sv[-1] < RANK_TOL * sv[0]:
-            raise RankDeficient(n, lam, float(sv[-1]))
-    return HautusReport(n=n, sigma_ratios=np.array(ratios), rank=3)
+def hautus_check(p: FluidParams, N: int, B=None) -> HautusReport:
+    """Rank of [lambda I - A_n | B_n] at every eigenvalue of the modes
+    |n| <= N, over the rows of the Zm branch table.
+
+    B is the actuator column over those rows, (K,); by default the
+    everywhere density actuator.  Raises RankDeficient at the first
+    deficient row: sigma_min < RANK_TOL sigma_max for n != 0, and
+    |B_0| <= RANK_TOL for the scalar integrator n = 0.
+    """
+    tab = build_branch_table(p, N, "Zm")
+    B = mode_control_operator(p, tab) if B is None else np.asarray(B)
+    lam, i = tab.lam[:-1].reshape(-1, 3), np.arange(3)
+    # [diag(lambda_k - lambda_l) | B_n] for mode n and eigenvalue k: (2N, 3, 3, 4)
+    mats = np.zeros(lam.shape + (3, 4), dtype=complex)
+    mats[..., i, i] = lam[:, :, None] - lam[:, None, :]
+    mats[..., 3] = B[:-1].reshape(-1, 1, 3)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    bad = (sv[..., -1] < RANK_TOL * sv[..., 0]).ravel()
+    if np.any(bad):
+        a = int(np.argmax(bad))
+        raise RankDeficient(int(tab.idx_n[a]), tab.lam[a], float(sv[..., -1].ravel()[a]))
+    if abs(B[-1]) <= RANK_TOL:
+        raise RankDeficient(0, 0.0, abs(B[-1]))
+    return HautusReport(ns=tab.idx_n, sigma_ratios=np.append(sv[..., -1] / sv[..., 0], 1.0))
 
 
-def mode_control_operator(
-    p: FluidParams, mode: ModeEigenSystem | BranchTable | None
-) -> np.ndarray:
+def mode_control_operator(p: FluidParams, mode: ModeEigenSystem | BranchTable) -> np.ndarray:
     """Control column of an everywhere density actuator, eigenbasis coords.
 
     mode is a ModeEigenSystem, or a BranchTable for one entry per row, (K,);
-    mode=None addresses the n = 0 block, where the operator is the scalar
-    sqrt(b), as it is on the last row of a Zm branch table.
+    on the n = 0 row of a Zm table the entry is the scalar sqrt(b).
     """
-    if mode is None:
-        return np.array([np.sqrt(p.b_eff)])
     return p.b_eff * np.sqrt(TWO_PI) / np.conj(mode.psi)
 
 
@@ -109,13 +121,8 @@ def _gramian_blocks(p: FluidParams, lam, psi, T: float) -> np.ndarray:
     return 0.5 * (W + W.conj().swapaxes(-1, -2))
 
 
-def gramian_closed_form(
-    p: FluidParams, mode: ModeEigenSystem | None, T: float
-) -> ModeControlData:
-    """Controllability Gramian of one mode over [0, T], closed form."""
-    if mode is None:
-        return ModeControlData(n=0, B_n=mode_control_operator(p, None),
-                               W=np.array([[p.b_eff * T]]))
+def gramian_closed_form(p: FluidParams, mode: ModeEigenSystem, T: float) -> ModeControlData:
+    """Controllability Gramian of one mode n != 0 over [0, T], closed form."""
     return ModeControlData(n=mode.n, B_n=mode_control_operator(p, mode),
                            W=_gramian_blocks(p, mode.lambdas, mode.psi, T))
 
@@ -135,26 +142,6 @@ def _steer(B, lam, W, d0, d1, T: float):
                       * eta[:, None], axis=-1)
 
     return controls
-
-
-def minimal_control_mode(p: FluidParams, mode: ModeEigenSystem | None, T: float,
-                         d0, d1=None):
-    """Minimal-norm modal control steering eigen-coords d0 to d1 (default 0).
-
-    Returns a callable ts -> complex control coefficients of mode n at the
-    times ts (any shape; a scalar time gives a scalar), and the Gramian data.
-    """
-    data = gramian_closed_form(p, mode, T)
-    d0 = np.atleast_1d(np.asarray(d0, dtype=complex))
-    lam = mode.lambdas if mode is not None else np.zeros(1, dtype=complex)
-    d1 = np.zeros_like(d0) if d1 is None else np.atleast_1d(np.asarray(d1, complex))
-    controls = _steer(data.B_n[None], lam[None], data.W[None], d0[None], d1[None], T)
-
-    def f(ts):
-        ts = np.asarray(ts, dtype=float)
-        return controls(ts.ravel())[0].reshape(ts.shape)[()]
-
-    return f, data
 
 
 def _verify(p: FluidParams, state0: SpectralState, T: float, forcing,

@@ -93,17 +93,19 @@ def canonical_product(p: FluidParams, z: complex, K: int) -> complex:
     return complex(np.exp(3.0 * np.log(complex(z)) + np.sum(np.log(fac))))
 
 
+def _zero_index(n: int, j: int, K: int) -> int:
+    """Position of z_m = i*conj(lambda_n^j) in `_product_zeros(p, K)`: n's
+    row in nonzero_modes(K) times 3, plus j."""
+    if not (1 <= abs(n) <= K and 0 <= j < 3):
+        raise ValueError("(n, j) is not inside the truncated zero set")
+    return 3 * (n + K - (n > 0)) + j
+
+
 def canonical_product_derivative(p: FluidParams, n: int, j: int, K: int) -> complex:
     """P'(z_m) at the zero z_m = i*conj(lambda_n^j), skipping its own factor."""
-    zeros = _product_zeros(p, K)
-    lam = mode_eigenvalues_batch(p, [n])[0][j]
-    zm = 1j * np.conj(lam)
-    dist = np.abs(zeros - zm)
-    m = int(np.argmin(dist))
-    if dist[m] > 1e-9 * (1.0 + abs(zm)):
-        raise ValueError("(n, j) is not inside the truncated zero set")
-    fac = 1.0 - zm / np.delete(zeros, m)
-    logmag = 2.0 * np.log(complex(zm)) + np.sum(np.log(fac))
+    zeros, m = _product_zeros(p, K), _zero_index(n, j, K)
+    fac = 1.0 - zeros[m] / np.delete(zeros, m)
+    logmag = 2.0 * np.log(complex(zeros[m])) + np.sum(np.log(fac))
     return complex(-np.exp(logmag))
 
 
@@ -113,15 +115,12 @@ def psi_interpolant(p: FluidParams, nj: tuple[int, int], z: complex, K: int) -> 
     Evaluating exactly at z_m returns the limiting value 1; at every other
     truncated zero the product vanishes, giving the Kronecker property.
     """
-    n, j = nj
-    dP = canonical_product_derivative(p, n, j, K)
-    lam = mode_eigenvalues_batch(p, [n])[0][j]
-    zm = 1j * np.conj(lam)
+    zm = _product_zeros(p, K)[_zero_index(*nj, K)]
     z = complex(z)
     if z == zm:
         return 1.0
     val = canonical_product(p, z, K)
-    return complex(val / ((z - zm) * dP))
+    return complex(val / ((z - zm) * canonical_product_derivative(p, *nj, K)))
 
 
 def eigh(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -69,8 +69,7 @@ from .dynamics import SpectralState, TrajectoryRecord
 from .errors import (DegenerateWindow, IllConditioned, NumericalFailure,
                      OmegaTooSmall, StepTooLarge, ValidationError)
 from .model import FluidParams
-from .spectral import (TWO_PI, mode_eigenvalues_batch, nonzero_modes, spectral_table,
-                       z_weights)
+from .spectral import TWO_PI, nonzero_modes, spectral_table, z_weights
 
 F64_COND_LIMIT = 1e12
 COND_HARD_LIMIT = 1e30
@@ -87,12 +86,6 @@ MAX_SAMPLES = 1 << 15
 _bit_length = np.frompyfunc(int.bit_length, 1, 1)
 
 
-def growth_threshold(p: FluidParams, N: int) -> float:
-    """Numerical growth bound of the reversed flow: max of -Re lambda."""
-    lam = mode_eigenvalues_batch(p, nonzero_modes(N))
-    return float((-lam.real).max())
-
-
 @dataclass
 class FeedbackLaw:
     omega: float
@@ -102,7 +95,7 @@ class FeedbackLaw:
     b_vec: np.ndarray             # (K,) boundary observations B* xi*_a
     M: np.ndarray                 # (K, K) Gramian, eigenbasis coordinates
     cond_M: float
-    growth: float                 # growth_threshold(p, N)
+    growth: float                 # growth bound max(-Re lambda) of the retained modes
     table: object = field(repr=False)
     precision_dps: int = 0        # 0 -> double precision solves suffice
 
@@ -134,19 +127,16 @@ def _fixed_point(parts, lowest: int) -> np.ndarray:
 
 def _double_parts(z) -> list:
     """The (sign, man, exp, bc) tuples of the real and imaginary parts of a
-    complex array, interleaved, as mp.mpc(v)._mpc_ gives them: odd
-    mantissas, and zero as (0, 0, 0, 0).  This is the one way a double
-    becomes an integer; `_fixed_point` scales the tuples."""
-    parts = []
-    for v in np.ascontiguousarray(z, dtype=complex).view(np.float64).ravel().tolist():
-        n, d = abs(v).as_integer_ratio()
-        if n == 0:
-            parts.append((0, 0, 0, 0))
-            continue
-        zeros = (n & -n).bit_length() - 1
-        man = n >> zeros
-        parts.append((int(v < 0), man, zeros + 1 - d.bit_length(), man.bit_length()))
-    return parts
+    complex array of finite doubles, interleaved, as mp.mpc(v)._mpc_ gives
+    them: odd mantissas, and zero as (0, 0, 0, 0).  This is the one way a
+    double becomes an integer; `_fixed_point` scales the tuples."""
+    v = np.ascontiguousarray(z, dtype=complex).view(np.float64).ravel()
+    frac, e = np.frexp(np.abs(v))
+    m = np.ldexp(frac, 53).astype(np.int64)       # |v| = m 2^(e - 53), m < 2^53
+    nz = m != 0
+    tz = np.frexp((m & -m) | ~nz)[1] - 1          # trailing zero bits of m
+    cols = (v < 0, m >> tz, np.where(nz, e - 53 + tz, 0), np.where(nz, 53 - tz, 0))
+    return list(zip(*(c.astype(np.int64).tolist() for c in cols)))
 
 
 def _bits(re, im) -> np.ndarray:

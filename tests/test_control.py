@@ -10,9 +10,10 @@ from cnsmax._gram import (
     kernel_gram,
 )
 from cnsmax.control import (
+    _gramian_blocks,
+    _steer,
     gramian_closed_form,
     hautus_check,
-    minimal_control_mode,
     mode_control_operator,
     synthesize_boundary_control,
     synthesize_everywhere_control,
@@ -21,23 +22,37 @@ from cnsmax.control import (
 from cnsmax.dynamics import SpectralState, energy_norm, random_state
 from cnsmax.errors import IllConditioned, RankDeficient, ValidationError
 from cnsmax.observability import boundary_observability_constant
-from cnsmax.spectral import TWO_PI, minimal_time, mode_system, solve_beta_cubic
+from cnsmax.spectral import TWO_PI, minimal_time, mode_system, solve_beta_cubic, spectral_table
 
 
 def test_hautus_ranks(p1):
-    for n in range(1, 65):
-        rep = hautus_check(p1, n)
-        assert rep.rank == 3
-        assert np.all(rep.sigma_ratios > 1e-10)
-    rep0 = hautus_check(p1, 0)
-    assert rep0.rank == 1
-    with pytest.raises(RankDeficient):
-        hautus_check(p1, 3, B_override=np.array([1.0, 0.0, 1.0]))
+    rep = hautus_check(p1, 64)
+    tab = build_branch_table(p1, 64, "Zm")
+    assert np.array_equal(rep.ns, tab.idx_n)
+    assert np.all(rep.sigma_ratios > 1e-10)
+    assert rep.sigma_ratios[-1] == 1.0
+    B = mode_control_operator(p1, tab)
+    # an actuator [1, 0, 1] at n = 3 leaves the second eigenvalue unreachable
+    B3 = B.copy()
+    B3[tab.idx_n == 3] = [1.0, 0.0, 1.0]
+    with pytest.raises(RankDeficient) as err:
+        hautus_check(p1, 64, B3)
+    assert err.value.n == 3 and err.value.lam == tab.lam[tab.idx_n == 3][1]
+    # B_0 = 0 leaves the mean unreachable, with no 0/0 on the way
+    B0 = B.copy()
+    B0[-1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RankDeficient) as err:
+            hautus_check(p1, 64, B0)
+    assert err.value.n == 0
 
 
 def test_mode_control_operator(p1, pb):
     for p in (p1, pb):
-        assert mode_control_operator(p, None)[0] == pytest.approx(np.sqrt(p.b_eff))
+        # the n = 0 entry, the last row of the Zm table, is sqrt(b)
+        B0 = mode_control_operator(p, build_branch_table(p, 2, "Zm"))[-1]
+        assert B0 == pytest.approx(np.sqrt(p.b_eff), rel=1e-15, abs=0)
     norms = []
     for n in list(range(1, 201, 13)) + [200, -200]:
         Bn = mode_control_operator(p1, mode_system(p1, n))
@@ -50,9 +65,12 @@ def test_mode_control_operator(p1, pb):
 
 
 def test_gramian_zero_mode(p1, pb):
+    # the 1x1 Gramian of the table's n = 0 row is b T
     for p in (p1, pb):
-        data = gramian_closed_form(p, None, 2.0)
-        assert data.W[0, 0] == pytest.approx(p.b_eff * 2.0)
+        tab = build_branch_table(p, 2, "Zm")
+        W = _gramian_blocks(p, tab.lam[-1:], tab.psi[-1:], 2.0)
+        assert W.shape == (1, 1)
+        assert W[0, 0] == pytest.approx(p.b_eff * 2.0, rel=1e-15, abs=0)
 
 
 def test_gramian_closed_form_vs_quadrature(p1):
@@ -101,11 +119,15 @@ def test_gramian_large_n_diagonal_limits(p1):
 
 
 def test_minimal_control_zero_mode(p1, pb):
-    # constant control -c/(sqrt(b) T) empties the scalar integrator
+    # on the table's n = 0 row, the constant control -c/(sqrt(b) T) empties
+    # the scalar integrator
     T, c = 2.0, 1.7 + 0.3j
     for p in (p1, pb):
-        f, _ = minimal_control_mode(p, None, T, [c])
-        vals = [f(t) for t in (0.0, 0.5, 1.9)]
+        tab = build_branch_table(p, 2, "Zm")
+        B, lam = mode_control_operator(p, tab)[-1:], tab.lam[-1:]
+        W = _gramian_blocks(p, lam, tab.psi[-1:], T)
+        f = _steer(B[None], lam[None], W[None], np.array([[c]]), np.zeros((1, 1)), T)
+        vals = f(np.array([0.0, 0.5, 1.9]))[0]
         assert np.allclose(vals, vals[0])
         assert vals[0] == pytest.approx(-c / (np.sqrt(p.b_eff) * T))
         reached = c + np.sqrt(p.b_eff) * vals[0] * T
@@ -113,28 +135,30 @@ def test_minimal_control_zero_mode(p1, pb):
 
 
 def test_minimal_control_mode_drives_to_zero(p1):
+    # _steer on four stacked modes against a forward Gauss-Legendre oracle
     rng = np.random.default_rng(8)
+    ns, T = (5, 17, 64, -5), 1.0
+    d0 = np.array([rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in ns])
+    tab = spectral_table(p1, ns)
+    B = mode_control_operator(p1, tab)
+    f = _steer(B, tab.lambdas, _gramian_blocks(p1, tab.lambdas, tab.psi, T), d0,
+               np.zeros_like(d0), T)
+    # forward evolution oracle: fine composite Gauss-Legendre
+    xs, ws = leggauss(12)
+    npan = 64
+    mids = T * (np.arange(npan) + 0.5) / npan
+    half = 0.5 * T / npan
+    ts = (mids[:, None] + half * xs).ravel()
+    wts = np.tile(half * ws, npan)
     worst_ratio = 0.0
-    for n in (5, 17, 64, -5):
-        m = mode_system(p1, n)
-        d0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        T = 1.0
-        f, data = minimal_control_mode(p1, m, T, d0)
-        # forward evolution oracle: fine composite Gauss-Legendre
-        xs, ws = leggauss(12)
-        npan = 64
-        dT = np.zeros(3, dtype=complex)
-        for k in range(npan):
-            mid = T * (k + 0.5) / npan
-            half = 0.5 * T / npan
-            for x_, w_ in zip(xs, ws):
-                t = mid + half * x_
-                dT += half * w_ * np.exp((T - t) * m.lambdas) * data.B_n * f(t)
-        dT += np.exp(T * m.lambdas) * d0
-        assert np.linalg.norm(dT) <= 1e-10 * np.linalg.norm(d0)
+    for i in range(len(ns)):
+        lam = tab.lambdas[i]
+        dT = np.exp(T * lam) * d0[i] + np.sum(
+            (wts * f(ts)[i])[:, None] * np.exp((T - ts)[:, None] * lam) * B[i], axis=0)
+        assert np.linalg.norm(dT) <= 1e-10 * np.linalg.norm(d0[i])
         tgrid = np.linspace(0, T, 4001)
-        fl2 = np.sqrt(np.trapezoid([abs(f(t)) ** 2 for t in tgrid], tgrid))
-        worst_ratio = max(worst_ratio, fl2 / np.linalg.norm(d0))
+        fl2 = np.sqrt(np.trapezoid(np.abs(f(tgrid)[i]) ** 2, tgrid))
+        worst_ratio = max(worst_ratio, fl2 / np.linalg.norm(d0[i]))
     assert worst_ratio < 50.0
 
 

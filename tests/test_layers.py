@@ -7,7 +7,8 @@ neither mpmath nor the numerics layers.  The package runs on its runtime
 dependencies alone: no module loads scipy (a test oracle only), and every
 third-party module it imports is listed in pyproject.toml.  It holds no dead
 code: no module-level import goes unused, and every module-level function
-and class is referenced from src/, tests/ or perfbench/.
+and class is referenced from src/, tests/ or perfbench/.  Per-mode data
+comes from the batched tables, never from a one-mode solve.
 """
 
 import ast
@@ -165,3 +166,23 @@ def test_every_module_level_definition_is_referenced():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and node.name not in refs]
     assert orphans == []
+
+
+def test_per_mode_data_comes_from_the_batched_tables():
+    # no module solves modes one at a time: none calls mode_system, and no
+    # call but mode_system's own body hands the batched solvers a
+    # one-element list or tuple of modes
+    bad = []
+    for name in _modules():
+        for top in _tree(name).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                one_mode = any(isinstance(arg, (ast.List, ast.Tuple)) and len(arg.elts) == 1
+                               for arg in [*node.args, *(k.value for k in node.keywords)])
+                if callee == "mode_system" or (
+                        callee in ("mode_eigenvalues_batch", "spectral_table") and one_mode
+                        and getattr(top, "name", None) != "mode_system"):
+                    bad.append(f"{name}.py:{node.lineno} calls {callee}")
+    assert bad == []

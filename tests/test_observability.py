@@ -90,6 +90,24 @@ def test_canonical_product_bounded_on_real_axis(p1):
     print(f"\nreal-axis bound on |x|<=5: K=32 -> {m32:.4e}, K=64 -> {m64:.4e}")
 
 
+def test_canonical_product_derivative_at_each_zero(p1):
+    # P'(z_m) is the slope of P at its zero z_m, for the first and last
+    # modes of the truncation and every branch
+    K = 24
+    for n in (-K, -1, 1, 7, K):
+        for j in range(3):
+            site = 1j * np.conj(mode_eigenvalues_batch(p1, [n])[0][j])
+            h = 1e-6 * (1.0 + abs(site))
+            rise = canonical_product(p1, site + h, K) - canonical_product(p1, site - h, K)
+            slope = rise / (2 * h)
+            assert canonical_product_derivative(p1, n, j, K) == pytest.approx(slope, rel=1e-6)
+    for n, j in [(0, 0), (K + 1, 0), (-K - 1, 2), (3, 3), (3, -1)]:
+        with pytest.raises(ValueError):
+            canonical_product_derivative(p1, n, j, K)
+        with pytest.raises(ValueError):
+            psi_interpolant(p1, (n, j), 0.5, K)
+
+
 def test_psi_interpolant_kronecker(p1):
     K = 64
     pairs = [(3, 0), (-5, 1), (10, 2)]

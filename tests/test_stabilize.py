@@ -8,18 +8,22 @@ from cnsmax.stabilize import (
     build_feedback,
     closed_loop_simulate,
     fit_decay_rate,
-    growth_threshold,
     quadrature_gramian,
 )
+from cnsmax.spectral import nonzero_modes, solve_beta_cubic, spectral_table
+
+
+def _growth(p, N):
+    """Growth bound max(-Re lambda) of the modes 1 <= |n| <= N."""
+    return (-spectral_table(p, nonzero_modes(N)).lambdas.real).max()
 
 
 def test_growth_threshold(p1):
-    g8 = growth_threshold(p1, 8)
-    g64 = growth_threshold(p1, 64)
+    g8 = build_feedback(p1, 8, 2.0).growth
+    g64 = _growth(p1, 64)
+    assert g8 == _growth(p1, 8)
     assert 0 < g8 <= g64 < 1.0 / p1.kappa
     # approaches the largest branch offset from below-ish at large N
-    from cnsmax.spectral import solve_beta_cubic
-
     om_max = max(solve_beta_cubic(p1).omega)
     assert g64 >= om_max - 1e-2
 
@@ -31,7 +35,7 @@ def test_build_feedback_guards(p1):
     assert law.cond_M > 1.0
     # the law keeps the growth bound it checked omega against, the bound of
     # its own eigenvalues
-    assert law.growth == growth_threshold(p1, 2) == (-law.lam.real).max()
+    assert law.growth == _growth(p1, 2) == (-law.lam.real).max()
 
 
 def test_gramian_matches_quadrature_oracle(p1):
@@ -302,6 +306,25 @@ def _from_int(re, im, exp):
     import mpmath as mp
 
     return [mp.mpc(mp.ldexp(a, exp), mp.ldexp(b, exp)) for a, b in zip(re, im)]
+
+
+def test_double_parts_match_mpmath():
+    # the mantissa tuples mpmath holds, for random doubles over the whole
+    # exponent range, subnormals, signed zeros and the extremes
+    import mpmath as mp
+
+    from cnsmax.stabilize import _double_parts
+
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(1000) * np.exp2(rng.integers(-1080, 1020, 1000))
+    v = np.concatenate([v, [0.0, -0.0, 5e-324, -5e-324, 3 * 5e-324, 2.0 ** -1022,
+                            np.nextafter(2.0 ** -1022, 0), 1.7976931348623157e308,
+                            -1.7976931348623157e308, 1.0, -3.5, 2.0 ** 52 + 1]])
+    z = v[::2] + 1j * v[1::2]
+    want = [tuple(int(x) for x in part) for w in z for part in mp.mpc(w)._mpc_]
+    got = _double_parts(z)
+    assert got == want
+    assert all(type(x) is int for part in got for x in part)
 
 
 @pytest.mark.parametrize("N", [6, 8])
@@ -856,7 +879,7 @@ def test_build_feedback_one_eigensolve(p1, monkeypatch):
         return solve(p, ns)
 
     monkeypatch.setattr(spectral, "mode_eigenvalues_batch", counted)
-    monkeypatch.setattr(stab, "mode_eigenvalues_batch", counted)
+    monkeypatch.setattr(stab, "mode_eigenvalues_batch", counted, raising=False)
     build_feedback(p1, 8, 2.0)
     assert solves == [16]
 
