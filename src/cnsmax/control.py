@@ -43,10 +43,7 @@ from .spectral import TWO_PI, ModeEigenSystem, minimal_time, mode_system
 
 # mode_system stays importable from here: the perfbench tracer patches it by
 # name in every module that holds it
-__all__ = ["COND_LIMIT", "RANK_TOL", "ModeControlData", "ControlSignal", "HautusReport",
-           "hautus_check", "mode_control_operator", "gramian_closed_form",
-           "synthesize_everywhere_control", "synthesize_boundary_control",
-           "synthesize_localized_control", "mode_system"]
+__all__ = ["mode_system"]
 
 COND_LIMIT = 1e14
 RANK_TOL = 1e-10              # Hautus test: smallest/largest singular value

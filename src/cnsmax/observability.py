@@ -83,7 +83,10 @@ def canonical_product(p: FluidParams, z: complex, K: int) -> complex:
     Accumulates complex logarithms so that huge or tiny magnitudes cannot
     overflow; an exact hit on a zero returns 0.
     """
-    zeros = _product_zeros(p, K)
+    return _product_at(_product_zeros(p, K), z)
+
+
+def _product_at(zeros: np.ndarray, z: complex) -> complex:
     z = complex(z)
     if z == 0:
         return 0.0
@@ -103,7 +106,10 @@ def _zero_index(n: int, j: int, K: int) -> int:
 
 def canonical_product_derivative(p: FluidParams, n: int, j: int, K: int) -> complex:
     """P'(z_m) at the zero z_m = i*conj(lambda_n^j), skipping its own factor."""
-    zeros, m = _product_zeros(p, K), _zero_index(n, j, K)
+    return _derivative_at(_product_zeros(p, K), _zero_index(n, j, K))
+
+
+def _derivative_at(zeros: np.ndarray, m: int) -> complex:
     fac = 1.0 - zeros[m] / np.delete(zeros, m)
     logmag = 2.0 * np.log(complex(zeros[m])) + np.sum(np.log(fac))
     return complex(-np.exp(logmag))
@@ -115,12 +121,11 @@ def psi_interpolant(p: FluidParams, nj: tuple[int, int], z: complex, K: int) -> 
     Evaluating exactly at z_m returns the limiting value 1; at every other
     truncated zero the product vanishes, giving the Kronecker property.
     """
-    zm = _product_zeros(p, K)[_zero_index(*nj, K)]
-    z = complex(z)
+    zeros, m = _product_zeros(p, K), _zero_index(*nj, K)
+    zm, z = zeros[m], complex(z)
     if z == zm:
         return 1.0
-    val = canonical_product(p, z, K)
-    return complex(val / ((z - zm) * canonical_product_derivative(p, *nj, K)))
+    return complex(_product_at(zeros, z) / ((z - zm) * _derivative_at(zeros, m)))
 
 
 def eigh(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -869,7 +869,6 @@ def test_exact_loop_rounds_few_entries_exactly(p1, monkeypatch):
 def test_build_feedback_one_eigensolve(p1, monkeypatch):
     # the growth bound and the branch table read one spectral table
     import cnsmax.spectral as spectral
-    import cnsmax.stabilize as stab
 
     solves = []
     solve = spectral.mode_eigenvalues_batch
@@ -879,7 +878,6 @@ def test_build_feedback_one_eigensolve(p1, monkeypatch):
         return solve(p, ns)
 
     monkeypatch.setattr(spectral, "mode_eigenvalues_batch", counted)
-    monkeypatch.setattr(stab, "mode_eigenvalues_batch", counted, raising=False)
     build_feedback(p1, 8, 2.0)
     assert solves == [16]
 
