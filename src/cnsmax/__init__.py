@@ -14,7 +14,6 @@ from .errors import (
     NumericalFailure,
     ObservationVanished,
     OmegaTooSmall,
-    RankDeficient,
     StepTooLarge,
     ValidationError,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ValidationError",
     "NumericalFailure",
     "MultiplicityDetected",
-    "RankDeficient",
     "ObservationVanished",
     "IllConditioned",
     "OmegaTooSmall",

@@ -1,14 +1,11 @@
-"""Exact control synthesis: Hautus test, everywhere/localized interior and
-boundary HUM.
+"""Exact control synthesis: everywhere/localized interior and boundary HUM.
 
-Per-mode data comes from the Zm branch table alone.  The Hautus test is one
-batched SVD of the 3x4 matrices [diag(lambda_k - lambda_l) | B_n] of every
-mode n != 0, read from the table's rows; the n = 0 mean, the table's last
-row, is a scalar integrator, controllable iff its column B_0 is nonzero.
-Everywhere controls are one batch over the same table: the closed-form 3x3
-controllability Gramians of all modes, one stacked solve, one array
+Everywhere controls are one batch over the Zm branch table: the closed-form
+3x3 controllability Gramians of all modes, one stacked solve, one array
 expression for every mode's control; n = 0 takes the same formulas as a
-1x1 block.
+1x1 block.  No separate Hautus test is run: the table rejects multiple
+eigenvalues, so [lambda I - A_n | B_n] has full rank at every eigenvalue
+exactly when no entry of the actuator column B_n vanishes.
 Localized and boundary controls share one solve of the HUM moment problem
 on a dense Hermitian Gramian over all retained modal indices.  Every control
 is re-verified by independently evolving the truncated system with it as a
@@ -37,7 +34,7 @@ from ._gram import (
     windowed_gram,
 )
 from .dynamics import SpectralState, energy_norm, evolve
-from .errors import IllConditioned, RankDeficient, ValidationError
+from .errors import IllConditioned, ValidationError
 from .model import FluidParams
 from .spectral import TWO_PI, ModeEigenSystem, minimal_time, mode_system
 
@@ -46,7 +43,6 @@ from .spectral import TWO_PI, ModeEigenSystem, minimal_time, mode_system
 __all__ = ["mode_system"]
 
 COND_LIMIT = 1e14
-RANK_TOL = 1e-10              # Hautus test: smallest/largest singular value
 
 
 @dataclass
@@ -66,38 +62,6 @@ class ControlSignal:
     samples: np.ndarray           # (m,) boundary scalar or (modes, m) modal
     mode_labels: list | None = None
     norm_l2: float = 0.0
-
-
-@dataclass
-class HautusReport:
-    ns: np.ndarray             # (K,) mode of each row of the Zm branch table
-    sigma_ratios: np.ndarray   # (K,) smallest/largest singular value per eigenvalue
-
-
-def hautus_check(p: FluidParams, N: int, B=None) -> HautusReport:
-    """Rank of [lambda I - A_n | B_n] at every eigenvalue of the modes
-    |n| <= N, over the rows of the Zm branch table.
-
-    B is the actuator column over those rows, (K,); by default the
-    everywhere density actuator.  Raises RankDeficient at the first
-    deficient row: sigma_min < RANK_TOL sigma_max for n != 0, and
-    |B_0| <= RANK_TOL for the scalar integrator n = 0.
-    """
-    tab = build_branch_table(p, N, "Zm")
-    B = mode_control_operator(p, tab) if B is None else np.asarray(B)
-    lam, i = tab.lam[:-1].reshape(-1, 3), np.arange(3)
-    # [diag(lambda_k - lambda_l) | B_n] for mode n and eigenvalue k: (2N, 3, 3, 4)
-    mats = np.zeros(lam.shape + (3, 4), dtype=complex)
-    mats[..., i, i] = lam[:, :, None] - lam[:, None, :]
-    mats[..., 3] = B[:-1].reshape(-1, 1, 3)
-    sv = np.linalg.svd(mats, compute_uv=False)
-    bad = (sv[..., -1] < RANK_TOL * sv[..., 0]).ravel()
-    if np.any(bad):
-        a = int(np.argmax(bad))
-        raise RankDeficient(int(tab.idx_n[a]), tab.lam[a], float(sv[..., -1].ravel()[a]))
-    if abs(B[-1]) <= RANK_TOL:
-        raise RankDeficient(0, 0.0, abs(B[-1]))
-    return HautusReport(ns=tab.idx_n, sigma_ratios=np.append(sv[..., -1] / sv[..., 0], 1.0))
 
 
 def mode_control_operator(p: FluidParams, mode: ModeEigenSystem | BranchTable) -> np.ndarray:
@@ -194,7 +158,10 @@ def synthesize_everywhere_control(
     resid, final = _verify(p, state0, T, forcing, target)
     times = np.linspace(0.0, T, 2048)
     samp = coeffs(times)
-    norm2 = float(np.trapezoid(np.sum(np.abs(samp) ** 2, axis=0), times))
+    # a horizon too short for any control overflows here; the infinite norm
+    # is reported as a numerical failure by the caller
+    with np.errstate(over="ignore"):
+        norm2 = float(np.trapezoid(np.sum(np.abs(samp) ** 2, axis=0), times))
     sig = ControlSignal(kind="everywhere_density", horizon=T, times=times,
                         samples=samp, mode_labels=list(range(-N, N + 1)),
                         norm_l2=float(np.sqrt(norm2)))

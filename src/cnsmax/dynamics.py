@@ -1,4 +1,5 @@
-"""Truncated states and exact modal propagation (free, forced, adjoint).
+"""Truncated states, exact modal propagation (free and forced), and
+synthesis on a physical grid.
 
 States hold Fourier coefficients of (rho, u, S) in the orthonormal scalar
 basis e^{inx}/sqrt(2*pi).  The generator is block diagonal over modes, so
@@ -20,13 +21,16 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import GridTooCoarse, ValidationError
 from .model import SUBSPACES, FluidParams
-from .spectral import (TWO_PI, ModeEigenSystem, mode_matrix, nonzero_modes,
-                       spectral_table, z_weights)
+from .spectral import TWO_PI, mode_matrix, spectral_table, z_weights
 
-# Quadrature panels of one record interval of a forced evolve.  The largest
-# case in use needs 27; each panel adds gl_points samples to the forcing
-# array (2N+1, 3, nodes) and to its propagated terms.  With the default 8
-# nodes a panel, one such array at the bound is about 190 MiB for N = 256.
+# Composite Gauss-Legendre quadrature of a forced evolve: PANELS_PER_UNIT
+# panels per unit time, GL_POINTS nodes a panel.  MAX_PANELS bounds the panels
+# of one record interval.  The largest case in use needs 27; each panel adds
+# GL_POINTS samples to the forcing array (2N+1, 3, nodes) and to its
+# propagated terms, so one such array at the bound is about 190 MiB for
+# N = 256.
+PANELS_PER_UNIT = 64
+GL_POINTS = 8
 MAX_PANELS = 1024
 
 PADE13 = [factorial(26 - k) // (factorial(k) * factorial(13 - k)) for k in range(14)]
@@ -82,9 +86,6 @@ class SpectralState:
         if self.subspace == "Zmm" and np.any(zero != 0):
             raise ValidationError("Zmm state must have a zero n=0 coefficient")
 
-    def coeff(self, n: int) -> np.ndarray:
-        return self.rows([n])[0]
-
     def rows(self, ns) -> np.ndarray:
         """The triples of the modes ns, (len(ns), 3); zero beyond N."""
         ns = np.asarray(ns, dtype=int)
@@ -117,13 +118,8 @@ def energy_norm(state: SpectralState, p: FluidParams) -> float:
     return float(np.sqrt(np.sum(z_weights(p) * np.abs(state.coeffs) ** 2)))
 
 
-def component_norms(state: SpectralState) -> tuple[float, float, float]:
-    """Plain L^2 norms of the three components."""
-    return tuple(np.sqrt(np.sum(np.abs(state.coeffs) ** 2, axis=0)).tolist())
-
-
 class _ModePropagator:
-    """Flow of a batch of mode blocks in weighted Fourier coordinates.
+    """Flow of the modes ns (n = 0 allowed) in weighted Fourier coordinates.
 
     Nonzero modes are diagonalized through their basis-change matrices
     Gamma_n.  The n = 0 block is diagonal already (mean density and velocity
@@ -135,8 +131,14 @@ class _ModePropagator:
 
     COND_LIMIT = 1e8
 
-    def __init__(self, p: FluidParams, ns, lambdas: np.ndarray, gamma: np.ndarray):
+    def __init__(self, p: FluidParams, ns):
         ns = np.asarray(ns, dtype=int)
+        nz = ns != 0
+        lambdas = np.tile(np.array([0.0, 0.0, -1.0 / p.kappa], dtype=complex), (ns.size, 1))
+        gamma = np.tile(np.eye(3, dtype=complex), (ns.size, 1, 1))
+        tab = spectral_table(p, ns[nz]).require_simple()
+        lambdas[nz] = tab.lambdas
+        gamma[nz] = tab.gamma
         self.use_expm = np.linalg.cond(gamma) > self.COND_LIMIT
         diag = ~self.use_expm
         self.lambdas = lambdas[diag]
@@ -147,18 +149,6 @@ class _ModePropagator:
              for n, lam in zip(ns[self.use_expm], lambdas[self.use_expm])],
             dtype=complex,
         ).reshape(-1, 3, 3)
-
-    @classmethod
-    def of_modes(cls, p: FluidParams, ns) -> "_ModePropagator":
-        """Propagator of the modes ns (n = 0 allowed) from the spectral table."""
-        ns = np.asarray(ns, dtype=int)
-        nz = ns != 0
-        lam = np.tile(np.array([0.0, 0.0, -1.0 / p.kappa], dtype=complex), (ns.size, 1))
-        gamma = np.tile(np.eye(3, dtype=complex), (ns.size, 1, 1))
-        tab = spectral_table(p, ns[nz]).require_simple()
-        lam[nz] = tab.lambdas
-        gamma[nz] = tab.gamma
-        return cls(p, ns, lam, gamma)
 
     def flow(self, g: np.ndarray, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] e^{taus[k] A_n} g[n, :, k] for every mode n.
@@ -178,25 +168,12 @@ class _ModePropagator:
         return out
 
 
-def propagate_mode(p: FluidParams, mode: ModeEigenSystem, c, t: float) -> np.ndarray:
-    """Flow e^{t A_n} c in the weighted Fourier coordinates of mode n.
-
-    Diagonalization through the basis-change matrix; scaling-and-squaring
-    fallback when that matrix is too ill-conditioned.
-    """
-    prop = _ModePropagator(p, [mode.n], mode.lambdas[None], mode.gamma[None])
-    g = np.asarray(c, dtype=complex).reshape(1, 3, 1)
-    return prop.flow(g, np.array([float(t)]), np.ones(1))[0]
-
-
 def evolve(
     p: FluidParams,
     state0: SpectralState,
     T: float,
     forcing=None,
     record_times=None,
-    panels_per_unit: int = 64,
-    gl_points: int = 8,
 ):
     """Propagate a state over [0, T], optionally with modal forcing.
 
@@ -204,7 +181,7 @@ def evolve(
     forcing triples of mode i - N, in weighted Fourier coordinates, at the
     times ts.  It is called once per record interval [t0, t1] with dt > 0,
     with that interval's composite Gauss-Legendre nodes
-    (ceil(dt * panels_per_unit) panels of gl_points nodes each, at most
+    (ceil(dt * PANELS_PER_UNIT) panels of GL_POINTS nodes each, at most
     MAX_PANELS), and the variation-of-constants integral is summed over the
     nodes for all modes at once.  Returns (TrajectoryRecord, final
     SpectralState).
@@ -215,14 +192,14 @@ def evolve(
     if record_times[0] != 0.0 or (T > 0 and record_times[-1] != T):
         raise ValidationError("record_times must start at 0 and end at T")
     dts = np.diff(record_times)
-    panels = np.ceil(dts.max(initial=0.0) * panels_per_unit)
+    panels = np.ceil(dts.max(initial=0.0) * PANELS_PER_UNIT)
     if forcing is not None and panels > MAX_PANELS:
         raise ValidationError(f"a record interval of length {dts.max():.3e} needs "
                               f"{panels:.3e} quadrature panels, more than {MAX_PANELS}")
 
     N = state0.N
-    prop = _ModePropagator.of_modes(p, np.arange(-N, N + 1))
-    xs, ws = leggauss(gl_points)
+    prop = _ModePropagator(p, np.arange(-N, N + 1))
+    xs, ws = leggauss(GL_POINTS)
     sw = np.sqrt(z_weights(p))
     one = np.ones(1)
 
@@ -233,7 +210,7 @@ def evolve(
         t0, t1 = record_times[k - 1], record_times[k]
         cnew = prop.flow(current[:, :, None], np.array([dt]), one)
         if forcing is not None and dt > 0:
-            npan = max(1, int(np.ceil(dt * panels_per_unit)))
+            npan = max(1, int(np.ceil(dt * PANELS_PER_UNIT)))
             half = dt / (2 * npan)
             mids = t0 + dt * np.arange(npan) / npan + half
             s = (mids[:, None] + half * xs).ravel()
@@ -264,49 +241,6 @@ def _record(times, power, w) -> TrajectoryRecord:
     )
 
 
-def adjoint_mode_coefficients(p: FluidParams, state: SpectralState) -> np.ndarray:
-    """Expand a state in the adjoint eigenbasis: c_{n,l} = <z, xi_{n,l}>_Z,
-    one row per mode n of nonzero_modes(N), (2N, 3)."""
-    ns = nonzero_modes(state.N)
-    xi = spectral_table(p, ns).require_simple().xi_coeffs
-    # state coefficient triple r relates to plain components v by v = r/sqrt(2*pi)
-    v = state.rows(ns) / np.sqrt(TWO_PI)
-    return TWO_PI * np.einsum("mp,mlp->ml", z_weights(p) * v, np.conj(xi))
-
-
-def evolve_adjoint(
-    p: FluidParams,
-    terminal_state: SpectralState,
-    T: float,
-    record_times=None,
-):
-    """Backward adjoint flow from terminal data at time T.
-
-    Returns (TrajectoryRecord, states) where states[k] is the adjoint
-    solution at record_times[k]; the coefficient of each adjoint eigenmode
-    scales by e^{conj(lambda) (T - t)}.
-    """
-    if record_times is None:
-        record_times = np.linspace(0.0, T, 65)
-    record_times = np.asarray(record_times, dtype=float)
-
-    N = terminal_state.N
-    ns = nonzero_modes(N)
-    tab = spectral_table(p, ns).require_simple()
-    star = tab.xi_star_coeffs / tab.psi[..., None]
-    tau = (T - record_times)[:, None, None]
-    fac = adjoint_mode_coefficients(p, terminal_state) * np.exp(np.conj(tab.lambdas) * tau)
-    v = np.empty((record_times.size, 2 * N + 1, 3), dtype=complex)
-    v[:, ns + N] = np.einsum("tml,mlp->tmp", fac, star) * np.sqrt(TWO_PI)
-    # the n = 0 block: mean density and velocity frozen, stress relaxing
-    v[:, N] = terminal_state.coeffs[N]
-    v[:, N, 2] *= np.exp(-tau[:, 0, 0] / p.kappa)
-
-    w = z_weights(p)
-    rec = _record(record_times, np.sum(w * np.abs(v) ** 2, axis=1), w)
-    return rec, [SpectralState(N=N, coeffs=c) for c in v]
-
-
 def synthesize_physical(state: SpectralState, M: int):
     """Sample (rho, u, S) on M uniform grid points by inverse Fourier synthesis."""
     if M < 2 * state.N + 1:
@@ -316,17 +250,6 @@ def synthesize_physical(state: SpectralState, M: int):
     fields = np.fft.ifft(spec * M / np.sqrt(TWO_PI), axis=1)
     x = TWO_PI * np.arange(M) / M
     return x, fields
-
-
-def analyze_physical(fields: np.ndarray, N: int, subspace: str = "Z") -> SpectralState:
-    """Project sampled (rho, u, S) onto modes |n| <= N (inverse of synthesis)."""
-    fields = np.asarray(fields, dtype=complex)
-    M = fields.shape[1]
-    if M < 2 * N + 1:
-        raise GridTooCoarse(f"grid M={M} cannot carry N={N}")
-    spec = np.fft.fft(fields, axis=1) * np.sqrt(TWO_PI) / M
-    return SpectralState(N=N, coeffs=spec[:, np.arange(-N, N + 1) % M].T,
-                         subspace=subspace)
 
 
 def random_state(

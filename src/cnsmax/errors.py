@@ -26,18 +26,6 @@ class MultiplicityDetected(NumericalFailure):
         )
 
 
-class RankDeficient(NumericalFailure):
-    """A Hautus rank test failed at some eigenvalue."""
-
-    def __init__(self, n, lam, sigma_min):
-        self.n = n
-        self.lam = lam
-        self.sigma_min = sigma_min
-        super().__init__(
-            f"mode n={n}: rank deficiency at eigenvalue {lam} (sigma_min {sigma_min:.3e})"
-        )
-
-
 class ObservationVanished(NumericalFailure):
     """A boundary observation functional evaluated to (numerically) zero."""
 

@@ -1,6 +1,5 @@
-"""Ingham frame bounds, canonical-product interpolants, observability and
-admissibility constants, and the small-time lack-of-controllability scaling
-experiment.
+"""Ingham frame bounds, observability and admissibility constants, and the
+small-time lack-of-controllability scaling experiment.
 
 All quadratic forms are assembled in closed form over flattened modal
 indices; finite sections are always positive definite, so the reported
@@ -25,14 +24,7 @@ from ._gram import (
 )
 from .errors import HypothesisViolated, NumericalFailure, ValidationError
 from .model import FluidParams
-from .spectral import (
-    TWO_PI,
-    mode_eigenvalues_batch,
-    nonzero_modes,
-    solve_beta_cubic,
-    spectral_table,
-    z_weights,
-)
+from .spectral import TWO_PI, solve_beta_cubic, spectral_table, z_weights
 
 
 @dataclass
@@ -69,63 +61,6 @@ def ingham_frame_bounds(p: FluidParams, N: int, T: float) -> tuple[float, float]
     """Numerical frame constants of the adjoint exponential family on [0, T]."""
     g = exp_gram(p, N, T)
     return g.eig_min, g.eig_max
-
-
-def _product_zeros(p: FluidParams, K: int) -> np.ndarray:
-    """Nonzero zeros i*conj(lambda_n^j) of the canonical product, |n| <= K."""
-    lam = mode_eigenvalues_batch(p, nonzero_modes(K))
-    return (1j * np.conj(lam)).ravel()
-
-
-def canonical_product(p: FluidParams, z: complex, K: int) -> complex:
-    """Truncated canonical product P(z) = z^3 prod (1 - z/(i conj(lambda))).
-
-    Accumulates complex logarithms so that huge or tiny magnitudes cannot
-    overflow; an exact hit on a zero returns 0.
-    """
-    return _product_at(_product_zeros(p, K), z)
-
-
-def _product_at(zeros: np.ndarray, z: complex) -> complex:
-    z = complex(z)
-    if z == 0:
-        return 0.0
-    fac = 1.0 - z / zeros
-    if np.any(fac == 0):
-        return 0.0
-    return complex(np.exp(3.0 * np.log(complex(z)) + np.sum(np.log(fac))))
-
-
-def _zero_index(n: int, j: int, K: int) -> int:
-    """Position of z_m = i*conj(lambda_n^j) in `_product_zeros(p, K)`: n's
-    row in nonzero_modes(K) times 3, plus j."""
-    if not (1 <= abs(n) <= K and 0 <= j < 3):
-        raise ValueError("(n, j) is not inside the truncated zero set")
-    return 3 * (n + K - (n > 0)) + j
-
-
-def canonical_product_derivative(p: FluidParams, n: int, j: int, K: int) -> complex:
-    """P'(z_m) at the zero z_m = i*conj(lambda_n^j), skipping its own factor."""
-    return _derivative_at(_product_zeros(p, K), _zero_index(n, j, K))
-
-
-def _derivative_at(zeros: np.ndarray, m: int) -> complex:
-    fac = 1.0 - zeros[m] / np.delete(zeros, m)
-    logmag = 2.0 * np.log(complex(zeros[m])) + np.sum(np.log(fac))
-    return complex(-np.exp(logmag))
-
-
-def psi_interpolant(p: FluidParams, nj: tuple[int, int], z: complex, K: int) -> complex:
-    """Interpolant P(z)/((z - z_m) P'(z_m)) with z_m = i conj(lambda_n^j).
-
-    Evaluating exactly at z_m returns the limiting value 1; at every other
-    truncated zero the product vanishes, giving the Kronecker property.
-    """
-    zeros, m = _product_zeros(p, K), _zero_index(*nj, K)
-    zm, z = zeros[m], complex(z)
-    if z == zm:
-        return 1.0
-    return complex(_product_at(zeros, z) / ((z - zm) * _derivative_at(zeros, m)))
 
 
 def eigh(a: np.ndarray, b: np.ndarray) -> np.ndarray:

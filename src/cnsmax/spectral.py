@@ -381,37 +381,6 @@ def gamma_matrix(p: FluidParams, mode: ModeEigenSystem) -> GammaMatrix:
     return GammaMatrix(n=mode.n, entries=mode.gamma, det_closed_form=complex(det_cf))
 
 
-def riesz_frame_bounds(p: FluidParams, N: int) -> tuple[float, float]:
-    """Extreme eigenvalues of the Gram matrix of the eigenbasis over |n| <= N.
-
-    Cross-mode inner products vanish by Fourier orthogonality, so the Gram is
-    block diagonal with 3x3 blocks (plus the normalized n = 0 direction).
-    """
-    xi = spectral_table(p, nonzero_modes(N)).require_simple().xi_coeffs
-    g = TWO_PI * np.einsum("mlp,p,mqp->mlq", xi, z_weights(p), np.conj(xi))
-    ev = np.linalg.eigvalsh(g)
-    # the n = 0 block: <xi_0, xi_0>_Z = 1
-    lo = float(ev[:, 0].min(initial=1.0))
-    hi = float(ev[:, -1].max(initial=1.0))
-    if lo <= 0:
-        raise NumericalFailure("eigenbasis Gram lost positivity")
-    return lo, hi
-
-
-def min_eigenvalue_gap(p: FluidParams, N: int) -> float:
-    """Empirical spectral gap: min |lambda_a - lambda_b| over |n| <= N pairs."""
-    lam = mode_eigenvalues_batch(p, nonzero_modes(N)).ravel()
-    best = np.inf
-    chunk = 512
-    for s in range(0, lam.size, chunk):
-        blk = lam[s : s + chunk]
-        d = np.abs(blk[:, None] - lam[None, :])
-        iu = np.arange(s, s + blk.size)
-        d[np.arange(blk.size), iu] = np.inf  # self-distances
-        best = min(best, float(d.min()))
-    return best
-
-
 def spectrum_rows(p: FluidParams, N: int) -> tuple[np.ndarray, ...]:
     """Columns (n, branch, re, im, theta, re_psi, im_psi, mult_flag) of the
     rows of 0 < |n| <= N; n, branch and mult_flag are integer arrays.

@@ -26,12 +26,14 @@ def _write_cfg(tmp_path, name, body):
 
 def _cli_child(tmp_path, command, block):
     """Run the CLI on P1 and block in a child process under a 30 s timeout,
-    so a hang fails the test; returns the exit code and summary.json text."""
+    so a hang fails the test, and with RuntimeWarnings as errors, as in the
+    suite; returns the exit code and summary.json text."""
     cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
     out = tmp_path / "out"
     path = [str(Path(cnsmax.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
-        [sys.executable, "-m", "cnsmax.cli", command, "--config", cfg, "--out", str(out)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cnsmax.cli", command,
+         "--config", cfg, "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=30,
     )

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
+from cnsmax import dynamics as dyn
 from cnsmax.dynamics import (
     SpectralState,
-    adjoint_mode_coefficients,
-    analyze_physical,
     energy_norm,
     evolve,
-    evolve_adjoint,
-    propagate_mode,
     random_state,
     synthesize_physical,
 )
@@ -42,29 +39,20 @@ def test_subspace_constraints():
 
 
 def test_propagate_mode_identity_and_semigroup(p1):
+    def flow(st, t):
+        return evolve(p1, st, t, record_times=np.array([0.0, t]))[1]
+
     rng = np.random.default_rng(0)
     for n in (1, 5, -9):
-        m = mode_system(p1, n)
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert np.allclose(propagate_mode(p1, m, c, 0.0), c, atol=1e-14)
-        one = propagate_mode(p1, m, propagate_mode(p1, m, c, 0.7), 0.4)
-        two = propagate_mode(p1, m, c, 1.1)
+        st = state_of(abs(n), {n: c})
+        assert np.allclose(flow(st, 0.0).rows([n])[0], c, atol=1e-14)
+        one = flow(flow(st, 0.7), 0.4).rows([n])[0]
+        two = flow(st, 1.1).rows([n])[0]
         assert np.allclose(one, two, atol=1e-9)
         # group property: negative time inverts
-        back = propagate_mode(p1, m, propagate_mode(p1, m, c, 0.8), -0.8)
+        back = flow(flow(st, 0.8), -0.8).rows([n])[0]
         assert np.allclose(back, c, atol=1e-9)
-
-
-def test_propagate_mode_expm_fallback_agrees(p1, monkeypatch):
-    # force the scaling-and-squaring path and compare to diagonalization
-    from cnsmax import dynamics as dyn
-
-    m = mode_system(p1, 6)
-    c = np.array([0.3 - 0.1j, 0.2 + 0.5j, -0.7 + 0.05j])
-    want = propagate_mode(p1, m, c, 0.9)
-    monkeypatch.setattr(dyn._ModePropagator, "COND_LIMIT", 0.0)
-    got = propagate_mode(p1, m, c, 0.9)
-    assert np.allclose(got, want, atol=1e-11)
 
 
 def test_expm_matches_scipy(p1):
@@ -119,13 +107,13 @@ def test_free_flow_zero_mode_invariants(p1):
     st = state_of(1, {0: [0.3, 0.5, 0.8], 1: [0.1, 0, 0]})
     ts = np.array([0.0, 0.7, 1.9])
     rec, final = evolve(p1, st, 1.9, record_times=ts)
-    c0 = final.coeff(0)
+    c0 = final.rows([0])[0]
     assert c0[1] == pytest.approx(0.5, rel=1e-12)
     assert c0[2] * np.exp(1.9 / p1.kappa) == pytest.approx(0.8, rel=1e-12)
     assert c0[0] == pytest.approx(0.3, rel=1e-12)
 
 
-def test_forced_evolution_quadrature_self_convergence(p1):
+def test_forced_evolution_quadrature_self_convergence(p1, monkeypatch):
     state0 = random_state(p1, 4, "Zm", seed=2)
 
     def forcing(ts):
@@ -133,11 +121,11 @@ def test_forced_evolution_quadrature_self_convergence(p1):
         out[:, 0] = np.sin(ts)
         return out
 
-    _, f1 = evolve(p1, state0, 1.5, forcing=forcing, panels_per_unit=32)
-    _, f2 = evolve(p1, state0, 1.5, forcing=forcing, panels_per_unit=64)
-    diff = 0.0
-    for n in range(-4, 5):
-        diff = max(diff, np.max(np.abs(f1.coeff(n) - f2.coeff(n))))
+    monkeypatch.setattr(dyn, "PANELS_PER_UNIT", 32)
+    _, f1 = evolve(p1, state0, 1.5, forcing=forcing)
+    monkeypatch.setattr(dyn, "PANELS_PER_UNIT", 64)
+    _, f2 = evolve(p1, state0, 1.5, forcing=forcing)
+    diff = np.max(np.abs(f1.coeffs - f2.coeffs))
     assert diff < 1e-10
 
 
@@ -147,8 +135,6 @@ def test_forced_evolution_matches_van_loan(p1, monkeypatch, cond_limit):
     is e^{T A_n} c_n + int_0^T e^{(T-s) A_n} v_n e^{mu_n s} ds, read off the
     augmented exponential expm([[A_n, v_n], [0, mu_n]]) (Van Loan)."""
     from scipy.linalg import expm
-
-    from cnsmax import dynamics as dyn
 
     fallbacks = []
     if cond_limit is not None:
@@ -166,13 +152,13 @@ def test_forced_evolution_matches_van_loan(p1, monkeypatch, cond_limit):
 
     _, final = evolve(p1, state0, T, forcing=forcing)
     sw = np.sqrt(z_weights(p1))
-    got = np.array([sw * final.coeff(n) for n in ns])
+    got = sw * final.coeffs
     want = []
     for n, vn, mun in zip(ns, v, mu):
         A = np.diag([0.0, 0.0, -1.0 / p1.kappa]) if n == 0 else mode_matrix(p1, n)
         aug = np.zeros((4, 4), dtype=complex)
         aug[:3, :3], aug[:3, 3], aug[3, 3] = A, vn, mun
-        want.append(expm(T * A) @ (sw * state0.coeff(n)) + expm(T * aug)[:3, 3])
+        want.append(expm(T * A) @ (sw * state0.coeffs[n + N]) + expm(T * aug)[:3, 3])
     want = np.array(want)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
     assert (len(fallbacks) > 0) == (cond_limit is not None)
@@ -193,7 +179,7 @@ def test_evolve_empty_state_gives_complex_zeros(p1):
     assert np.all(rec.energies == 0)
 
 
-def test_forcing_called_once_per_record_interval(p1):
+def test_forcing_called_once_per_record_interval(p1, monkeypatch):
     """evolve samples the forcing once per record interval with dt > 0, on
     that interval's whole composite Gauss-Legendre grid."""
     N, ppu, gl = 3, 10, 4
@@ -204,8 +190,9 @@ def test_forcing_called_once_per_record_interval(p1):
         calls.append(np.array(s))
         return np.zeros((2 * N + 1, 3, len(s)), dtype=complex)
 
-    evolve(p1, random_state(p1, N, seed=1), 1.0, forcing=forcing,
-           record_times=ts, panels_per_unit=ppu, gl_points=gl)
+    monkeypatch.setattr(dyn, "PANELS_PER_UNIT", ppu)
+    monkeypatch.setattr(dyn, "GL_POINTS", gl)
+    evolve(p1, random_state(p1, N, seed=1), 1.0, forcing=forcing, record_times=ts)
     spans = [(a, b) for a, b in zip(ts[:-1], ts[1:]) if b > a]
     assert len(calls) == len(spans)
     for s, (a, b) in zip(calls, spans):
@@ -215,22 +202,6 @@ def test_forcing_called_once_per_record_interval(p1):
     with pytest.raises(ValidationError):
         evolve(p1, random_state(p1, N, seed=1), 1.0,
                forcing=lambda s: np.zeros((2 * N, 3, len(s))))
-
-
-def test_evolve_adjoint_terminal_and_profile(p1):
-    n, l = 2, 0
-    m = mode_system(p1, n)
-    star = m.xi_star_coeffs[l] / m.psi[l] * np.sqrt(TWO_PI)
-    term = state_of(n, {n: star})
-    T = 1.3
-    ts = np.linspace(0, T, 7)
-    rec, states = evolve_adjoint(p1, term, T, record_times=ts)
-    assert np.allclose(states[-1].coeff(n), term.coeff(n), atol=1e-12)
-    lam = m.lambdas[l]
-    # modulus profile of a single adjoint mode: e^{Re(lambda) (T - t)}
-    mods = [np.linalg.norm(s.coeff(n)) for s in states]
-    expect = np.linalg.norm(star) * np.exp(lam.real * (T - ts))
-    assert np.allclose(mods, expect, rtol=1e-10)
 
 
 def test_duality_pairing_constant_with_rk4_oracle(p1):
@@ -262,7 +233,7 @@ def test_duality_pairing_constant_with_rk4_oracle(p1):
         else:
             A = mode_matrix(p1, n)
         blocks[n] = A.conj().T  # adjoint block in the weighted frame
-    cur = {n: np.sqrt(w) * wT.coeff(n) for n in range(-N, N + 1)}
+    cur = {n: np.sqrt(w) * wT.coeffs[n + N] for n in range(-N, N + 1)}
     w_states = {round(float(T), 12): {n: c / np.sqrt(w) for n, c in cur.items()}}
     for k in range(steps):
         for n, A in blocks.items():
@@ -286,44 +257,16 @@ def test_duality_pairing_constant_with_rk4_oracle(p1):
     assert np.max(np.abs(pairings - pairings[0])) < 1e-7 * max(1, abs(pairings[0]))
 
 
-def test_adjoint_vs_rk4_small_N(p1):
-    """evolve_adjoint matches a dense RK4 integration of the adjoint blocks."""
-    from cnsmax.spectral import mode_matrix
-
-    N, T = 2, 0.8
-    wT = random_state(p1, N, "Zm", seed=11, real_valued=False)
-    _, states = evolve_adjoint(p1, wT, T, record_times=np.array([0.0, T]))
-    got0 = states[0]
-
-    w = z_weights(p1)
-    steps, dt = 2000, T / 2000
-    cur = {n: np.sqrt(w) * wT.coeff(n) for n in range(-N, N + 1)}
-    for _ in range(steps):
-        for n in list(cur):
-            A = (np.diag([0.0, 0.0, -1.0 / p1.kappa]) if n == 0
-                 else mode_matrix(p1, n)).conj().T
-            c = cur[n]
-            f = lambda y: A @ y
-            k1 = f(c)
-            k2 = f(c + 0.5 * dt * k1)
-            k3 = f(c + 0.5 * dt * k2)
-            k4 = f(c + dt * k3)
-            cur[n] = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    for n in range(-N, N + 1):
-        assert np.allclose(cur[n] / np.sqrt(w), got0.coeff(n), atol=1e-8)
-
-
 def test_synthesize_roundtrip_and_reality(p1):
     st = state_of(1, {1: [1.0, 0, 0]})
     x, fields = synthesize_physical(st, 8)
     assert np.allclose(fields[0], np.exp(1j * x) / np.sqrt(TWO_PI), atol=1e-12)
 
+    # against the direct sum of c_n e^{inx} / sqrt(2 pi) on the same grid
     rnd = random_state(p1, 16, "Zm", seed=5, real_valued=False)
     x, fields = synthesize_physical(rnd, 64)
-    back = analyze_physical(fields, 16, "Z")
-    err = max(
-        np.max(np.abs(back.coeff(n) - rnd.coeff(n))) for n in range(-16, 17)
-    )
+    waves = np.exp(1j * np.outer(np.arange(-16, 17), x)) / np.sqrt(TWO_PI)
+    err = np.max(np.abs(fields - rnd.coeffs.T @ waves))
     assert err < 1e-12
 
     sym = random_state(p1, 8, "Zm", seed=6, real_valued=True)

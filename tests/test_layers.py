@@ -7,8 +7,10 @@ neither mpmath nor the numerics layers.  The package runs on its runtime
 dependencies alone: no module loads scipy (a test oracle only), and every
 third-party module it imports is listed in pyproject.toml.  It holds no dead
 code: no module-level import goes unused, and every module-level function
-and class is referenced from src/, tests/ or perfbench/.  Per-mode data
-comes from the batched tables, never from a one-mode solve.
+and class, and every method and property of those classes, is referenced
+from src/, the acceptance criteria (tests/test_acceptance.py) or
+perfbench/; a definition that only the other tests use is an orphan.
+Per-mode data comes from the batched tables, never from a one-mode solve.
 """
 
 import ast
@@ -143,28 +145,42 @@ def test_no_unused_module_imports(name):
 
 
 def _references():
-    """Identifiers read by any file under src/, tests/ or perfbench/:
-    names, attributes, and string constants (the benchmark tracer patches
-    functions by their name)."""
+    """Identifiers read by the program, the acceptance criteria and the
+    benchmark (src/, tests/test_acceptance.py, perfbench/): names,
+    attributes, and string constants (the benchmark tracer patches functions
+    by their name).  The other tests do not count, so a definition only they
+    use shows as an orphan."""
     refs = set()
-    for top in ("src", "tests", "perfbench"):
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name):
-                    refs.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    refs.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    refs.add(node.value)
+    paths = [*(ROOT / "src").rglob("*.py"), ROOT / "tests" / "test_acceptance.py",
+             *(ROOT / "perfbench").rglob("*.py")]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
     return refs
+
+
+def _definitions(name):
+    """(line, name) of each module-level function and class of a module, and
+    of each method and property of those classes but dunders."""
+    for node in _tree(name).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((fn.lineno, f"{node.name}.{fn.name}") for fn in node.body
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (fn.name.startswith("__") and fn.name.endswith("__")))
 
 
 def test_every_module_level_definition_is_referenced():
     refs = _references()
-    orphans = [f"{name}.py:{node.lineno} {node.name}"
-               for name in _modules() for node in _tree(name).body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and node.name not in refs]
+    orphans = [f"{name}.py:{line} {qual}"
+               for name in _modules() for line, qual in _definitions(name)
+               if qual.split(".")[-1] not in refs]
     assert orphans == []
 
 

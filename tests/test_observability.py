@@ -14,15 +14,12 @@ from cnsmax._gram import (
 from cnsmax.errors import HypothesisViolated
 from cnsmax.observability import (
     boundary_observability_constant,
-    canonical_product,
-    canonical_product_derivative,
     exp_gram,
     exponential_gram,
     gram_pencil_eigvals,
     ingham_frame_bounds,
     interior_observability_constant,
     lack_experiment,
-    psi_interpolant,
 )
 from cnsmax.spectral import TWO_PI, minimal_time, mode_eigenvalues_batch, mode_system
 
@@ -63,80 +60,6 @@ def test_ingham_bounds_and_trend(p1):
     assert c1_hi > 0
     c1_lo, _ = ingham_frame_bounds(p1, 12, 0.3 * t0)
     assert c1_lo / c1_hi <= 1e-3
-
-
-def test_canonical_product_zeros(p1):
-    K = 24
-    assert canonical_product(p1, 0.0, K) == 0.0
-    # first two derivatives also vanish at zero: P(z)/z^2 -> 0
-    for eps in (1e-6, 1e-7):
-        assert abs(canonical_product(p1, eps, K)) / eps**2 < 1e-3
-    lam = mode_eigenvalues_batch(p1, [4])[0]
-    for j in range(3):
-        site = 1j * np.conj(lam[j])
-        val = canonical_product(p1, site, K)
-        ref = abs(canonical_product(p1, site * (1 + 1e-3), K))
-        assert abs(val) <= 1e-10 * max(ref, 1.0)
-
-
-def test_canonical_product_bounded_on_real_axis(p1):
-    # truncation inflates |P| by about exp(x^2 c / K); on a fixed grid the
-    # sampled bound is finite and shrinks toward the limit as K doubles
-    xs = np.linspace(-5, 5, 41)
-    m32 = max(abs(canonical_product(p1, x, 32)) for x in xs)
-    m64 = max(abs(canonical_product(p1, x, 64)) for x in xs)
-    assert np.isfinite(m32) and np.isfinite(m64)
-    assert m64 <= m32 * 1.01
-    print(f"\nreal-axis bound on |x|<=5: K=32 -> {m32:.4e}, K=64 -> {m64:.4e}")
-
-
-def test_canonical_product_derivative_at_each_zero(p1):
-    # P'(z_m) is the slope of P at its zero z_m, for the first and last
-    # modes of the truncation and every branch
-    K = 24
-    for n in (-K, -1, 1, 7, K):
-        for j in range(3):
-            site = 1j * np.conj(mode_eigenvalues_batch(p1, [n])[0][j])
-            h = 1e-6 * (1.0 + abs(site))
-            rise = canonical_product(p1, site + h, K) - canonical_product(p1, site - h, K)
-            slope = rise / (2 * h)
-            assert canonical_product_derivative(p1, n, j, K) == pytest.approx(slope, rel=1e-6)
-    for n, j in [(0, 0), (K + 1, 0), (-K - 1, 2), (3, 3), (3, -1)]:
-        with pytest.raises(ValueError):
-            canonical_product_derivative(p1, n, j, K)
-        with pytest.raises(ValueError):
-            psi_interpolant(p1, (n, j), 0.5, K)
-
-
-def test_psi_interpolant_kronecker(p1):
-    K = 64
-    pairs = [(3, 0), (-5, 1), (10, 2)]
-    for n, j in pairs:
-        lam = mode_eigenvalues_batch(p1, [n])[0][j]
-        site = 1j * np.conj(lam)
-        assert psi_interpolant(p1, (n, j), site, K) == pytest.approx(1.0, abs=1e-8)
-    # off-site values vanish within truncation
-    worst = 0.0
-    for k, l in [(2, 0), (7, 1), (-12, 2), (20, 0)]:
-        lam = mode_eigenvalues_batch(p1, [k])[0][l]
-        site = 1j * np.conj(lam)
-        v = abs(psi_interpolant(p1, (3, 0), site, K))
-        worst = max(worst, v)
-    assert worst <= 1e-6
-
-
-def test_psi_interpolant_refinement(p1):
-    def maxdev(K):
-        dev = 0.0
-        for k, l in [(2, 0), (5, 1), (-4, 2)]:
-            lam = mode_eigenvalues_batch(p1, [k])[0][l]
-            site = 1j * np.conj(lam)
-            want = 1.0 if (k, l) == (2, 0) else 0.0
-            dev = max(dev, abs(psi_interpolant(p1, (2, 0), site, K) - want))
-        return dev
-
-    d32, d64 = maxdev(32), maxdev(64)
-    assert d64 <= d32 + 1e-10
 
 
 def test_interior_observability_parseval_sanity():

@@ -8,12 +8,10 @@ from cnsmax.spectral import (
     biorthogonality_matrix,
     branch_residual_slope,
     gamma_matrix,
-    min_eigenvalue_gap,
     mode_eigenvalues_batch,
     mode_matrix,
     mode_system,
     nonzero_modes,
-    riesz_frame_bounds,
     solve_beta_cubic,
     spectral_table,
     z_weights,
@@ -184,8 +182,15 @@ def test_riesz_frame_bounds(p1):
     gram = TWO_PI * np.einsum("lp,p,qp->lq", phi, w, np.conj(phi))
     assert np.allclose(gram, np.eye(3), atol=1e-14)
 
-    lo10, hi10 = riesz_frame_bounds(p1, 10)
-    lo25, hi25 = riesz_frame_bounds(p1, 25)
+    def bounds(N):
+        # extreme eigenvalues of the eigenbasis Gram over |n| <= N: 3x3
+        # blocks by Fourier orthogonality, plus <xi_0, xi_0>_Z = 1
+        xi = spectral_table(p1, nonzero_modes(N)).require_simple().xi_coeffs
+        ev = np.linalg.eigvalsh(TWO_PI * np.einsum("mlp,p,mqp->mlq", xi, w, np.conj(xi)))
+        return min(ev[:, 0].min(), 1.0), max(ev[:, -1].max(), 1.0)
+
+    lo10, hi10 = bounds(10)
+    lo25, hi25 = bounds(25)
     assert lo25 > 0
     # principal-submatrix nesting: bounds widen with N
     assert lo25 <= lo10 <= hi10 <= hi25
@@ -198,8 +203,10 @@ def test_detect_multiplicity_clean_spectrum(p1):
     assert np.all(np.abs(tab.psi) > 1e-10)
     tab.require_simple()
     # empirical spectral-gap floor over the full computed range
-    gap = min_eigenvalue_gap(p1, 200)
-    assert gap > 0
+    lam = mode_eigenvalues_batch(p1, nonzero_modes(200)).ravel()
+    gaps = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() > 0
 
 
 def test_multiplicity_guard_fires():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cnsmax._gram import boundary_observation_vector, build_branch_table
-from cnsmax.dynamics import SpectralState, TrajectoryRecord, component_norms, random_state
+from cnsmax.dynamics import SpectralState, TrajectoryRecord, random_state
 from cnsmax.errors import DegenerateWindow, OmegaTooSmall
 from cnsmax.stabilize import (
     build_feedback,
@@ -115,7 +115,8 @@ def test_closed_loop_component_norms(p1):
         z0 = random_state(p1, N, "Zmm", seed=3)
         traj = closed_loop_simulate(p1, law, z0, 10.0)
         got = [traj.norm_rho[0], traj.norm_u[0], traj.norm_S[0]]
-        assert np.allclose(got, component_norms(z0), rtol=1e-12, atol=0)
+        want = np.sqrt(np.sum(np.abs(z0.coeffs) ** 2, axis=0))
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
     assert routes == [False, True]
 
 
