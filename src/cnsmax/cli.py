@@ -145,7 +145,7 @@ def _convert(kind: str, value, bounds: list):
         elif kind == TIMES:
             ok = len(set(value)) == len(value) <= bounds[0]
         else:
-            ok = len(set(value)) >= 2
+            ok = len(set(value)) == len(value) >= 2
     elif kind == COUNT:
         if isinstance(value, float) and value.is_integer():
             value = int(value)
@@ -507,7 +507,7 @@ def run(command: str, config_path: str, out_dir: str | None = None,
     return code
 
 
-def main(argv=None) -> int:
+def main() -> int:
     ap = argparse.ArgumentParser(
         prog="cnsmax",
         description="spectral control toolkit for the relaxed compressible "
@@ -518,7 +518,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--seed", type=int, default=None,
                     help="override the command block's seed")
-    args = ap.parse_args(argv)
+    args = ap.parse_args()
     return run(args.command, args.config, args.out, args.seed)
 
 

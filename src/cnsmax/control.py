@@ -47,7 +47,6 @@ COND_LIMIT = 1e14
 
 @dataclass
 class ModeControlData:
-    n: int
     B_n: np.ndarray
     W: np.ndarray
 
@@ -56,8 +55,6 @@ class ModeControlData:
 class ControlSignal:
     """Sampled control: boundary scalar q(t) or per-mode modal coefficients."""
 
-    kind: str
-    horizon: float
     times: np.ndarray
     samples: np.ndarray           # (m,) boundary scalar or (modes, m) modal
     mode_labels: list | None = None
@@ -84,7 +81,7 @@ def _gramian_blocks(p: FluidParams, lam, psi, T: float) -> np.ndarray:
 
 def gramian_closed_form(p: FluidParams, mode: ModeEigenSystem, T: float) -> ModeControlData:
     """Controllability Gramian of one mode n != 0 over [0, T], closed form."""
-    return ModeControlData(n=mode.n, B_n=mode_control_operator(p, mode),
+    return ModeControlData(B_n=mode_control_operator(p, mode),
                            W=_gramian_blocks(p, mode.lambdas, mode.psi, T))
 
 
@@ -162,8 +159,7 @@ def synthesize_everywhere_control(
     # is reported as a numerical failure by the caller
     with np.errstate(over="ignore"):
         norm2 = float(np.trapezoid(np.sum(np.abs(samp) ** 2, axis=0), times))
-    sig = ControlSignal(kind="everywhere_density", horizon=T, times=times,
-                        samples=samp, mode_labels=list(range(-N, N + 1)),
+    sig = ControlSignal(times=times, samples=samp, mode_labels=list(range(-N, N + 1)),
                         norm_l2=float(np.sqrt(norm2)))
     return sig, resid, final
 
@@ -229,8 +225,7 @@ def synthesize_boundary_control(
 
     resid, final = _verify(p, state0, T, forcing)
     times = np.linspace(0.0, T, 2048)
-    sig = ControlSignal(kind=f"boundary_{kind}", horizon=T, times=times,
-                        samples=q(times), norm_l2=norm)
+    sig = ControlSignal(times=times, samples=q(times), norm_l2=norm)
     return sig, resid, cond, final
 
 
@@ -278,7 +273,6 @@ def synthesize_localized_control(
 
     resid, final = _verify(p, state0, T, forcing)
     times = np.linspace(0.0, T, 512)
-    sig = ControlSignal(kind="localized_density", horizon=T, times=times,
-                        samples=coeff_rows(times), mode_labels=all_n.tolist(),
+    sig = ControlSignal(times=times, samples=coeff_rows(times), mode_labels=all_n.tolist(),
                         norm_l2=norm)
     return sig, resid, cond, final

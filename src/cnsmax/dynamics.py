@@ -257,19 +257,20 @@ def random_state(
     N: int,
     subspace: str = "Zm",
     seed: int = 0,
-    real_valued: bool = True,
 ) -> SpectralState:
-    """Seeded random state of unit energy norm in the requested subspace."""
+    """Seeded random real state of unit energy norm in the requested
+    subspace: its n = 0 triple is random in Z, a random density mean alone
+    in Zm and zero in Zmm."""
     rng = np.random.default_rng(seed)
     coeffs = np.zeros((2 * N + 1, 3), dtype=complex)
     for n in range(1, N + 1):
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         coeffs[N + n] = c
-        coeffs[N - n] = np.conj(c) if real_valued else (
-            rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        )
+        coeffs[N - n] = np.conj(c)
     if subspace == "Zm":
         coeffs[N, 0] = rng.standard_normal()
+    elif subspace == "Z":
+        coeffs[N] = rng.standard_normal(3)
     state = SpectralState(N=N, coeffs=coeffs, subspace=subspace)
     state.coeffs /= energy_norm(state, p)
     return state

@@ -26,15 +26,7 @@ from .errors import HypothesisViolated, NumericalFailure, ValidationError
 from .model import FluidParams
 from .spectral import TWO_PI, solve_beta_cubic, spectral_table, z_weights
 
-
-@dataclass
-class ExpGram:
-    """Hermitian Gram of the adjoint exponential family on [0, T]."""
-
-    T: float
-    entries: np.ndarray
-    eig_min: float
-    eig_max: float
+BUMP_GRID = 1 << 14  # grid points of the bump profile's FFT
 
 
 @dataclass
@@ -44,23 +36,17 @@ class LackResult:
     slope: float
 
 
-def exp_gram(p: FluidParams, N: int, T: float) -> ExpGram:
-    """Gram of the 3*(2N) adjoint exponentials of modes 0 < |n| <= N."""
-    tab = build_branch_table(p, N, "Zmm")
-    g = exponential_gram(tab.lam, T)
+def ingham_frame_bounds(p: FluidParams, N: int, T: float) -> tuple[float, float]:
+    """Numerical frame constants of the adjoint exponential family on [0, T]:
+    the extreme eigenvalues of the Gram of the 3*(2N) adjoint exponentials
+    of modes 0 < |n| <= N."""
+    g = exponential_gram(build_branch_table(p, N, "Zmm").lam, T)
     herm = np.max(np.abs(g - g.conj().T))
     if herm > 1e-12 * max(1.0, float(np.abs(g).max())):
         raise NumericalFailure(f"exponential Gram lost Hermitian symmetry: {herm:.2e}")
     ev = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
     # a Gram matrix has no negative eigenvalue: below 0 is rounding noise
-    return ExpGram(T=T, entries=g,
-                   eig_min=max(float(ev[0]), 0.0), eig_max=float(ev[-1]))
-
-
-def ingham_frame_bounds(p: FluidParams, N: int, T: float) -> tuple[float, float]:
-    """Numerical frame constants of the adjoint exponential family on [0, T]."""
-    g = exp_gram(p, N, T)
-    return g.eig_min, g.eig_max
+    return max(float(ev[0]), 0.0), float(ev[-1])
 
 
 def eigh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,14 +94,14 @@ def boundary_observability_constant(p: FluidParams, N: int, T: float, kind: str)
     return float(vals[0]), float(vals[-1])
 
 
-def _bump_profile_coeffs(lo: float, hi: float, M: int = 1 << 14) -> np.ndarray:
+def _bump_profile_coeffs(lo: float, hi: float) -> np.ndarray:
     """Fourier coefficients (basis e^{inx}) of exp(-1/(1-s^2)) on (lo, hi)."""
-    x = TWO_PI * np.arange(M) / M
-    prof = np.zeros(M)
+    x = TWO_PI * np.arange(BUMP_GRID) / BUMP_GRID
+    prof = np.zeros(BUMP_GRID)
     ins = (x > lo) & (x < hi)
     s = 2.0 * (x[ins] - lo) / (hi - lo) - 1.0
     prof[ins] = np.exp(-1.0 / (1.0 - s**2))
-    return np.fft.fft(prof) / M
+    return np.fft.fft(prof) / BUMP_GRID
 
 
 def _log_pn(ns: np.ndarray, N: int) -> np.ndarray:
@@ -129,17 +115,20 @@ def lack_experiment(
     T: float,
     interval: tuple[float, float],
     band_mult: int = 4,
-    support: tuple[float, float] | None = None,
 ) -> LackResult:
     """Small-time non-controllability scaling of the observation ratio.
 
     For each N the terminal data is the high-pass polynomial image of a
     compactly supported bump carried by the slowest branch,
     sum_{|n| > N} a_n P^N(n) xi*_{n, l_hat}, with all coefficient scaling in
-    log-magnitude space.  The observation energy over (0,T) x O is evaluated
-    through its transport-comparison majorant in closed form: the windowed
-    energy splits into the transported profile (identically zero off the
-    characteristic strip) plus a full-circle Parseval residual of the exact
+    log-magnitude space.  The bump sits in the clearance between the window
+    O = (l1, l2) and the end of [0, 2 pi] from which the slow branch
+    transports it toward O, |beta_hat| T plus a pad from O, so its
+    characteristic strip over (0, T) stops that pad short of O;
+    HypothesisViolated unless |beta_hat| T is below the clearance.  The
+    observation energy over (0,T) x O is evaluated through its
+    transport-comparison majorant in closed form: the transported profile
+    vanishes on O, which leaves a full-circle Parseval residual of the exact
     minus asymptotic exponentials.  The reported ratio divides by the
     terminal energy norm squared, so the statistic is scale invariant.
     """
@@ -152,28 +141,16 @@ def lack_experiment(
     bhat = float(beta[l_hat])
     what = float(np.asarray(roots.omega)[l_hat])
     clearance = (TWO_PI - hi) if bhat < 0 else lo
-    if abs(bhat) * T >= max(lo, TWO_PI - hi):
+    if abs(bhat) * T >= clearance:
         raise HypothesisViolated(
-            f"|beta_hat| T = {abs(bhat) * T:.3f} >= max(l1, 2 pi - l2) "
-            f"= {max(lo, TWO_PI - hi):.3f}"
+            "the slow branch sweeps toward the wrong side of the window "
+            f"(clearance {clearance:.3f} < |beta| T {abs(bhat) * T:.3f})"
         )
-    if support is None:
-        if abs(bhat) * T >= clearance:
-            raise HypothesisViolated(
-                "the slow branch sweeps toward the wrong side of the window "
-                f"(clearance {clearance:.3f} < |beta| T {abs(bhat) * T:.3f})"
-            )
-        pad = 0.05 * (clearance - abs(bhat) * T)  # 5% of the free clearance
-        if bhat < 0:
-            a0, b0 = hi + abs(bhat) * T + pad, TWO_PI - pad
-        else:
-            a0, b0 = pad, lo - bhat * T - pad
+    pad = 0.05 * (clearance - abs(bhat) * T)  # 5% of the free clearance
+    if bhat < 0:
+        a0, b0 = hi + abs(bhat) * T + pad, TWO_PI - pad
     else:
-        a0, b0 = support
-    # does the swept support strip intersect the observation window?
-    sweep_lo = a0 + min(bhat * T, 0.0)
-    sweep_hi = b0 + max(bhat * T, 0.0)
-    strip_hits = (sweep_lo < hi) and (lo < sweep_hi)
+        a0, b0 = pad, lo - bhat * T - pad
 
     coeffs = _bump_profile_coeffs(a0, b0)
     wz = z_weights(p)
@@ -209,11 +186,6 @@ def lack_experiment(
             )
             resid += t1 + t2 + t12
         obs = 2.0 * float(np.sum(w2 * resid))
-        if strip_hits:
-            hat_en = float(
-                np.sum(w2 * np.sum(np.abs(alinf) ** 2) * np.real(texp(2.0 * mu_exp.real, T)))
-            )
-            obs += 2.0 * hat_en
         den = TWO_PI * float(np.sum(w2 * (np.abs(al) ** 2 @ wz)))
         ratios.append(obs / den)
 

@@ -27,9 +27,10 @@ from .model import FluidParams
 
 TWO_PI = 2.0 * np.pi
 
-# multiplicity flag and normalizer rejection thresholds
+# multiplicity flag, normalizer rejection and root-coefficient identity tolerances
 TOL_MULT = 1e-8
 TOL_PSI = 1e-10
+TOL_RC = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class CubicRoots:
 
     beta: tuple[float, float, float]
     omega: tuple[float, float, float]
-    p_prime: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class ModeEigenSystem:
     n: int
     lambdas: np.ndarray          # (3,) complex, branch-paired
     xi_coeffs: np.ndarray        # (3, 3) complex: row l -> triple of xi_{n,l}
-    theta: np.ndarray            # (3,) positive real
     xi_star_coeffs: np.ndarray   # (3, 3) complex: row l -> (alpha^1..3)
     psi: np.ndarray              # (3,) complex, nonzero for simple modes
     gamma: np.ndarray            # (3, 3) complex
@@ -64,7 +63,8 @@ class ModeEigenSystem:
 @dataclass(frozen=True)
 class SpectralTable:
     """The fields of ModeEigenSystem for many modes, with a leading mode axis,
-    plus each mode's multiplicity report (min_gap, min_q, flag)."""
+    plus the normalizers theta and each mode's multiplicity report (min_gap,
+    min_q, flag)."""
 
     ns: np.ndarray               # (m,) int
     lambdas: np.ndarray          # (m, 3)
@@ -81,7 +81,7 @@ class SpectralTable:
         """Row i as the ModeEigenSystem of mode ns[i]."""
         return ModeEigenSystem(
             n=int(self.ns[i]), lambdas=self.lambdas[i], xi_coeffs=self.xi_coeffs[i],
-            theta=self.theta[i], xi_star_coeffs=self.xi_star_coeffs[i],
+            xi_star_coeffs=self.xi_star_coeffs[i],
             psi=self.psi[i], gamma=self.gamma[i],
         )
 
@@ -104,7 +104,6 @@ def _reject(tab: SpectralTable, bad: np.ndarray) -> None:
 class GammaMatrix:
     """Change of basis from weighted-Fourier to eigenbasis coordinates."""
 
-    n: int
     entries: np.ndarray          # (3, 3) complex
     det_closed_form: complex
 
@@ -132,7 +131,7 @@ def _char_cubic_coeffs(p: FluidParams, ns):
 
 @lru_cache(maxsize=64)
 def solve_beta_cubic(p: FluidParams) -> CubicRoots:
-    """Slope cubic roots, omega offsets, and derivative values.
+    """Slope cubic roots and omega offsets.
 
     The omega_j are defined with the sign that makes them the limits of
     -Re(lambda) along each branch; this is cross-validated against an
@@ -153,7 +152,7 @@ def solve_beta_cubic(p: FluidParams) -> CubicRoots:
     if np.any(np.abs(p_prime) == 0.0):
         raise NumericalFailure("slope cubic has a critical root")
     omega = -(b * p.rho_s - p.u_s**2 - 2.0 * p.u_s * beta - beta**2) / (p.kappa * p_prime)
-    roots = CubicRoots(beta=tuple(beta), omega=tuple(omega), p_prime=tuple(p_prime))
+    roots = CubicRoots(beta=tuple(beta), omega=tuple(omega))
 
     # sign cross-validation against the true real parts at a far mode
     n_chk = [10_000]
@@ -219,7 +218,7 @@ def _pair_to_predictions(lam: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return lam[rows, _PERMS[best]]
 
 
-def _rc_identities_ok(p: FluidParams, ns, lam, rtol=1e-8) -> bool:
+def _rc_identities_ok(p: FluidParams, ns, lam) -> bool:
     """All six root-coefficient identities, relative to 1 + |rhs|."""
     ns = np.asarray(ns, dtype=float)
     b = p.b_eff
@@ -251,7 +250,7 @@ def _rc_identities_ok(p: FluidParams, ns, lam, rtol=1e-8) -> bool:
     for terms, rhs in items:
         lhs = np.sum(terms, axis=0)
         scale = 1.0 + np.abs(rhs) + np.sum(np.abs(terms), axis=0)
-        if not np.all(np.abs(lhs - rhs) <= rtol * scale):
+        if not np.all(np.abs(lhs - rhs) <= TOL_RC * scale):
             return False
     return True
 
@@ -378,7 +377,7 @@ def gamma_matrix(p: FluidParams, mode: ModeEigenSystem) -> GammaMatrix:
     det_cf = pref * (
         (l1 - l2) * (l1 - l3) * (l2 - l3) * (1.0 - kap * 1j * n * p.u_s)
     ) / ((1.0 + kap * l1) * (1.0 + kap * l2) * (1.0 + kap * l3))
-    return GammaMatrix(n=mode.n, entries=mode.gamma, det_closed_form=complex(det_cf))
+    return GammaMatrix(entries=mode.gamma, det_closed_form=complex(det_cf))
 
 
 def spectrum_rows(p: FluidParams, N: int) -> tuple[np.ndarray, ...]:

@@ -45,8 +45,8 @@ in any summation order, then carried in int64).  Each sum is rounded once
 at the working precision and then to double, as mp.fdot rounds, straight
 from its limbs (`_round_limb_sums`): the 64 bits below its leading bit
 decide the double unless they sit next to a tie, and only those few sums
-become Python integers for `_round_to_double`.  mpmath is left with one
-exponential per mode and the rows M_e: no mp.lu_solve and nothing per
+become Python integers that mpmath rounds.  Beyond them mpmath is left with
+one exponential per mode and the rows M_e: no mp.lu_solve and nothing per
 sample.
 
 The double-precision route (`_integrate`) steps the closed loop with a
@@ -361,16 +361,18 @@ def _limb_sums(a_limbs, y_limbs, bits: int) -> np.ndarray:
 
 def _round_limb_sums(acc, bits: int, exps, prec: int) -> np.ndarray:
     """v 2^exps for the entries v = sum_k acc[k] 2^(k bits) of a
-    `_limb_sums` accumulator, rounded as `_round_to_double` rounds them
-    (exps broadcasts against acc.shape[1:]).  acc is overwritten.
+    `_limb_sums` accumulator, rounded half-even to prec bits and then to
+    double, as mpmath's from_man_exp(v, exps, prec, "n") and
+    to_float(rnd="n") round them (exps broadcasts against acc.shape[1:]).
+    acc is overwritten.
 
     |v| is read as the 64-bit window w below its leading bit,
     |v| = (w + f) 2^(len(v) - 64) with 0 <= f < 1, and w is rounded half
     even to 53 bits.  Rounding v at prec >= 64 bits first moves it by at
     most half a unit of w's last bit, so the double is the same unless the
     11 bits of w that 53 bits discard read 0x3FF or 0x400; only those
-    entries are rebuilt as integers for `_round_to_double`.  Overflow
-    gives +-inf.  ValueError unless 64 <= prec <= 1023.
+    entries are rebuilt as integers and rounded by mpmath.  Overflow gives
+    +-inf.  ValueError unless 64 <= prec <= 1023.
     """
     if not 64 <= prec <= 1023:
         raise ValueError("prec must be between 64 and 1023 bits")
@@ -395,34 +397,9 @@ def _round_limb_sums(acc, bits: int, exps, prec: int) -> np.ndarray:
     if near[0].size:
         ints = [sg * sum(c << (k * bits) for k, c in enumerate(col))
                 for sg, col in zip(sign[near].tolist(), acc[(slice(None), *near)].T.tolist())]
-        out[near] = _round_to_double(ints, np.broadcast_to(exps, out.shape)[near].tolist(), prec)
-    return out
-
-
-def _round_to_double(mans, exps, prec: int) -> list[float]:
-    """mans[i] 2^exps[i] for Python integers, rounded half-even to prec
-    bits and then to double, the double rounding of mpmath's
-    from_man_exp(man, exp, prec, round_nearest) and to_float: float() of
-    an integer rounds half-even to 53 bits and math.ldexp scales it
-    (subnormals round there).  Overflow gives +-inf.  prec <= 1023.
-    """
-    if prec > 1023:
-        raise ValueError("prec must be at most 1023 bits")
-    out = []
-    for man, exp in zip(mans, exps):
-        cut = man.bit_length() - prec
-        if cut > 0:
-            # man = q 2^cut + rest, 0 <= rest < 2^cut: nearest, ties to even
-            q = man >> cut
-            rest = man - (q << cut)
-            half = 1 << (cut - 1)
-            if rest > half or (rest == half and q & 1):
-                q += 1
-            man, exp = q, exp + cut
-        try:
-            out.append(math.ldexp(float(man), exp))
-        except OverflowError:
-            out.append(math.copysign(math.inf, man))
+        # rnd="n": to_float rounds down by default
+        out[near] = [mp.libmp.to_float(mp.libmp.from_man_exp(m, e, prec, "n"), rnd="n")
+                     for m, e in zip(ints, np.broadcast_to(exps, out.shape)[near].tolist())]
     return out
 
 

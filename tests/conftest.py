@@ -37,3 +37,20 @@ def state_of(N: int, modes: dict, subspace: str = "Z"):
     for n, c in modes.items():
         coeffs[n + N] = c
     return SpectralState(N=N, coeffs=coeffs, subspace=subspace)
+
+
+def complex_state(p: FluidParams, N: int, seed: int):
+    """Seeded random Zm state of unit energy norm whose -n coefficients are
+    drawn apart from the n ones: it is not conjugate symmetric, so a swap of
+    n and -n shows."""
+    from cnsmax.dynamics import SpectralState, energy_norm
+
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((2 * N + 1, 3), dtype=complex)
+    for n in range(1, N + 1):
+        coeffs[N + n], coeffs[N - n] = (rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                                        for _ in range(2))
+    coeffs[N, 0] = rng.standard_normal()
+    state = SpectralState(N=N, coeffs=coeffs, subspace="Zm")
+    state.coeffs /= energy_norm(state, p)
+    return state

@@ -126,6 +126,7 @@ def test_malformed_config_exits_2(tmp_path):
     ("simulate", {"record_points": 1e300}),
     ("simulate", {"N": 2, "T": 1.0, "snapshots": [0.5, 0.5000001, 0.5]}),
     ("simulate", {"N": 2, "grid": 1 << 19, "snapshots": [0.5, 1.0, 1.5]}),
+    ("lack", {"N_list": [2, 2, 3]}),
 ])
 def test_invalid_block_field_exits_2(tmp_path, command, block):
     cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})

@@ -53,7 +53,7 @@ def _invalid(row) -> list:
     if kind in (cli.COUNT, cli.COUNTS) and math.isfinite(bounds[1]):
         values.append(bounds[1] + 1)
     if kind in (cli.INTERVAL, cli.TIMES, cli.COUNTS):
-        values += [[x] for x in ROOTS] + [[2, x] for x in ROOTS] + [[3, 1]]
+        values += [[x] for x in ROOTS] + [[2, x] for x in ROOTS] + [[3, 1], [2, 2, 3]]
     if kind == cli.COUNTS:
         values.append([2, bounds[1] + 1])
     return values

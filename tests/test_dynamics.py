@@ -11,7 +11,7 @@ from cnsmax.dynamics import (
 )
 from cnsmax.errors import GridTooCoarse, ValidationError
 from cnsmax.spectral import TWO_PI, mode_matrix, mode_system, z_weights
-from conftest import state_of
+from conftest import complex_state, state_of
 
 
 def test_energy_constant_density(p1):
@@ -36,6 +36,18 @@ def test_subspace_constraints():
         state_of(1, {0: [1, 0, 0]}, subspace="Zmm")
     with pytest.raises(ValidationError):  # rows of modes beyond N = 1
         SpectralState(N=1, coeffs=state_of(5, {5: [1, 0, 0]}).coeffs)
+
+
+@pytest.mark.parametrize("subspace, filled", [
+    ("Z", [True, True, True]), ("Zm", [True, False, False]), ("Zmm", [False, False, False]),
+])
+def test_random_state_fills_its_subspace(p1, subspace, filled):
+    # which components of the n = 0 triple are random; the state is real
+    # (conjugate symmetric) and of unit energy norm in every subspace
+    st = random_state(p1, 4, subspace, seed=2)
+    assert (st.coeffs[4] != 0).tolist() == filled
+    assert np.array_equal(st.coeffs[::-1], np.conj(st.coeffs))
+    assert energy_norm(st, p1) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_propagate_mode_identity_and_semigroup(p1):
@@ -141,7 +153,7 @@ def test_forced_evolution_matches_van_loan(p1, monkeypatch, cond_limit):
         monkeypatch.setattr(dyn._ModePropagator, "COND_LIMIT", cond_limit)
         monkeypatch.setattr(dyn, "expm", lambda a: fallbacks.append(a) or expm(a))
     N, T = 4, 1.5
-    state0 = random_state(p1, N, "Zm", seed=3, real_valued=False)
+    state0 = complex_state(p1, N, seed=3)
     rng = np.random.default_rng(12)
     ns = np.arange(-N, N + 1)
     v = rng.standard_normal((ns.size, 3)) + 1j * rng.standard_normal((ns.size, 3))
@@ -211,8 +223,8 @@ def test_duality_pairing_constant_with_rk4_oracle(p1):
     from cnsmax.spectral import mode_matrix
 
     N, T = 2, 0.9
-    z0 = random_state(p1, N, "Zm", seed=4, real_valued=False)
-    wT = random_state(p1, N, "Zm", seed=9, real_valued=False)
+    z0 = complex_state(p1, N, seed=4)
+    wT = complex_state(p1, N, seed=9)
     w = z_weights(p1)
 
     def inner(a, b):
@@ -263,13 +275,13 @@ def test_synthesize_roundtrip_and_reality(p1):
     assert np.allclose(fields[0], np.exp(1j * x) / np.sqrt(TWO_PI), atol=1e-12)
 
     # against the direct sum of c_n e^{inx} / sqrt(2 pi) on the same grid
-    rnd = random_state(p1, 16, "Zm", seed=5, real_valued=False)
+    rnd = complex_state(p1, 16, seed=5)
     x, fields = synthesize_physical(rnd, 64)
     waves = np.exp(1j * np.outer(np.arange(-16, 17), x)) / np.sqrt(TWO_PI)
     err = np.max(np.abs(fields - rnd.coeffs.T @ waves))
     assert err < 1e-12
 
-    sym = random_state(p1, 8, "Zm", seed=6, real_valued=True)
+    sym = random_state(p1, 8, "Zm", seed=6)
     _, fields = synthesize_physical(sym, 64)
     assert np.max(np.abs(fields.imag)) < 1e-12
 

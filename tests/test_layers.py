@@ -9,11 +9,14 @@ third-party module it imports is listed in pyproject.toml.  It holds no dead
 code: no module-level import goes unused, and every module-level function
 and class, and every method and property of those classes, is referenced
 from src/, the acceptance criteria (tests/test_acceptance.py) or
-perfbench/; a definition that only the other tests use is an orphan.
+perfbench/; a definition that only the other tests use is an orphan.  Nor
+does it hold a dead parameter: every parameter with a default is passed by
+some call there that names its function, so none only takes its default.
 Per-mode data comes from the batched tables, never from a one-mode solve.
 """
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -144,23 +147,27 @@ def test_no_unused_module_imports(name):
     assert unused == []
 
 
-def _references():
-    """Identifiers read by the program, the acceptance criteria and the
-    benchmark (src/, tests/test_acceptance.py, perfbench/): names,
-    attributes, and string constants (the benchmark tracer patches functions
-    by their name).  The other tests do not count, so a definition only they
-    use shows as an orphan."""
-    refs = set()
+def _program_nodes():
+    """Every AST node of the program, the acceptance criteria and the
+    benchmark (src/, tests/test_acceptance.py, perfbench/).  The other tests
+    do not count, so code only they use shows as dead."""
     paths = [*(ROOT / "src").rglob("*.py"), ROOT / "tests" / "test_acceptance.py",
              *(ROOT / "perfbench").rglob("*.py")]
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.add(node.value)
+        yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
+def _references():
+    """Identifiers the program nodes read: names, attributes, and string
+    constants (the benchmark tracer patches functions by their name)."""
+    refs = set()
+    for node in _program_nodes():
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
     return refs
 
 
@@ -182,6 +189,57 @@ def test_every_module_level_definition_is_referenced():
                for name in _modules() for line, qual in _definitions(name)
                if qual.split(".")[-1] not in refs]
     assert orphans == []
+
+
+def _program_calls():
+    """(callee, positional count, keyword names) of each call among the
+    program nodes, the callee by its Name or Attribute; a *args call counts
+    as passing every position and a **kwargs call every keyword (None)."""
+    calls = []
+    for node in _program_nodes():
+        callee = isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None))
+        if callee:
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keys = {k.arg for k in node.keywords}
+            calls.append((callee, math.inf if starred else len(node.args),
+                          None if None in keys else keys))
+    return calls
+
+
+def _defaulted_parameters(name):
+    """(line, callee, parameter, position) of each parameter with a default
+    of each function and method of a module: callee is the name a call uses
+    (the class for __init__), position counts from the first argument a
+    call passes (after self), None for keyword-only."""
+    tree = _tree(name)
+    owner = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        skip = int(fn in owner and not static)
+        callee = owner[fn] if fn in owner and fn.name == "__init__" else fn.name
+        positional = [*args.posonlyargs, *args.args]
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield fn.lineno, callee, positional[i].arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield fn.lineno, callee, arg.arg, None
+
+
+def test_every_default_is_set_by_a_caller():
+    # a parameter no call of the program passes only ever takes its
+    # default: it is a constant, and the branches for other values are dead
+    calls = _program_calls()
+    unset = [f"{name}.py:{line} {fn}({param})"
+             for name in _modules() for line, fn, param, pos in _defaulted_parameters(name)
+             if not any(callee == fn and ((pos is not None and npos > pos)
+                                          or keys is None or param in keys)
+                        for callee, npos, keys in calls)]
+    assert unset == []
 
 
 def test_per_mode_data_comes_from_the_batched_tables():

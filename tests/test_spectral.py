@@ -52,8 +52,10 @@ def test_omega_difference_identity(p1):
     # |omega_j - omega_l| agrees with the closed parameter expression
     p = p1
     r = solve_beta_cubic(p)
-    beta, pp = np.asarray(r.beta), np.asarray(r.p_prime)
+    beta = np.asarray(r.beta)
     b = p.b_eff
+    # p'(beta), the slope cubic's derivative at its roots
+    pp = 3 * beta**2 + 4 * p.u_s * beta + p.u_s**2 - b * p.rho_s - p.mu / (p.kappa * p.rho_s)
     for (j, l, q) in [(0, 1, 2), (0, 2, 1), (1, 2, 0)]:
         expr = (beta[j] - beta[l]) / (p.kappa * pp[j] * pp[l]) * (
             2 * p.mu * p.u_s**2 / (p.kappa * p.rho_s * beta[q])
@@ -141,10 +143,10 @@ def test_normalizer_asymptotics(p1):
             + p1.mu * (beta + p1.u_s) ** 2 / (p1.kappa * p1.rho_s**2 * beta**2)
         )
     )
-    for n in (200, -200):
-        m = mode_system(p1, n)
-        assert np.allclose(m.theta, limit, rtol=2e-2)
-        assert np.allclose(np.abs(m.psi), limit, rtol=2e-2)
+    tab = spectral_table(p1, [200, -200])
+    for theta, psi in zip(tab.theta, tab.psi):
+        assert np.allclose(theta, limit, rtol=2e-2)
+        assert np.allclose(np.abs(psi), limit, rtol=2e-2)
 
 
 def test_gamma_matrix_det(p1):

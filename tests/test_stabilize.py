@@ -710,40 +710,6 @@ def _mp_rounded(man, exp, prec):
                           rnd=round_nearest).real
 
 
-def test_round_to_double_matches_mpmath():
-    import math
-
-    from cnsmax.stabilize import _round_to_double
-
-    prec = 60
-    # 2^59 + 2^7 + 2^6 rounds to 53 bits as a tie with an odd last bit;
-    # one below it, times 2, is a tie at prec bits that rounds up onto it
-    mid = (1 << 59) + (1 << 7) + (1 << 6)
-    cases = [
-        (0, 5), (0, -2000), (1, 0), (-1, 0), (-12345, -7),
-        ((1 << 61) + (1 << 1), 0), ((1 << 61) + (3 << 1), 0),      # ties at prec
-        (-((1 << 61) + (1 << 1)), 3), (-((1 << 61) + (3 << 1)), 3),
-        (2 * mid - 1, 0), (-(2 * mid - 1), -40),                  # double rounding
-        ((1 << 59) + 1, 1000), (1, 1024), (-1, 1024), ((1 << 60) - 1, 964),
-        (1, -1074), (3, -1076), (-5, -1076), ((1 << 59) + 12345, -1130),
-        (1, -1080), (-(1 << 70) - 1, -1140),                     # subnormal, 0
-    ]
-    # the double-rounding case differs from one rounding to 53 bits
-    assert _round_to_double([2 * mid - 1], [0], prec)[0] != float(2 * mid - 1)
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        bits = int(rng.integers(1, 200))
-        man = int.from_bytes(rng.bytes(25), "little") % (1 << bits)
-        cases.append((man * int(rng.choice([-1, 1])), int(rng.integers(-1300, 1100))))
-    got = _round_to_double([m for m, _ in cases], [e for _, e in cases], prec)
-    want = [_mp_rounded(m, e, prec) for m, e in cases]
-    assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
-    assert got == want
-    assert got[cases.index((1, 1024))] == math.inf
-    assert got[cases.index((-1, 1024))] == -math.inf
-    assert 0 < got[cases.index((3, -1076))] < 2.0 ** -1022
-
-
 def _round_limbs(ints, exps, prec, bits=22):
     """`_round_limb_sums` on the accumulator of 1 @ [ints]."""
     from cnsmax.stabilize import _limb_sums, _limbs, _round_limb_sums
@@ -753,18 +719,50 @@ def _round_limbs(ints, exps, prec, bits=22):
     return _round_limb_sums(acc, bits, np.array(exps), prec)[0].tolist()
 
 
+def test_round_limb_sums_matches_mpmath():
+    import math
+
+    prec = 64
+    # 2^63 + 2^11 + 2^10 rounds to 53 bits as a tie with an odd last bit;
+    # one below it, times 2, is a tie at prec bits that rounds up onto it
+    mid = (1 << 63) + (1 << 11) + (1 << 10)
+    cases = [
+        (0, 5), (0, -2000), (1, 0), (-1, 0), (-12345, -7),
+        ((1 << 65) + (1 << 1), 0), ((1 << 65) + (3 << 1), 0),      # ties at prec
+        (-((1 << 65) + (1 << 1)), 3), (-((1 << 65) + (3 << 1)), 3),
+        (2 * mid - 1, 0), (-(2 * mid - 1), -40),                  # double rounding
+        ((1 << 59) + 1, 1000), (1, 1024), (-1, 1024), ((1 << 60) - 1, 964),
+        (1, -1074), (3, -1076), (-5, -1076), ((1 << 59) + 12345, -1130),
+        (1, -1080), (-(1 << 70) - 1, -1140),                     # subnormal, 0
+    ]
+    # the double-rounding case differs from one rounding to 53 bits
+    assert _round_limbs([2 * mid - 1], [0], prec)[0] != float(2 * mid - 1)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        bits = int(rng.integers(1, 200))
+        man = int.from_bytes(rng.bytes(25), "little") % (1 << bits)
+        cases.append((man * int(rng.choice([-1, 1])), int(rng.integers(-1300, 1100))))
+    got = _round_limbs([m for m, _ in cases], [e for _, e in cases], prec)
+    want = [_mp_rounded(m, e, prec) for m, e in cases]
+    _same_doubles(got, want)
+    assert got[cases.index((1, 1024))] == math.inf
+    assert got[cases.index((-1, 1024))] == -math.inf
+    assert 0 < got[cases.index((3, -1076))] < 2.0 ** -1022
+
+
 def _count_exact_roundings(monkeypatch):
-    """The list that collects every mantissa `_round_to_double` is given."""
-    import cnsmax.stabilize as stab
+    """The list that collects every mantissa `_round_limb_sums` hands to
+    mpmath's from_man_exp (mpmath itself never calls it by that attribute)."""
+    import mpmath.libmp as libmp
 
     exact = []
-    rounded = stab._round_to_double
+    rounded = libmp.from_man_exp
 
-    def counted(mans, exps, prec):
-        exact.extend(mans)
-        return rounded(mans, exps, prec)
+    def counted(man, exp, prec, rnd):
+        exact.append(man)
+        return rounded(man, exp, prec, rnd)
 
-    monkeypatch.setattr(stab, "_round_to_double", counted)
+    monkeypatch.setattr(libmp, "from_man_exp", counted)
     return exact
 
 
@@ -776,12 +774,8 @@ def _same_doubles(got, want):
 
 
 def test_round_limb_sums_hand_cases(monkeypatch):
-    # the limb-domain rounding gives _round_to_double's doubles bit for
-    # bit, and only windows whose 11 discarded bits read 0x3FF or 0x400
-    # reach the exact integer rounding
-    import cnsmax.stabilize as stab
-
-    rounded = stab._round_to_double
+    # the limb-domain rounding gives mpmath's doubles bit for bit, and only
+    # windows whose 11 discarded bits read 0x3FF or 0x400 reach mpmath
     top = 1 << 63
     cases = [
         (0, 0, 64), (1, 0, 64), (-1, 0, 64), ((1 << 53) - 1, 3, 64),
@@ -808,7 +802,6 @@ def test_round_limb_sums_hand_cases(monkeypatch):
         ((top + 0x3FF << 2) + 3, -1100, 66),
     ]
     want = [_mp_rounded(m, e, prec) for m, e, prec in cases]
-    assert want == [rounded([m], [e], prec)[0] for m, e, prec in cases]
     exact = _count_exact_roundings(monkeypatch)
     near = sorted(m for m, _, _ in cases if _window(m) & 0x7FF in (0x3FF, 0x400))
     assert len(near) >= 12
@@ -828,17 +821,15 @@ def _window(man):
 
 def test_round_limb_sums_refuses_short_prec():
     # below 64 bits the prec rounding can move a double that the window
-    # rounds; above 1023 bits float() of the mantissa can overflow
+    # rounds; 1023 bits is the most it accepts
     for prec in (63, 53, 1024):
         with pytest.raises(ValueError, match="prec"):
             _round_limbs([12345], [0], prec)
 
 
-def test_round_limb_sums_matches_round_to_double_property():
+def test_round_limb_sums_matches_mpmath_property():
     from hypothesis import given, settings
     from hypothesis import strategies as st
-
-    from cnsmax.stabilize import _round_to_double
 
     ints = st.integers(0, 700).flatmap(lambda n: st.integers(-(1 << n), 1 << n))
     row = st.lists(st.tuples(ints, st.integers(-1300, 1100)), min_size=1, max_size=24)
@@ -847,7 +838,8 @@ def test_round_limb_sums_matches_round_to_double_property():
     @given(row, st.integers(64, 400), st.integers(1, 25))
     def check(cases, prec, bits):
         mans, exps = [m for m, _ in cases], [e for _, e in cases]
-        _same_doubles(_round_limbs(mans, exps, prec, bits), _round_to_double(mans, exps, prec))
+        _same_doubles(_round_limbs(mans, exps, prec, bits),
+                      [_mp_rounded(m, e, prec) for m, e in cases])
 
     check()
 
