@@ -62,7 +62,7 @@ class BranchTable:
     lam: np.ndarray         # (K,) complex
     alpha: np.ndarray       # (K, 3) complex adjoint coefficient triples
     psi: np.ndarray         # (K,) complex normalizers
-    modes: SpectralTable | None = None  # per-mode data of the n != 0 rows
+    modes: SpectralTable    # per-mode data of the n != 0 rows
 
     @property
     def size(self) -> int:

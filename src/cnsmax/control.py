@@ -57,8 +57,8 @@ class ControlSignal:
 
     times: np.ndarray
     samples: np.ndarray           # (m,) boundary scalar or (modes, m) modal
+    norm_l2: float
     mode_labels: list | None = None
-    norm_l2: float = 0.0
 
 
 def mode_control_operator(p: FluidParams, mode: ModeEigenSystem | BranchTable) -> np.ndarray:

@@ -60,21 +60,20 @@ class SpectralState:
     """Truncated Fourier representation of (rho, u, S).
 
     coeffs is a complex array (2N+1, 3) whose row n + N holds the triple of
-    mode n = -N..N; None gives the zero state.  Subspace flags: "Zm" forces
-    zero-mean u and S (their n = 0 coefficients vanish); "Zmm" forces the
-    whole n = 0 coefficient to vanish.
+    mode n = -N..N.  Subspace flags: "Zm" forces zero-mean u and S (their
+    n = 0 coefficients vanish); "Zmm" forces the whole n = 0 coefficient to
+    vanish.
     """
 
     N: int
-    coeffs: np.ndarray | None = None
+    coeffs: np.ndarray
     subspace: str = "Z"
 
     def __post_init__(self):
         if self.subspace not in SUBSPACES:
             raise ValidationError(f"unknown subspace {self.subspace!r}")
         shape = (2 * self.N + 1, 3)
-        self.coeffs = (np.zeros(shape, dtype=complex) if self.coeffs is None
-                       else np.asarray(self.coeffs, dtype=complex))
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != shape:
             raise ValidationError(
                 f"coeffs of truncation N={self.N} must have shape {shape}, "

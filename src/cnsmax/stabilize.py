@@ -26,28 +26,15 @@ Gramian's formula extended to the extra rows.  Hence its exact response is
 c_e(t) = M_e x(t) + e^{lambda_e t} (c_e(0) - M_e x0): spillover is the
 rectangular Gramian [M; M_e] applied to the same x(t).
 
-`_exact_loop` works in Python integers.  Doubles reach them one way: their
-exact mantissa tuples (`_double_parts`, the form mpmath holds its values
-in), scaled to a chosen exponent by `_fixed_point`.  x0 = M^{-1} c0 is a
-fixed-point Gaussian elimination with partial pivoting on the mantissas of
-M and c0 (`_int_solve`), with guard bits for the pivot decay.
+`_exact_loop` works in Python integers through `cnsmax._exact`, which
+solves x0 = M^{-1} c0 and rounds its exact sums (`rounded_product`).
 x(t_j) = x0 e^{r t_j} on the uniform sample grid is x(t_{j-1}) times the
 factor of that step, w e^{r (d_j - d_{j-1})} with w = e^{r s} and d the
 grid's rounding residues: the residue part is a short Taylor series, formed
 once per mode and distinct step (a linspace grid has few), and each mode
 keeps its own int64 exponent (`_mode_exponentials`; rates too large for
-either raise NumericalFailure).  Every state, every extra-mode response and
-the control q(t) are then rows of one matrix applied to those values,
-formed as exact sums of integer mantissa products (`_limb_sums`: limbs as
-wide as the column count allows (`_limb_bits`), held in float64 and
-multiplied by BLAS with every partial sum an integer below 2^52, so exact
-in any summation order, then carried in int64).  Each sum is rounded once
-at the working precision and then to double, as mp.fdot rounds, straight
-from its limbs (`_round_limb_sums`): the 64 bits below its leading bit
-decide the double unless they sit next to a tie, and only those few sums
-become Python integers that mpmath rounds.  Beyond them mpmath is left with
-one exponential per mode and the rows M_e: no mp.lu_solve and nothing per
-sample.
+either raise NumericalFailure).  mpmath is left with one exponential per
+mode and the rows M_e: no mp.lu_solve and nothing per sample.
 
 The double-precision route (`_integrate`) steps the closed loop with a
 second-order exponential integrator, a few NumPy vector operations per
@@ -64,6 +51,7 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._exact import fixed_point, mantissas, rounded_product, solve
 from ._gram import boundary_observation_vector, build_branch_table, eigen_coefficients
 from .dynamics import SpectralState, TrajectoryRecord
 from .errors import (DegenerateWindow, IllConditioned, NumericalFailure,
@@ -74,7 +62,6 @@ from .spectral import TWO_PI, nonzero_modes, spectral_table, z_weights
 F64_COND_LIMIT = 1e12
 COND_HARD_LIMIT = 1e30
 RECORD_STRIDE = 16            # integrator steps per recorded sample
-SOLVE_GUARD_BITS = 138        # fixed-point bits of _int_solve beyond prec
 SAMPLE_BLOCK = 64             # samples per block of the exact evaluator
 # Work bounds of closed_loop_simulate, far above the largest cases in use
 # (about 27k integrator steps, 451 exact samples): the double-precision
@@ -97,7 +84,7 @@ class FeedbackLaw:
     cond_M: float
     growth: float                 # growth bound max(-Re lambda) of the retained modes
     table: object = field(repr=False)
-    precision_dps: int = 0        # 0 -> double precision solves suffice
+    precision_dps: int            # 0 -> double precision solves suffice
 
     @property
     def abscissa(self) -> float:
@@ -114,85 +101,9 @@ class FeedbackLaw:
         return -np.linalg.solve(self.M.T, self.b_vec)
 
 
-def _fixed_point(parts, lowest: int) -> np.ndarray:
-    """Integers n with n 2^lowest equal to the mpf tuples `parts`, as an
-    object array: exact for a tuple whose exponent is at least `lowest`,
-    truncated toward zero below."""
-    ints = []
-    for sign, man, exp, _ in parts:
-        n = man << (exp - lowest) if exp >= lowest else man >> (lowest - exp)
-        ints.append(-n if sign else n)
-    return np.array(ints, dtype=object)
-
-
-def _double_parts(z) -> list:
-    """The (sign, man, exp, bc) tuples of the real and imaginary parts of a
-    complex array of finite doubles, interleaved, as mp.mpc(v)._mpc_ gives
-    them: odd mantissas, and zero as (0, 0, 0, 0).  This is the one way a
-    double becomes an integer; `_fixed_point` scales the tuples."""
-    v = np.ascontiguousarray(z, dtype=complex).view(np.float64).ravel()
-    frac, e = np.frexp(np.abs(v))
-    m = np.ldexp(frac, 53).astype(np.int64)       # |v| = m 2^(e - 53), m < 2^53
-    nz = m != 0
-    tz = np.frexp((m & -m) | ~nz)[1] - 1          # trailing zero bits of m
-    cols = (v < 0, m >> tz, np.where(nz, e - 53 + tz, 0), np.where(nz, 53 - tz, 0))
-    return list(zip(*(c.astype(np.int64).tolist() for c in cols)))
-
-
 def _bits(re, im) -> np.ndarray:
     """Bit length of max(|re|, |im|) for each pair of integer arrays."""
     return _bit_length(np.maximum(np.abs(re), np.abs(im))).astype(np.int64)
-
-
-def _int_solve(m_parts, c, prec: int):
-    """x = M^{-1} c for complex doubles M (as its `_double_parts`) and c, by
-    Gaussian elimination with partial pivoting on Python integers.
-
-    M and c are each scaled by a power of two to largest entry below 1 and
-    held in fixed point at 2^-F, F = prec + SOLVE_GUARD_BITS: exact except
-    for bits below 2^-F of an entry.  Every product and quotient is
-    truncated at 2^-F, so the guard bits absorb the pivot decay, about
-    log2 cond(M).  Raises IllConditioned when a pivot leaves fewer than
-    prec bits above 2^-F.  Returns integer object arrays re, im
-    and an exponent e with x = (re + i im) 2^e.
-    """
-    F = prec + SOLVE_GUARD_BITS
-    K = len(c)
-    e_M = 1 + max((e + bc for _, man, e, bc in m_parts if man), default=0)
-    e_c = int(np.frexp(np.abs(c).max())[1])
-    ints = np.empty((K, K + 1, 2), dtype=object)
-    ints[:, :K] = _fixed_point(m_parts, e_M - F).reshape(K, K, 2)
-    ints[:, K] = _fixed_point(_double_parts(c), e_c - F).reshape(K, 2)
-    re, im = ints[..., 0], ints[..., 1]
-    for k in range(K):
-        piv = k + int(np.argmax(re[k:, k] ** 2 + im[k:, k] ** 2))
-        re[[k, piv]] = re[[piv, k]]
-        im[[k, piv]] = im[[piv, k]]
-        pr, pi = re[k, k], im[k, k]
-        bits = max(abs(pr), abs(pi)).bit_length()
-        if bits < prec:
-            raise IllConditioned("feedback Gramian pivot decay",
-                                 2.0 ** (F - bits), 2.0 ** SOLVE_GUARD_BITS)
-        den = pr * pr + pi * pi
-        ar, ai = re[k + 1:, k], im[k + 1:, k]
-        lr = ((ar * pr + ai * pi) << F) // den
-        li = ((ai * pr - ar * pi) << F) // den
-        ur, ui = re[k, k + 1:], im[k, k + 1:]
-        # (lr + i li)(ur + i ui) from three products, exactly
-        rr, ii = np.outer(lr, ur), np.outer(li, ui)
-        re[k + 1:, k + 1:] -= (rr - ii) >> F
-        im[k + 1:, k + 1:] -= (np.outer(lr + li, ur + ui) - rr - ii) >> F
-    xr = np.zeros(K, dtype=object)
-    xi = np.zeros(K, dtype=object)
-    for k in range(K - 1, -1, -1):
-        # numerator at 2^-2F, times conj(pivot) over |pivot|^2: x at 2^-F
-        sr = (re[k, K] << F) - re[k, k + 1:K] @ xr[k + 1:] + im[k, k + 1:K] @ xi[k + 1:]
-        si = (im[k, K] << F) - re[k, k + 1:K] @ xi[k + 1:] - im[k, k + 1:K] @ xr[k + 1:]
-        pr, pi = re[k, k], im[k, k]
-        den = pr * pr + pi * pi
-        xr[k] = (sr * pr + si * pi) // den
-        xi[k] = (si * pr - sr * pi) // den
-    return xr, xi, e_c - e_M - F
 
 
 def _grid_residues(times):
@@ -250,7 +161,7 @@ def _mode_exponentials(y0, rates, grid, bits: int):
         for r in rates:
             parts = mp.exp(mp.mpc(r) * s)._mpc_
             low = max(e + bc for _, m, e, bc in parts if m) - work
-            ws.append((*_fixed_point(parts, low), low))
+            ws.append((*fixed_point(parts, low), low))
     w_re = np.array([w[0] for w in ws], dtype=object)[:, None]
     w_im = np.array([w[1] for w in ws], dtype=object)[:, None]
     w_exp = np.array([w[2] for w in ws], dtype=np.int64)
@@ -258,7 +169,7 @@ def _mode_exponentials(y0, rates, grid, bits: int):
     step_of = {}
     kinds = [step_of.setdefault(v, len(step_of)) for v in np.diff(d)]
     ds = np.array([d[0], *step_of], dtype=object)
-    r_int = _fixed_point(_double_parts(rates), -work - d_exp).reshape(-1, 2)
+    r_int = fixed_point(mantissas(rates), -work - d_exp).reshape(-1, 2)
     # u = rates ds at 2^-work; e^u = sum u^k / k! until a term is below 1
     u_re, u_im = r_int[:, :1] * ds, r_int[:, 1:] * ds
     s_re, s_im = u_re + (1 << work), u_im
@@ -286,123 +197,6 @@ def _mode_exponentials(y0, rates, grid, bits: int):
         yield re, im, ex
 
 
-def _limb_bits(cols: int) -> int:
-    """The widest limb whose float64 products sum exactly over cols
-    columns: limbs below 2^L make every partial sum an integer below
-    cols 2^(2L) <= 2^52 for L = (52 - cols.bit_length()) // 2, exact in
-    any summation order.  ValueError when no width fits."""
-    bits = (52 - cols.bit_length()) // 2
-    if bits < 1:
-        raise ValueError(f"no limb width is exact in float64 over {cols} columns")
-    return bits
-
-
-def _limbs(ints, bits: int) -> np.ndarray:
-    """Signed `bits`-bit limbs of an integer array, as float64 of shape
-    (n, *ints.shape) with ints = sum_k limbs[k] 2^(k bits) exactly.
-
-    n is the fewest limbs with every |ints| < 2^(n bits - 1).  The limbs
-    are the bits-wide fields of each entry's two's complement, cut out of
-    its little-endian 64-bit words: the n - 1 low ones in [0, 2^bits), the
-    top one signed, in [-2^(bits-1), 2^(bits-1)).
-    """
-    flat = np.asarray(ints, dtype=object).ravel().tolist()
-    n = max(map(abs, flat), default=0).bit_length() // bits + 1
-    width = -(-n * bits // 64)
-    buf = b"".join([v.to_bytes(8 * width, "little", signed=True) for v in flat])
-    words = np.frombuffer(buf, dtype="<u8").reshape(len(flat), width).T.copy()
-    mask = np.uint64((1 << bits) - 1)
-    limbs = np.empty((n, len(flat)))
-    for k in range(n):
-        i, s = divmod(k * bits, 64)
-        field = words[i] >> np.uint64(s)
-        if s + bits > 64:
-            field |= words[i + 1] << np.uint64(64 - s)
-        limbs[k] = field & mask
-    top = limbs[-1]
-    top[top >= 2.0 ** (bits - 1)] -= 2.0 ** bits
-    return limbs.reshape(n, *np.shape(ints))
-
-
-def _carry(acc, bits: int) -> None:
-    """Normalize int64 limbs in place: each limb but the last into
-    [0, 2^bits), its carry added to the next."""
-    for k in range(len(acc) - 1):
-        carry = acc[k] >> bits
-        acc[k] -= carry << bits
-        acc[k + 1] += carry
-
-
-def _limb_sums(a_limbs, y_limbs, bits: int) -> np.ndarray:
-    """The entries of a @ y from `_limbs(a, bits)` and `_limbs(y, bits)`,
-    as normalized int64 limbs acc of shape (n, rows, B): each entry is
-    sum_k acc[k] 2^(k bits), every limb but the top one in [0, 2^bits)
-    and the top one carrying the sign.
-
-    The limbs of a, stacked, times each limb of y is one BLAS product,
-    exact in float64, and is added at its limb weight into int64 sums in
-    integer arithmetic (a float64 sum of several products can pass 2^53).
-    ValueError unless `_limb_bits` allows `bits` over a's columns.
-    """
-    n_a, rows, cols = a_limbs.shape
-    n_y, _, B = y_limbs.shape
-    if bits > _limb_bits(cols):
-        raise ValueError(f"{bits}-bit limbs over {cols} columns are not exact in float64")
-    # |a @ y| < cols 2^((n_a + n_y) bits - 2) fits n signed limbs
-    n = n_a + n_y + -(-(cols.bit_length() - 1) // bits)
-    acc = np.zeros((n, rows, B), dtype=np.int64)
-    a = a_limbs.reshape(n_a * rows, cols)
-    for j in range(n_y):
-        np.add(acc[j:j + n_a], (a @ y_limbs[j]).reshape(n_a, rows, B),
-               out=acc[j:j + n_a], dtype=np.int64, casting="unsafe")
-    _carry(acc, bits)
-    return acc
-
-
-def _round_limb_sums(acc, bits: int, exps, prec: int) -> np.ndarray:
-    """v 2^exps for the entries v = sum_k acc[k] 2^(k bits) of a
-    `_limb_sums` accumulator, rounded half-even to prec bits and then to
-    double, as mpmath's from_man_exp(v, exps, prec, "n") and
-    to_float(rnd="n") round them (exps broadcasts against acc.shape[1:]).
-    acc is overwritten.
-
-    |v| is read as the 64-bit window w below its leading bit,
-    |v| = (w + f) 2^(len(v) - 64) with 0 <= f < 1, and w is rounded half
-    even to 53 bits.  Rounding v at prec >= 64 bits first moves it by at
-    most half a unit of w's last bit, so the double is the same unless the
-    11 bits of w that 53 bits discard read 0x3FF or 0x400; only those
-    entries are rebuilt as integers and rounded by mpmath.  Overflow gives
-    +-inf.  ValueError unless 64 <= prec <= 1023.
-    """
-    if not 64 <= prec <= 1023:
-        raise ValueError("prec must be between 64 and 1023 bits")
-    sign = np.where(acc[-1] < 0, -1, 1)
-    acc *= sign
-    _carry(acc, bits)                      # the limbs of |v|
-    lead = len(acc) - 1 - np.argmax(acc[::-1] != 0, axis=0)
-    # the leading limb and the ceil(63 / bits) below it, which hold the 63
-    # bits after its top bit; zero below limb 0
-    ks = np.arange(1 - (-63 // bits))[:, None, None]
-    idx = lead - ks
-    limbs = np.take_along_axis(acc, np.maximum(idx, 0), 0) * (idx >= 0)
-    lead_bits = np.frexp(limbs[0].astype(np.float64))[1]   # 0 for v = 0
-    pos = 64 - lead_bits - ks * bits
-    w = np.bitwise_or.reduce((limbs.astype(np.uint64) << np.clip(pos, 0, 63).astype(np.uint64))
-                             >> np.maximum(-pos, 0).astype(np.uint64), axis=0)
-    tail = w & np.uint64(0x7FF)
-    man = ((w >> np.uint64(11)) + (tail > 0x400)).astype(np.float64)
-    with np.errstate(over="ignore"):
-        out = np.ldexp(sign * man, exps + lead * bits + lead_bits - 53)
-    near = np.nonzero((tail == 0x3FF) | (tail == 0x400))
-    if near[0].size:
-        ints = [sg * sum(c << (k * bits) for k, c in enumerate(col))
-                for sg, col in zip(sign[near].tolist(), acc[(slice(None), *near)].T.tolist())]
-        # rnd="n": to_float rounds down by default
-        out[near] = [mp.libmp.to_float(mp.libmp.from_man_exp(m, e, prec, "n"), rnd="n")
-                     for m, e in zip(ints, np.broadcast_to(exps, out.shape)[near].tolist())]
-    return out
-
-
 def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     """Closed-form closed loop of `law` at dps digits (see the module
     docstring): x0 = M^{-1} c0 once, then x(t) = x0 e^{rt} with
@@ -415,18 +209,13 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
 
     All rows are one rectangular matrix
     R = [[M, 0], [M_e, diag(c0_e - M_e x0)], [-b^T, 0]] applied to
-    y(t) = [x0 e^{rt}; e^{lam_e t}].  x0 comes from `_int_solve` and y(t)
-    from `_mode_exponentials`, in Python integers: K + E mp.exp values per
-    law, none per sample.  R is split into re/im integer mantissas at one
-    common exponent, exactly: M and b are doubles, M_e and the free terms mp
-    values.  Each y(t) is split at a block exponent prec + 64 bits below its
-    largest x(t) entry; only bits that far below are dropped.  The real
-    form [[Re R, -Im R], [Im R, Re R]] of R, split once into limbs as wide
-    as its 2 (K + E) columns allow, times [Re y; Im y] is one exact limb
-    product per block of samples (`_limb_sums`), so every entry is an
-    exact integer sum, held as int64 limbs.  Each is rounded once at the
-    working precision, then to double, as mp.fdot rounds its exact sum,
-    from those limbs (`_round_limb_sums`).  Returns the states, shape
+    y(t) = [x0 e^{rt}; e^{lam_e t}], from `_mode_exponentials`: K + E mp.exp
+    values per law, none per sample.  R is split into re/im integer
+    mantissas at one common exponent, exactly: M and b are doubles, M_e and
+    the free terms mp values.  Each y(t) is split at a block exponent
+    prec + 64 bits below its largest x(t) entry; only bits that far below
+    are dropped.  Every entry of R y(t) is the exact sum rounded as mp.fdot
+    rounds it (`rounded_product`).  Returns the states, shape
     (len(times), K + E), and the controls, shape (len(times),).
     """
     lam, bv = law.lam, law.b_vec
@@ -436,8 +225,8 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     grid = _grid_residues(times)
     with mp.workdps(dps):
         prec = mp.mp.prec
-        m_parts = _double_parts(law.M)
-        x_re, x_im, x_exp = _int_solve(m_parts, np.asarray(c0), prec)
+        m_parts = mantissas(law.M)
+        x_re, x_im, x_exp = solve(m_parts, np.asarray(c0), prec)
         y0 = (np.concatenate([x_re, np.ones(E, dtype=object)]),
               np.concatenate([x_im, np.zeros(E, dtype=object)]),
               np.array([x_exp] * K + [0] * E))
@@ -456,14 +245,11 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
                 row[K + e] = mp.mpc(c0_e[e]) - mp.fsum(row[a] * x0[a] for a in range(K))
                 parts += [p for z in row for p in z._mpc_]
             rates = np.concatenate([rates, lam_e])
-        parts += _double_parts(np.concatenate([-bv, np.zeros(E)]))
+        parts += mantissas(np.concatenate([-bv, np.zeros(E)]))
     r_low = min((e for _, m, e, _ in parts if m), default=0)
-    r_int = _fixed_point(parts, r_low).reshape(K + E + 1, K + E, 2)
-    r_re, r_im = r_int[..., 0], r_int[..., 1]
-    bits = _limb_bits(2 * (K + E))
-    a_limbs = _limbs(np.block([[r_re, -r_im], [r_im, r_re]]), bits)
-    rows = K + E + 1
-    out = np.empty((rows, len(times)), dtype=complex)
+    r_int = fixed_point(parts, r_low).reshape(K + E + 1, K + E, 2)
+    product = rounded_product(r_int[..., 0], r_int[..., 1], prec)
+    out = np.empty((K + E + 1, len(times)), dtype=complex)
     start = 0
     for y_re, y_im, y_exp in _mode_exponentials(y0, rates, grid, prec + 64):
         # every row reads x(t); the free responses set the scale only
@@ -472,13 +258,9 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
         tops = np.where(nz, y_exp + _bits(y_re, y_im), np.iinfo(np.int64).min)
         top = np.where(nz[:K].any(axis=0), tops[:K].max(axis=0), tops.max(axis=0))
         y_low = np.where(nz.any(axis=0), top, 0) - prec - 64
-        shift = np.concatenate([y_exp, y_exp]) - y_low
-        y = np.concatenate([y_re, y_im])
-        y_limbs = _limbs((y << np.maximum(shift, 0)) >> np.maximum(-shift, 0), bits)
-        vals = _round_limb_sums(_limb_sums(a_limbs, y_limbs, bits), bits, r_low + y_low, prec)
+        up, down = np.maximum(y_exp - y_low, 0), np.maximum(y_low - y_exp, 0)
         stop = start + len(y_low)
-        out.real[:, start:stop] = vals[:rows]
-        out.imag[:, start:stop] = vals[rows:]
+        out[:, start:stop] = product((y_re << up) >> down, (y_im << up) >> down, r_low + y_low)
         start = stop
     return out[:K + E].T, out[K + E]
 

@@ -18,10 +18,11 @@ from cnsmax.control import (
     synthesize_everywhere_control,
     synthesize_localized_control,
 )
-from cnsmax.dynamics import SpectralState, energy_norm, random_state
+from cnsmax.dynamics import energy_norm, random_state
 from cnsmax.errors import IllConditioned, ValidationError
 from cnsmax.observability import boundary_observability_constant
 from cnsmax.spectral import TWO_PI, minimal_time, mode_system, solve_beta_cubic, spectral_table
+from conftest import state_of
 
 
 def test_hautus_ranks(p1, pb):
@@ -159,7 +160,7 @@ def test_everywhere_control(p1, pb):
         assert resid <= 1e-8
         assert sig.norm_l2 < 50.0
         # zero initial state -> identically zero control
-        sig0, resid0, _ = synthesize_everywhere_control(p, SpectralState(N=4), 1.0, 4)
+        sig0, resid0, _ = synthesize_everywhere_control(p, state_of(4, {}), 1.0, 4)
         assert np.max(np.abs(sig0.samples)) == 0.0
 
 
@@ -229,7 +230,7 @@ def test_boundary_control_null_and_conditioning(p1):
 def test_boundary_control_zero_state(p1):
     T0 = minimal_time(p1)
     sig, resid, cond, _ = synthesize_boundary_control(
-        p1, SpectralState(N=3, subspace="Zmm"), 1.2 * T0, 3, "density"
+        p1, state_of(3, {}, "Zmm"), 1.2 * T0, 3, "density"
     )
     assert np.max(np.abs(sig.samples)) < 1e-12
 

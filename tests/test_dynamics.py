@@ -18,7 +18,7 @@ def test_energy_constant_density(p1):
     # rho = 1 has coefficient sqrt(2 pi) on e^{i0x}/sqrt(2 pi); norm^2 = 2 pi b
     st = SpectralState(N=0, coeffs=[[np.sqrt(TWO_PI), 0, 0]], subspace="Zm")
     assert energy_norm(st, p1) ** 2 == pytest.approx(TWO_PI * p1.b_eff, rel=1e-14)
-    assert energy_norm(SpectralState(N=2), p1) == 0.0
+    assert energy_norm(state_of(2, {}), p1) == 0.0
 
 
 def test_energy_of_eigenfunctions_is_one(p1):
@@ -101,7 +101,7 @@ def test_propagator_uniformly_bounded(p1):
 
 
 def test_evolve_zero_and_eigenmode(p1):
-    rec, final = evolve(p1, SpectralState(N=4), 1.0)
+    rec, final = evolve(p1, state_of(4, {}), 1.0)
     assert np.all(rec.energies == 0)
 
     n, l = 3, 1
@@ -181,10 +181,10 @@ def test_evolve_empty_state_gives_complex_zeros(p1):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rec, final = evolve(p1, SpectralState(N=2), 1.0)
+        rec, final = evolve(p1, state_of(2, {}), 1.0)
         assert final.coeffs.dtype == complex and np.all(final.coeffs == 0)
         assert np.all(rec.energies == 0) and np.all(rec.norm_S == 0)
-        rec, final = evolve(p1, SpectralState(N=2), 1.0,
+        rec, final = evolve(p1, state_of(2, {}), 1.0,
                             forcing=lambda ts: np.zeros((5, 3, len(ts))))
     assert final.coeffs.shape == (5, 3)
     assert final.coeffs.dtype == complex and np.all(final.coeffs == 0)

@@ -1,7 +1,10 @@
 """The package is one import DAG in layers, with every import at module level.
 
 Each module may import only from a lower layer; the three leaves share a
-layer, so none imports another.  `cli.py` is exempt from the module-level
+layer, so none imports another, and so do the two kernels `_kernels` and
+`_exact` (the exact integer arithmetic).  A module reaches another only
+through its public names, never an underscored one, and only `_exact`
+touches mpmath's low-level `libmp`.  `cli.py` is exempt from the module-level
 rule: it imports its layers lazily so that `import cnsmax.cli` loads
 neither mpmath nor the numerics layers.  The package runs on its runtime
 dependencies alone: no module loads scipy (a test oracle only), and every
@@ -11,7 +14,9 @@ and class, and every method and property of those classes, is referenced
 from src/, the acceptance criteria (tests/test_acceptance.py) or
 perfbench/; a definition that only the other tests use is an orphan.  Nor
 does it hold a dead parameter: every parameter with a default is passed by
-some call there that names its function, so none only takes its default.
+some call there that names its function, so none only takes its default;
+and every dataclass field default is both left out by some constructor call
+there and passed by another, so it is neither a constant nor unused.
 Per-mode data comes from the batched tables, never from a one-mode solve.
 """
 
@@ -32,7 +37,7 @@ LAYERS = [
     {"errors"},
     {"model"},
     {"__init__"},
-    {"_kernels"},
+    {"_kernels", "_exact"},
     {"spectral"},
     {"_gram"},
     {"dynamics"},
@@ -86,6 +91,38 @@ def test_no_function_level_imports(name):
            for inner in ast.walk(fn)
            if isinstance(inner, (ast.Import, ast.ImportFrom))}
     assert sorted(bad) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("name", _modules())
+def test_no_module_reads_private_names_of_another(name):
+    # names bound to a package module (`from . import _kernels`) may be
+    # read only for their public attributes
+    tree = _tree(name)
+    bad, modules = [], set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, (ast.Import, ast.ImportFrom)) and _package_targets(node)):
+            continue
+        for alias in node.names:
+            is_module = isinstance(node, ast.Import) or (
+                node.module in (None, "cnsmax") and (PKG / f"{alias.name}.py").is_file())
+            if is_module:
+                modules.add(alias.asname or alias.name.split(".")[0])
+            elif _private(alias.name):
+                bad.append(f"{name}.py:{node.lineno} imports {alias.name}")
+    bad += [f"{name}.py:{node.lineno} reads {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)]
+    assert bad == []
+
+
+def test_only_exact_uses_libmp():
+    assert [name for name in _modules()
+            if name != "_exact" and "libmp" in (PKG / f"{name}.py").read_text()] == []
 
 
 def _runtime_dependencies():
@@ -240,6 +277,44 @@ def test_every_default_is_set_by_a_caller():
                                           or keys is None or param in keys)
                         for callee, npos, keys in calls)]
     assert unset == []
+
+
+def _defaulted_fields(name):
+    """(line, class, field, position) of each dataclass field of a module
+    that has a default; position counts the fields its __init__ takes."""
+    for cls in _tree(name).body:
+        if not (isinstance(cls, ast.ClassDef) and any(
+                getattr(d, "id", getattr(getattr(d, "func", None), "id", None)) == "dataclass"
+                for d in cls.decorator_list)):
+            continue
+        fields = [node for node in cls.body
+                  if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        for pos, node in enumerate(fields):
+            keys = {k.arg for k in getattr(node.value, "keywords", [])}
+            spec = (isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "field")
+            if node.value is not None and (not spec or keys & {"default", "default_factory"}):
+                yield node.lineno, cls.name, node.target.id, pos
+
+
+def test_every_field_default_is_taken_and_overridden():
+    # a default every constructor overrides is dead, and one none
+    # overrides is a constant; a *args or **kwargs call counts as both
+    calls = _program_calls()
+    bad = []
+    for name in _modules():
+        for line, cls, fld, pos in _defaulted_fields(name):
+            uses = set()
+            for callee, npos, keys in calls:
+                if callee != cls:
+                    continue
+                if npos == math.inf or keys is None:
+                    uses |= {"passed", "left out"}
+                else:
+                    uses.add("passed" if npos > pos or fld in keys else "left out")
+            if uses != {"passed", "left out"}:
+                bad.append(f"{name}.py:{line} {cls}.{fld} {sorted(uses)}")
+    assert bad == []
 
 
 def test_per_mode_data_comes_from_the_batched_tables():

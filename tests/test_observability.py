@@ -74,6 +74,7 @@ def test_interior_observability_parseval_sanity():
         lam=np.zeros(ns.size, dtype=complex),
         alpha=np.tile(np.array([1.0, 0, 0], dtype=complex), (ns.size, 1)),
         psi=psi,
+        modes=None,
     )
     M = windowed_gram(tab, T, 1.0 / np.sqrt(TWO_PI) * np.ones(ns.size), 0.0, TWO_PI)
     R = terminal_gram(tab)
@@ -104,6 +105,7 @@ def test_boundary_observability_single_mode(p1):
         lam=np.array([lam]),
         alpha=m.xi_star_coeffs[l][None, :],
         psi=np.array([m.psi[l]]),
+        modes=None,
     )
     bv = boundary_observation_vector(tab, "density")[0]
     want = abs(bv) ** 2 * (np.exp(2 * lam.real * T) - 1.0) / (2 * lam.real)

@@ -314,7 +314,7 @@ def test_double_parts_match_mpmath():
     # exponent range, subnormals, signed zeros and the extremes
     import mpmath as mp
 
-    from cnsmax.stabilize import _double_parts
+    from cnsmax._exact import mantissas
 
     rng = np.random.default_rng(5)
     v = rng.standard_normal(1000) * np.exp2(rng.integers(-1080, 1020, 1000))
@@ -323,7 +323,7 @@ def test_double_parts_match_mpmath():
                             -1.7976931348623157e308, 1.0, -3.5, 2.0 ** 52 + 1]])
     z = v[::2] + 1j * v[1::2]
     want = [tuple(int(x) for x in part) for w in z for part in mp.mpc(w)._mpc_]
-    got = _double_parts(z)
+    got = mantissas(z)
     assert got == want
     assert all(type(x) is int for part in got for x in part)
 
@@ -336,15 +336,15 @@ def test_int_solve_matches_lu_solve(p1, N):
     import mpmath as mp
 
     from cnsmax._gram import eigen_coefficients
-    from cnsmax.stabilize import _double_parts, _int_solve
+    from cnsmax._exact import mantissas, solve
 
     law = build_feedback(p1, N, 2.0)
     c0 = eigen_coefficients(law.table, random_state(p1, N, "Zmm", seed=1))
     with mp.workdps(law.precision_dps):
         prec = mp.mp.prec
-    re, im, exp = _int_solve(_double_parts(law.M), c0, prec)
+    re, im, exp = solve(mantissas(law.M), c0, prec)
     perm = np.roll(np.arange(c0.size)[::-1], 5)
-    p_re, p_im, p_exp = _int_solve(_double_parts(law.M[perm]), c0[perm], prec)
+    p_re, p_im, p_exp = solve(mantissas(law.M[perm]), c0[perm], prec)
     assert p_exp == exp
     assert np.array_equal(p_re, re) and np.array_equal(p_im, im)
     with mp.workdps(law.precision_dps + 40):
@@ -357,19 +357,19 @@ def test_int_solve_matches_lu_solve(p1, N):
 
 def test_int_solve_pivots_and_guards():
     from cnsmax.errors import IllConditioned
-    from cnsmax.stabilize import _double_parts, _int_solve
+    from cnsmax._exact import mantissas, solve
 
     # a zero leading entry needs a row exchange; the solution is exact
-    re, im, exp = _int_solve(_double_parts(np.array([[0, 2j], [1, 1]])), np.array([2j, 3]), 100)
+    re, im, exp = solve(mantissas(np.array([[0, 2j], [1, 1]])), np.array([2j, 3]), 100)
     assert [(a * 2.0 ** exp, b * 2.0 ** exp) for a, b in zip(re, im)] == [
         (2.0, 0.0), (1.0, 0.0)]
     # a pivot 2^-40 below the largest entry passes; 2^-200 leaves fewer
     # than prec = 100 bits above 2^-F, F = 100 + 138, and is refused
     ok = np.array([[1, 1], [1, 1 + 2.0 ** -40]], dtype=complex)
-    _int_solve(_double_parts(ok), np.array([1, 2], dtype=complex), 100)
+    solve(mantissas(ok), np.array([1, 2], dtype=complex), 100)
     for M in ([[1, 2], [2, 4]], [[1, 1], [1, 1 + 2.0 ** -200]]):
         with pytest.raises(IllConditioned):
-            _int_solve(_double_parts(np.array(M, dtype=complex)),
+            solve(mantissas(np.array(M, dtype=complex)),
                        np.array([1, 2], dtype=complex), 100)
 
 
@@ -645,7 +645,7 @@ def _accumulated(acc, bits):
 def test_limb_matmul_matches_object_product(case):
     # the normalized limb accumulator of the BLAS product holds the exact
     # integer product, at the widest limb the column count allows
-    from cnsmax.stabilize import _limb_bits, _limb_sums, _limbs
+    from cnsmax._exact import _limb_bits, _limb_sums, _limbs
 
     rng = np.random.default_rng(3)
     if case == "special":
@@ -679,7 +679,7 @@ def test_limb_matmul_refuses_inexact_limbs():
     # L = (52 - cols.bit_length()) // 2 keeps cols 2^(2L) <= 2^52: limbs at
     # their extremes stay exact at the most columns each width allows, one
     # width more is refused, and a count no width fits raises
-    from cnsmax.stabilize import _limb_bits, _limb_sums, _limbs
+    from cnsmax._exact import _limb_bits, _limb_sums, _limbs
 
     assert _limb_bits(96) == 22 and _limb_bits(1056) == 20
     for bits in (25, 24, 22, 21, 20, 19):
@@ -712,7 +712,7 @@ def _mp_rounded(man, exp, prec):
 
 def _round_limbs(ints, exps, prec, bits=22):
     """`_round_limb_sums` on the accumulator of 1 @ [ints]."""
-    from cnsmax.stabilize import _limb_sums, _limbs, _round_limb_sums
+    from cnsmax._exact import _limb_sums, _limbs, _round_limb_sums
 
     one = _limbs(np.ones((1, 1), dtype=object), bits)
     acc = _limb_sums(one, _limbs(np.array([ints], dtype=object), bits), bits)
@@ -745,6 +745,13 @@ def test_round_limb_sums_matches_mpmath():
     got = _round_limbs([m for m, _ in cases], [e for _, e in cases], prec)
     want = [_mp_rounded(m, e, prec) for m, e in cases]
     _same_doubles(got, want)
+    # mpmath's rounding has no upper bound on prec: a plain sum, a window
+    # next to a tie whose last bit is a tie at 1100 bits, overflow and a
+    # short mantissa
+    wide = [((1 << 1099) + (1 << 60) + 1, -1150), ((((1 << 63) + 0x400) << 1037) + 1, -1100),
+            (-((1 << 1098) - 3), 0), (1, 5)]
+    _same_doubles(_round_limbs([m for m, _ in wide], [e for _, e in wide], 1100),
+                  [_mp_rounded(m, e, 1100) for m, e in wide])
     assert got[cases.index((1, 1024))] == math.inf
     assert got[cases.index((-1, 1024))] == -math.inf
     assert 0 < got[cases.index((3, -1076))] < 2.0 ** -1022
@@ -821,8 +828,8 @@ def _window(man):
 
 def test_round_limb_sums_refuses_short_prec():
     # below 64 bits the prec rounding can move a double that the window
-    # rounds; 1023 bits is the most it accepts
-    for prec in (63, 53, 1024):
+    # rounds
+    for prec in (63, 53):
         with pytest.raises(ValueError, match="prec"):
             _round_limbs([12345], [0], prec)
 
