@@ -10,11 +10,12 @@ integer columns as exact sums of integer mantissa products: the real form
 [[Re R, -Im R], [Im R, Re R]] is split once into limbs as wide as its
 column count allows (`_limb_bits`), held in float64 and multiplied by BLAS
 with every partial sum an integer below 2^52, so exact in any summation
-order, then carried in int64 (`_limb_sums`).  Each sum is rounded once at
-the working precision and then to double, as mp.fdot rounds, straight from
-its limbs (`_round_limb_sums`): the 64 bits below its leading bit decide
-the double unless they sit next to a tie, and only those few sums become
-Python integers that mpmath rounds.
+order, then carried in int64 (`_limb_sums`) in one buffer that every block
+reuses.  Each sum is rounded once at the working precision and then to
+double, as mp.fdot rounds, straight from its limbs (`_round_limb_sums`):
+the 64 bits below its leading bit decide the double unless they sit next
+to a tie, and only those few sums become Python integers that mpmath
+rounds.
 """
 
 from __future__ import annotations
@@ -108,13 +109,19 @@ def rounded_product(r_re, r_im, prec: int):
     returns the complex rows of R y 2^exps (one exponent per column) for
     R = r_re + i r_im, each entry the exact sum rounded once at prec bits
     and then to double.  R's real form is split into limbs once, here."""
-    rows = len(r_re)
-    bits = _limb_bits(2 * r_re.shape[1])
+    rows, cols = r_re.shape
+    bits = _limb_bits(2 * cols)
     a_limbs = _limbs(np.block([[r_re, -r_im], [r_im, r_re]]), bits)
+    buf = np.empty(0, dtype=np.int64)   # every block's accumulator, reused
 
     def product(y_re, y_im, exps) -> np.ndarray:
+        nonlocal buf
         y_limbs = _limbs(np.concatenate([y_re, y_im]), bits)
-        vals = _round_limb_sums(_limb_sums(a_limbs, y_limbs, bits), bits, exps, prec)
+        n = _sum_limbs(len(a_limbs), len(y_limbs), 2 * cols, bits)
+        size = n * 2 * rows * y_limbs.shape[-1]
+        if buf.size < size:
+            buf = np.empty(size, dtype=np.int64)
+        vals = _round_limb_sums(_limb_sums(a_limbs, y_limbs, bits, buf), bits, exps, prec)
         # parts apart: re + 1j*im turns -0.0 into 0.0 and +-inf into nan
         out = np.empty((rows, vals.shape[1]), dtype=complex)
         out.real, out.imag = vals[:rows], vals[rows:]
@@ -170,24 +177,35 @@ def _carry(acc, bits: int) -> None:
         acc[k + 1] += carry
 
 
-def _limb_sums(a_limbs, y_limbs, bits: int) -> np.ndarray:
+def _sum_limbs(n_a: int, n_y: int, cols: int, bits: int) -> int:
+    """The signed limbs that hold a sum of cols products of n_a-limb and
+    n_y-limb integers: it is below cols 2^((n_a + n_y) bits - 2)."""
+    return n_a + n_y + -(-(cols.bit_length() - 1) // bits)
+
+
+def _limb_sums(a_limbs, y_limbs, bits: int, buf) -> np.ndarray:
     """The entries of a @ y from `_limbs(a, bits)` and `_limbs(y, bits)`,
-    as normalized int64 limbs acc of shape (n, rows, B): each entry is
-    sum_k acc[k] 2^(k bits), every limb but the top one in [0, 2^bits)
-    and the top one carrying the sign.
+    as normalized int64 limbs acc of shape (n, rows, B), n = `_sum_limbs`:
+    each entry is sum_k acc[k] 2^(k bits), every limb but the top one in
+    [0, 2^bits) and the top one carrying the sign.  acc is the leading
+    n rows B entries of the 1-D int64 array buf, zero-filled here, so one
+    buffer serves every block of a product.
 
     The limbs of a, stacked, times each limb of y is one BLAS product,
     exact in float64, and is added at its limb weight into int64 sums in
     integer arithmetic (a float64 sum of several products can pass 2^53).
-    ValueError unless `_limb_bits` allows `bits` over a's columns.
+    ValueError unless `_limb_bits` allows `bits` over a's columns, or when
+    buf is too short.
     """
     n_a, rows, cols = a_limbs.shape
     n_y, _, B = y_limbs.shape
     if bits > _limb_bits(cols):
         raise ValueError(f"{bits}-bit limbs over {cols} columns are not exact in float64")
-    # |a @ y| < cols 2^((n_a + n_y) bits - 2) fits n signed limbs
-    n = n_a + n_y + -(-(cols.bit_length() - 1) // bits)
-    acc = np.zeros((n, rows, B), dtype=np.int64)
+    n = _sum_limbs(n_a, n_y, cols, bits)
+    if buf.size < n * rows * B:
+        raise ValueError(f"an accumulator of {n * rows * B} limbs needs a longer buffer")
+    acc = buf[:n * rows * B].reshape(n, rows, B)
+    acc.fill(0)
     a = a_limbs.reshape(n_a * rows, cols)
     for j in range(n_y):
         np.add(acc[j:j + n_a], (a @ y_limbs[j]).reshape(n_a, rows, B),

@@ -4,7 +4,12 @@ Exact-control synthesis, observability constants, Ingham frame bounds and
 the feedback Gramian all reduce to Hermitian forms whose entries combine a
 time integral of an exponential pair with a spatial overlap integral; both
 have closed forms collected here, with the boundary observation functional
-B* xi* that weights the boundary forms.
+B* xi* that weights the boundary forms.  Each is assembled at the cost of
+its structure: the exponential Gram from the K exponentials e^{lam T}, the
+spatial overlaps from their distinct mode differences, and the terminal
+Gram on its mode blocks only.  The spectrum of the real system is closed
+under conjugation, so `real_form` turns a Hermitian form over a table into
+a real symmetric one of the same size by pairing mode n with -n.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ObservationVanished, ValidationError
+from .errors import NumericalFailure, ObservationVanished, ValidationError
 from .model import BOUNDARY_KINDS, FluidParams
 from .spectral import (
     TWO_PI,
@@ -37,13 +42,17 @@ def texp(z, T: float):
 
 
 def space_overlap(dn, lo: float, hi: float):
-    """Closed form of the integral of e^{i dn x} over (lo, hi), dn integer."""
+    """Closed form of the integral of e^{i dn x} over (lo, hi), dn integer:
+    evaluated once on each integer from dn.min() to dn.max(), then indexed."""
     dn = np.asarray(dn)
-    zero = dn == 0
-    dns = np.where(zero, 1, dn)
-    return np.where(
-        zero, hi - lo, (np.exp(1j * dns * hi) - np.exp(1j * dns * lo)) / (1j * dns)
+    first = dn.min()
+    k = np.arange(first, dn.max() + 1)
+    zero = k == 0
+    ks = np.where(zero, 1, k)
+    vals = np.where(
+        zero, hi - lo, (np.exp(1j * ks * hi) - np.exp(1j * ks * lo)) / (1j * ks)
     )
+    return vals[dn - first]
 
 
 @dataclass
@@ -120,18 +129,30 @@ def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
 
 
 def terminal_gram(tab: BranchTable) -> np.ndarray:
-    """Energy-inner-product Gram of the adjoint family {xi*_a}."""
+    """Energy-inner-product Gram of the adjoint family {xi*_a}: eigenfunctions
+    of different modes n are orthogonal, so only the entries of rows with
+    equal n are computed."""
     w = z_weights(tab.p)
     star = tab.alpha / tab.psi[:, None]
-    g = TWO_PI * np.einsum("ap,p,cp->ca", star, w, np.conj(star))
-    same_n = tab.idx_n[None, :] == tab.idx_n[:, None]
-    return np.where(same_n, g, 0.0)
+    c, a = np.nonzero(tab.idx_n[:, None] == tab.idx_n[None, :])
+    g = np.zeros((tab.size, tab.size), dtype=complex)
+    g[c, a] = TWO_PI * np.sum(star[a] * w * np.conj(star[c]), axis=1)
+    return g
 
 
 def exponential_gram(lams, T: float) -> np.ndarray:
-    """Gram of {e^{conj(lam_a)(T-t)}} in L^2(0, T), closed form."""
+    """Gram of {e^{conj(lam_a)(T-t)}} in L^2(0, T), closed form, from the K
+    exponentials e_a = e^{lam_a T}: (e_c conj(e_a) - 1) / (lam_c + conj(lam_a)),
+    and T where that denominator is below 1e-14.  NumericalFailure if some
+    Re lam > 0, where e could overflow."""
     lams = np.asarray(lams, dtype=complex)
-    return texp(np.conj(lams)[None, :] + lams[:, None], T)
+    if np.any(lams.real > 0):
+        raise NumericalFailure("exponential Gram of a growing exponential (Re lambda > 0)")
+    e = np.exp(lams * T)
+    z = np.conj(lams)[None, :] + lams[:, None]
+    small = np.abs(z) < 1e-14
+    return np.where(small, T, (e[:, None] * np.conj(e)[None, :] - 1.0)
+                    / np.where(small, 1.0, z))
 
 
 def exp_pair_integrals(tab: BranchTable, T: float) -> np.ndarray:
@@ -163,6 +184,43 @@ def windowed_gram(
         * exp_pair_integrals(tab, T)
         * si
     )
+
+
+def real_form(h: np.ndarray, tab: BranchTable) -> np.ndarray:
+    """The real symmetric Q^H h Q of a Hermitian h over a branch table.
+
+    A real system's spectrum is closed under conjugation: row sigma(p) =
+    (-n, l) is the conjugate of row p = (n, l), so h[sigma p, sigma q] =
+    conj(h[p, q]).  Q maps each p with n > 0 to u_p = (e_p + e_sigma p)/sqrt 2
+    and v_p = i (e_p - e_sigma p)/sqrt 2 and keeps the n = 0 rows Z, so
+    with A = h[P, P], B = h[P, sigma P] and c = h[Z, P] the form is
+    [[Re(A+B), -Im(A-B), .], [Im(A+B), Re(A-B), .], [sqrt2 Re c, -sqrt2 Im c,
+    Re h[Z, Z]]], read from the n >= 0 rows only (Golub & Van Loan 8.1),
+    so it is symmetric up to the table's conjugation asymmetry, about 1e-15.
+    ValueError unless every row pairs with exactly one partner.
+    """
+    n, key = tab.idx_n, 4 * tab.idx_n + tab.idx_l     # idx_l is -1..2
+    pos, zero = np.flatnonzero(n > 0), np.flatnonzero(n == 0)
+    want = key[pos] - 8 * n[pos]                           # (-n, l)
+    order = np.argsort(key)
+    partner = order[np.searchsorted(key, want, sorter=order) % n.size]
+    rows = np.sort(np.concatenate([pos, partner, zero]))
+    if not (np.array_equal(key[partner], want) and np.array_equal(rows, np.arange(n.size))):
+        raise ValueError("a branch row has no conjugate partner (-n, l)")
+    # filled block by block, with A - B in place of A: no full-size
+    # complex temporary
+    k = pos.size
+    s = np.empty(h.shape)
+    A, B = h[np.ix_(pos, pos)], h[np.ix_(pos, partner)]
+    plus = A + B
+    s[:k, :k], s[k:2 * k, :k] = plus.real, plus.imag
+    A -= B
+    s[:k, k:2 * k], s[k:2 * k, k:2 * k] = -A.imag, A.real
+    c = np.sqrt(2.0) * h[np.ix_(zero, pos)]
+    s[2 * k:, :k], s[2 * k:, k:2 * k] = c.real, -c.imag
+    s[:2 * k, 2 * k:] = s[2 * k:, :2 * k].T
+    s[2 * k:, 2 * k:] = h[np.ix_(zero, zero)].real
+    return s
 
 
 def eigen_coefficients(tab: BranchTable, state) -> np.ndarray:

@@ -18,6 +18,7 @@ from ._gram import (
     build_branch_table,
     exponential_gram,
     kernel_gram,
+    real_form,
     terminal_gram,
     texp,
     windowed_gram,
@@ -40,26 +41,28 @@ def ingham_frame_bounds(p: FluidParams, N: int, T: float) -> tuple[float, float]
     """Numerical frame constants of the adjoint exponential family on [0, T]:
     the extreme eigenvalues of the Gram of the 3*(2N) adjoint exponentials
     of modes 0 < |n| <= N."""
-    g = exponential_gram(build_branch_table(p, N, "Zmm").lam, T)
+    tab = build_branch_table(p, N, "Zmm")
+    g = exponential_gram(tab.lam, T)
     herm = np.max(np.abs(g - g.conj().T))
     if herm > 1e-12 * max(1.0, float(np.abs(g).max())):
         raise NumericalFailure(f"exponential Gram lost Hermitian symmetry: {herm:.2e}")
-    ev = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+    ev = np.linalg.eigvalsh(real_form(0.5 * (g + g.conj().T), tab))
     # a Gram matrix has no negative eigenvalue: below 0 is rounding noise
     return max(float(ev[0]), 0.0), float(ev[-1])
 
 
-def eigh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian pencil (a, b), b positive definite
-    and block diagonal like `terminal_gram` (3x3 blocks, then at most one 1x1):
-    eigvalsh(L^-1 a L^-H), L the blocks' Cholesky factors (Golub & Van Loan 8.7)."""
+def eigh(a: np.ndarray, b: np.ndarray, tab) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian pencil (a, b) over the branch
+    table tab, b positive definite and block diagonal like `terminal_gram`
+    (3x3 blocks, then at most one 1x1): the eigenvalues of the real form of
+    L^-1 a L^-H, L the blocks' Cholesky factors (Golub & Van Loan 8.7)."""
     m = b.shape[0] // 3
     i = np.arange(m)
     linv = np.linalg.inv(np.linalg.cholesky(b[:3 * m, :3 * m].reshape(m, 3, m, 3)[i, :, i]))
     for _ in range(2):  # a <- (L^-1 a)^H, so twice gives L^-1 a L^-H
         a = np.vstack([(linv @ a[:3 * m].reshape(m, 3, -1)).reshape(3 * m, -1),
                        np.diag(b)[3 * m:, None].real ** -0.5 * a[3 * m:]]).conj().T
-    return np.linalg.eigvalsh(a)
+    return np.linalg.eigvalsh(real_form(a, tab))
 
 
 def gram_pencil_eigvals(M: np.ndarray, tab) -> np.ndarray:
@@ -68,7 +71,7 @@ def gram_pencil_eigvals(M: np.ndarray, tab) -> np.ndarray:
     floored at 0: the pencil is positive semidefinite, so a negative
     eigenvalue is rounding noise."""
     R = terminal_gram(tab)
-    vals = eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T))
+    vals = eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T), tab)
     return np.maximum(vals, 0.0)
 
 

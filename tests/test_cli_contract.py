@@ -2,9 +2,11 @@
 
 Every example starts from a small valid block of one table and either gives
 one field a value from that field's invalid side or adds one key no table
-row names, and each must exit 2.  Whether a value is invalid is decided
-here, from the row's type and bounds, not by the CLI's own conversion.  All
-examples run through `cli.run` in one child process.
+row names, and each must exit 2.  The examples are exhaustive: every
+invalid value of every row, and every stray key in the block and at the
+top.  Whether a value is invalid is decided here, from the row's type and
+bounds, not by the CLI's own conversion.  All examples run through
+`cli.run` in one child process.
 """
 
 import json
@@ -14,9 +16,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import cnsmax
 from cnsmax import cli
@@ -104,30 +103,18 @@ def _config(name, where, key, value) -> dict:
     return cfg
 
 
-@st.composite
-def _examples(draw):
-    """(table name, where, key, value); where is 'field' for a perturbed
-    row, 'block' or 'top' for an added key."""
-    name = draw(st.sampled_from(sorted(TABLES)))
-    if draw(st.integers(0, 3)) == 0:
-        stray = [key for key in STRAY if key not in TABLES[name]
-                 and key != _command(name)]
-        where = draw(st.sampled_from(["block", "top"]))
-        return name, where, draw(st.sampled_from(stray)), 1
-    key = draw(st.sampled_from(sorted(TABLES[name])))
-    return name, "field", key, draw(st.sampled_from(_invalid(TABLES[name][key])))
-
-
-def _collect(n: int) -> list:
-    found = {}
-
-    @settings(derandomize=True, max_examples=n, database=None, deadline=None)
-    @given(_examples())
-    def collect(example):
-        found.setdefault(json.dumps(example), example)
-
-    collect()
-    return list(found.values())
+def _examples() -> list:
+    """Every (table name, where, key, value): each invalid value of each
+    row ('field'), and each key no row of the table names, added to its
+    block ('block') and to the top of the config ('top')."""
+    found = []
+    for name, table in sorted(TABLES.items()):
+        for key, row in sorted(table.items()):
+            found += [(name, "field", key, value) for value in _invalid(row)]
+        for key in STRAY:
+            if key not in table and key != _command(name):
+                found += [(name, where, key, 1) for where in ("block", "top")]
+    return found
 
 
 CHILD = """
@@ -162,7 +149,7 @@ def _finite_artifact(path: Path) -> bool:
 
 
 def test_generated_configs_keep_the_contract(tmp_path):
-    examples = _collect(400)
+    examples = _examples()
     jobs = []
     for i, example in enumerate(examples):
         cfg_path = tmp_path / f"c{i}.json"

@@ -8,10 +8,13 @@ from cnsmax._gram import (
     boundary_observation_vector,
     build_branch_table,
     kernel_gram,
+    real_form,
+    space_overlap,
     terminal_gram,
+    texp,
     windowed_gram,
 )
-from cnsmax.errors import HypothesisViolated
+from cnsmax.errors import HypothesisViolated, NumericalFailure
 from cnsmax.observability import (
     boundary_observability_constant,
     exponential_gram,
@@ -20,7 +23,7 @@ from cnsmax.observability import (
     interior_observability_constant,
     lack_experiment,
 )
-from cnsmax.spectral import TWO_PI, minimal_time, mode_eigenvalues_batch, mode_system
+from cnsmax.spectral import TWO_PI, minimal_time, mode_eigenvalues_batch, mode_system, z_weights
 
 
 def test_minimal_time(p1):
@@ -138,6 +141,79 @@ def test_gram_pencil_eigvals_match_scipy(p1, subspace, N, f):
         assert abs(got[0] - want[0]) <= 1e-6 * want[0]
     else:  # scipy's lambda_min was rounding noise below 0: ours is noise too
         assert got[0] <= tab.size * np.finfo(float).eps * want[-1]
+
+
+@pytest.mark.parametrize("subspace", ["Zmm", "Zm"])
+@pytest.mark.parametrize("N", [1, 8, 64])
+def test_real_form_keeps_the_eigenvalues(p1, subspace, N):
+    # Q^H h Q over the (n, -n) pairs is real symmetric with the eigenvalues
+    # of h: the exponential Gram of a Zmm table, and the windowed Gram with
+    # the trailing n = 0 row of a Zm one
+    T = 1.2 * minimal_time(p1)
+    tab = build_branch_table(p1, N, subspace)
+    if subspace == "Zmm":
+        h = exponential_gram(tab.lam, T)
+    else:
+        h = windowed_gram(tab, T, tab.sigma_coeff, 0.0, np.pi)
+    h = 0.5 * (h + h.conj().T)
+    s = real_form(h, tab)
+    # symmetric up to the table's conjugation asymmetry, about 1e-15
+    assert s.dtype == float and s.shape == h.shape
+    assert np.max(np.abs(s - s.T)) <= 1e-13 * np.abs(s).max()
+    got, want = np.linalg.eigvalsh(s), np.linalg.eigvalsh(h)
+    assert np.max(np.abs(got - want)) <= 1e-13 * want[-1]
+
+
+def test_real_form_refuses_an_unpaired_row(p1):
+    tab = build_branch_table(p1, 2, "Zm")
+    for keep in (np.arange(tab.size) != 9, np.arange(tab.size) != 2, [6]):
+        part = BranchTable(p=p1, idx_n=tab.idx_n[keep], idx_l=tab.idx_l[keep],
+                           lam=tab.lam[keep], alpha=tab.alpha[keep], psi=tab.psi[keep],
+                           modes=None)
+        h = np.eye(part.size, dtype=complex)
+        with pytest.raises(ValueError, match="no conjugate partner"):
+            real_form(h, part)
+
+
+def test_space_overlap_is_the_elementwise_closed_form():
+    # one evaluation per distinct difference, indexed: the same formula on
+    # the same integers, so bit for bit the entrywise one
+    def entrywise(dn, lo, hi):
+        zero = dn == 0
+        dns = np.where(zero, 1, dn)
+        return np.where(zero, hi - lo,
+                        (np.exp(1j * dns * hi) - np.exp(1j * dns * lo)) / (1j * dns))
+
+    rng = np.random.default_rng(7)
+    cases = [np.array([0]), np.array([-5]), np.array([[3]]),
+             np.arange(-4, 5)[None, :] - np.arange(-4, 5)[:, None],
+             rng.integers(-300, 300, size=(17, 23)), rng.integers(1, 9, size=40)]
+    for dn in cases:
+        for lo, hi in ((0.0, np.pi), (0.3, 2.0 * np.pi), (1.1, 1.7)):
+            got = space_overlap(dn, lo, hi)
+            assert got.shape == dn.shape
+            assert np.array_equal(got.view(float), entrywise(dn, lo, hi).view(float))
+
+
+def test_exponential_gram_from_the_exponentials(p1):
+    # e_c conj(e_a) against the entrywise texp of the summed exponent, and
+    # the exact limit T on the n = 0 diagonal
+    for N, T in ((8, 1.2 * minimal_time(p1)), (64, 0.5), (64, 30.0)):
+        tab = build_branch_table(p1, N, "Zm")
+        g = exponential_gram(tab.lam, T)
+        want = texp(np.conj(tab.lam)[None, :] + tab.lam[:, None], T)
+        assert np.max(np.abs(g - want)) <= 1e-14 * np.abs(want).max()
+        assert g[-1, -1] == T
+    with pytest.raises(NumericalFailure, match="Re lambda > 0"):
+        exponential_gram(np.array([-1.0 + 2j, 1e-300 - 1j]), 1.0)
+
+
+def test_terminal_gram_is_the_masked_dense_form(p1):
+    tab = build_branch_table(p1, 4, "Zm")
+    star = tab.alpha / tab.psi[:, None]
+    dense = TWO_PI * np.einsum("ap,p,cp->ca", star, z_weights(p1), np.conj(star))
+    want = np.where(tab.idx_n[None, :] == tab.idx_n[:, None], dense, 0.0)
+    assert np.max(np.abs(terminal_gram(tab) - want)) <= 1e-15 * np.abs(want).max()
 
 
 def test_log_pn_matches_gammaln():

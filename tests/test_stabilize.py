@@ -641,11 +641,22 @@ def _accumulated(acc, bits):
                     dtype=object).reshape(acc.shape[1:])
 
 
+def _sums(a, y, bits):
+    """`_limb_sums` of the integer matrices a and y into a buffer one entry
+    longer than the accumulator and full of garbage, as a reused one is."""
+    from cnsmax._exact import _limb_sums, _limbs, _sum_limbs
+
+    a_limbs, y_limbs = _limbs(a, bits), _limbs(y, bits)
+    n = _sum_limbs(len(a_limbs), len(y_limbs), a.shape[1], bits)
+    buf = np.full(n * a.shape[0] * y.shape[1] + 1, -1, dtype=np.int64)
+    return _limb_sums(a_limbs, y_limbs, bits, buf)
+
+
 @pytest.mark.parametrize("case", ["special", "mixed", "one_column", "spillover_N8"])
 def test_limb_matmul_matches_object_product(case):
     # the normalized limb accumulator of the BLAS product holds the exact
     # integer product, at the widest limb the column count allows
-    from cnsmax._exact import _limb_bits, _limb_sums, _limbs
+    from cnsmax._exact import _limb_bits
 
     rng = np.random.default_rng(3)
     if case == "special":
@@ -669,7 +680,7 @@ def test_limb_matmul_matches_object_product(case):
         y = _random_ints(rng, (96, 64), 250)
     bits = _limb_bits(a.shape[1])
     assert bits == {"special": 24, "mixed": 24, "one_column": 25, "spillover_N8": 22}[case]
-    acc = _limb_sums(_limbs(a, bits), _limbs(y, bits), bits)
+    acc = _sums(a, y, bits)
     assert acc.dtype == np.int64 and acc.shape[1:] == (a.shape[0], y.shape[1])
     assert np.all((acc[:-1] >= 0) & (acc[:-1] < 1 << bits))
     assert np.array_equal(_accumulated(acc, bits), a @ y)
@@ -678,7 +689,8 @@ def test_limb_matmul_matches_object_product(case):
 def test_limb_matmul_refuses_inexact_limbs():
     # L = (52 - cols.bit_length()) // 2 keeps cols 2^(2L) <= 2^52: limbs at
     # their extremes stay exact at the most columns each width allows, one
-    # width more is refused, and a count no width fits raises
+    # width more is refused, and a count no width fits raises; so does a
+    # buffer shorter than the accumulator
     from cnsmax._exact import _limb_bits, _limb_sums, _limbs
 
     assert _limb_bits(96) == 22 and _limb_bits(1056) == 20
@@ -693,10 +705,12 @@ def test_limb_matmul_refuses_inexact_limbs():
             [-2.0 ** (bits - 1), 2.0 ** (bits - 1) - 1]]
         a = np.array([[lo] * cols, [hi] * cols], dtype=object)
         y = np.array([[lo, hi]] * cols, dtype=object)
-        acc = _limb_sums(_limbs(a, bits), _limbs(y, bits), bits)
+        acc = _sums(a, y, bits)
         assert np.array_equal(_accumulated(acc, bits), a @ y)
         with pytest.raises(ValueError, match="not exact"):
-            _limb_sums(_limbs(a, bits + 1), _limbs(y, bits + 1), bits + 1)
+            _sums(a, y, bits + 1)
+        with pytest.raises(ValueError, match="longer buffer"):
+            _limb_sums(_limbs(a, bits), _limbs(y, bits), bits, np.empty(acc.size - 1, np.int64))
     assert _limb_bits((1 << 50) - 1) == 1
     with pytest.raises(ValueError, match="no limb width"):
         _limb_bits(1 << 50)
@@ -712,10 +726,9 @@ def _mp_rounded(man, exp, prec):
 
 def _round_limbs(ints, exps, prec, bits=22):
     """`_round_limb_sums` on the accumulator of 1 @ [ints]."""
-    from cnsmax._exact import _limb_sums, _limbs, _round_limb_sums
+    from cnsmax._exact import _round_limb_sums
 
-    one = _limbs(np.ones((1, 1), dtype=object), bits)
-    acc = _limb_sums(one, _limbs(np.array([ints], dtype=object), bits), bits)
+    acc = _sums(np.ones((1, 1), dtype=object), np.array([ints], dtype=object), bits)
     return _round_limb_sums(acc, bits, np.array(exps), prec)[0].tolist()
 
 
