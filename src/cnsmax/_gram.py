@@ -5,11 +5,13 @@ the feedback Gramian all reduce to Hermitian forms whose entries combine a
 time integral of an exponential pair with a spatial overlap integral; both
 have closed forms collected here, with the boundary observation functional
 B* xi* that weights the boundary forms.  Each is assembled at the cost of
-its structure: the exponential Gram from the K exponentials e^{lam T}, the
-spatial overlaps from their distinct mode differences, and the terminal
-Gram on its mode blocks only.  The spectrum of the real system is closed
-under conjugation, so `real_form` turns a Hermitian form over a table into
-a real symmetric one of the same size by pairing mode n with -n.
+its structure: the exponential Gram from the K exponentials e^{lam T} and
+the spatial overlaps from their distinct mode differences.  The terminal
+Gram is Gamma Gamma^H on each mode block, so no program path builds it;
+`terminal_gram` stays as the oracle of that identity.  The spectrum of the
+real system is closed under conjugation, so `real_form` turns a Hermitian
+form over a table into a real symmetric one of the same size by pairing
+mode n with -n.
 """
 
 from __future__ import annotations
@@ -131,7 +133,9 @@ def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
 def terminal_gram(tab: BranchTable) -> np.ndarray:
     """Energy-inner-product Gram of the adjoint family {xi*_a}: eigenfunctions
     of different modes n are orthogonal, so only the entries of rows with
-    equal n are computed."""
+    equal n are computed.  Each mode block is Gamma_n Gamma_n^H, and the
+    Zm n = 0 entry is 1, which is how `observability.eigh` reduces its
+    pencils; this explicit form is the oracle of that identity."""
     w = z_weights(tab.p)
     star = tab.alpha / tab.psi[:, None]
     c, a = np.nonzero(tab.idx_n[:, None] == tab.idx_n[None, :])

@@ -3,9 +3,11 @@ synthesis on a physical grid.
 
 States hold Fourier coefficients of (rho, u, S) in the orthonormal scalar
 basis e^{inx}/sqrt(2*pi).  The generator is block diagonal over modes, so
-propagation is exact modal exponentiation, done for all modes at once as a
-batch of 3x3 blocks; time grids exist only for recording trajectories and for
-the variation-of-constants quadrature of forced runs.  A forcing is
+propagation is exact modal exponentiation, done for all modes at once by
+diagonalizing each 3x3 block through its basis-change matrix Gamma_n; an
+ill-conditioned Gamma_n is a NumericalFailure, with no second path.  Time
+grids exist only for recording trajectories and for the
+variation-of-constants quadrature of forced runs.  A forcing is
 array-valued: evolve samples it once per record interval on that interval's
 whole composite Gauss-Legendre grid, as an array (2N+1, 3, nodes) over modes
 -N..N, and sums the quadrature over modes and nodes in one batch.
@@ -19,9 +21,9 @@ from math import factorial
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import GridTooCoarse, ValidationError
+from .errors import GridTooCoarse, NumericalFailure, ValidationError
 from .model import SUBSPACES, FluidParams
-from .spectral import TWO_PI, mode_matrix, spectral_table, z_weights
+from .spectral import TWO_PI, spectral_table, z_weights
 
 # Composite Gauss-Legendre quadrature of a forced evolve: PANELS_PER_UNIT
 # panels per unit time, GL_POINTS nodes a panel.  MAX_PANELS bounds the panels
@@ -120,12 +122,11 @@ def energy_norm(state: SpectralState, p: FluidParams) -> float:
 class _ModePropagator:
     """Flow of the modes ns (n = 0 allowed) in weighted Fourier coordinates.
 
-    Nonzero modes are diagonalized through their basis-change matrices
-    Gamma_n.  The n = 0 block is diagonal already (mean density and velocity
-    frozen, stress relaxing): Gamma_0 = I with eigenvalues (0, 0, -1/kappa).
-    A mode whose Gamma_n is too ill-conditioned (not expected for valid
-    parameters, but never silently wrong) is propagated by
-    scaling-and-squaring instead.
+    Every mode is diagonalized through its basis-change matrix Gamma_n.  The
+    n = 0 block is diagonal already (mean density and velocity frozen,
+    stress relaxing): Gamma_0 = I with eigenvalues (0, 0, -1/kappa).  A
+    Gamma_n with condition number above COND_LIMIT (not expected for valid
+    parameters) raises NumericalFailure, so the flow is never silently wrong.
     """
 
     COND_LIMIT = 1e8
@@ -133,38 +134,27 @@ class _ModePropagator:
     def __init__(self, p: FluidParams, ns):
         ns = np.asarray(ns, dtype=int)
         nz = ns != 0
-        lambdas = np.tile(np.array([0.0, 0.0, -1.0 / p.kappa], dtype=complex), (ns.size, 1))
-        gamma = np.tile(np.eye(3, dtype=complex), (ns.size, 1, 1))
+        self.lambdas = np.tile(np.array([0.0, 0.0, -1.0 / p.kappa], dtype=complex),
+                               (ns.size, 1))
+        self.gamma = np.tile(np.eye(3, dtype=complex), (ns.size, 1, 1))
         tab = spectral_table(p, ns[nz]).require_simple()
-        lambdas[nz] = tab.lambdas
-        gamma[nz] = tab.gamma
-        self.use_expm = np.linalg.cond(gamma) > self.COND_LIMIT
-        diag = ~self.use_expm
-        self.lambdas = lambdas[diag]
-        self.gamma = gamma[diag]
+        self.lambdas[nz] = tab.lambdas
+        self.gamma[nz] = tab.gamma
+        cond = np.linalg.cond(self.gamma)
+        if np.any(cond > self.COND_LIMIT):
+            i = int(np.argmax(cond))
+            raise NumericalFailure(f"basis change of mode n={ns[i]} has condition "
+                                   f"number {cond[i]:.3e} > {self.COND_LIMIT:.0e}")
         self.gamma_inv = np.linalg.inv(self.gamma)
-        self.blocks = np.array(
-            [mode_matrix(p, n) if n else np.diag(lam)
-             for n, lam in zip(ns[self.use_expm], lambdas[self.use_expm])],
-            dtype=complex,
-        ).reshape(-1, 3, 3)
 
     def flow(self, g: np.ndarray, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] e^{taus[k] A_n} g[n, :, k] for every mode n.
 
         g is (modes, 3, len(taus)); the result is (modes, 3).
         """
-        out = np.empty(g.shape[:2], dtype=complex)
-        diag = ~self.use_expm
         e = np.exp(self.lambdas[:, :, None] * taus) * weights
-        d = np.einsum("mij,mjk,mik->mi", self.gamma, g[diag], e)
-        out[diag] = np.einsum("mij,mj->mi", self.gamma_inv, d)
-        if self.blocks.size:
-            flows = expm(taus[None, :, None, None] * self.blocks[:, None])
-            out[self.use_expm] = np.einsum(
-                "mkij,mjk,k->mi", flows, g[self.use_expm], weights
-            )
-        return out
+        d = np.einsum("mij,mjk,mik->mi", self.gamma, g, e)
+        return np.einsum("mij,mj->mi", self.gamma_inv, d)
 
 
 def evolve(

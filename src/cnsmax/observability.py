@@ -4,6 +4,9 @@ small-time lack-of-controllability scaling experiment.
 All quadratic forms are assembled in closed form over flattened modal
 indices; finite sections are always positive definite, so the reported
 "constants" are trends in (N, T), not the theory's existential constants.
+The observability constants are eigenvalues of an observation Gram relative
+to the terminal energy Gram, which is Gamma Gamma^H on the mode blocks, so
+each pencil is reduced by the inverse basis changes Gamma_n^-1.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from ._gram import (
     exponential_gram,
     kernel_gram,
     real_form,
-    terminal_gram,
     texp,
     windowed_gram,
 )
@@ -46,33 +48,26 @@ def ingham_frame_bounds(p: FluidParams, N: int, T: float) -> tuple[float, float]
     herm = np.max(np.abs(g - g.conj().T))
     if herm > 1e-12 * max(1.0, float(np.abs(g).max())):
         raise NumericalFailure(f"exponential Gram lost Hermitian symmetry: {herm:.2e}")
-    ev = np.linalg.eigvalsh(real_form(0.5 * (g + g.conj().T), tab))
+    ev = np.linalg.eigvalsh(real_form(g, tab))
     # a Gram matrix has no negative eigenvalue: below 0 is rounding noise
     return max(float(ev[0]), 0.0), float(ev[-1])
 
 
-def eigh(a: np.ndarray, b: np.ndarray, tab) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian pencil (a, b) over the branch
-    table tab, b positive definite and block diagonal like `terminal_gram`
-    (3x3 blocks, then at most one 1x1): the eigenvalues of the real form of
-    L^-1 a L^-H, L the blocks' Cholesky factors (Golub & Van Loan 8.7)."""
-    m = b.shape[0] // 3
-    i = np.arange(m)
-    linv = np.linalg.inv(np.linalg.cholesky(b[:3 * m, :3 * m].reshape(m, 3, m, 3)[i, :, i]))
-    for _ in range(2):  # a <- (L^-1 a)^H, so twice gives L^-1 a L^-H
-        a = np.vstack([(linv @ a[:3 * m].reshape(m, 3, -1)).reshape(3 * m, -1),
-                       np.diag(b)[3 * m:, None].real ** -0.5 * a[3 * m:]]).conj().T
-    return np.linalg.eigvalsh(real_form(a, tab))
+def eigh(a: np.ndarray, tab) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian observation Gram a over the
+    branch table tab relative to its terminal energy Gram, floored at 0.
 
-
-def gram_pencil_eigvals(M: np.ndarray, tab) -> np.ndarray:
-    """Ascending generalized eigenvalues of the Hermitian part of an
-    observation Gram M against the terminal energy Gram of the same table,
-    floored at 0: the pencil is positive semidefinite, so a negative
+    The terminal Gram is Gamma_n Gamma_n^H on the 3x3 block of each mode n
+    and 1 on the n = 0 row (see `terminal_gram`), so the pencil reduces to
+    the real form of Gamma^-1 a Gamma^-H, the n = 0 row untouched (Golub &
+    Van Loan 8.7).  The pencil is positive semidefinite, so a negative
     eigenvalue is rounding noise."""
-    R = terminal_gram(tab)
-    vals = eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T), tab)
-    return np.maximum(vals, 0.0)
+    m = tab.modes.ns.size
+    ginv = np.linalg.inv(tab.modes.gamma)
+    for _ in range(2):  # a <- (Gamma^-1 a)^H, so twice gives Gamma^-1 a Gamma^-H
+        a = np.vstack([(ginv @ a[:3 * m].reshape(m, 3, -1)).reshape(3 * m, -1),
+                       a[3 * m:]]).conj().T
+    return np.maximum(np.linalg.eigvalsh(real_form(a, tab)), 0.0)
 
 
 def interior_observability_constant(
@@ -83,7 +78,7 @@ def interior_observability_constant(
     velocity/stress subspace.  Returns (lambda_min, lambda_max)."""
     lo, hi = interval
     tab = build_branch_table(p, N, "Zm")
-    vals = gram_pencil_eigvals(windowed_gram(tab, T, tab.sigma_coeff, lo, hi), tab)
+    vals = eigh(windowed_gram(tab, T, tab.sigma_coeff, lo, hi), tab)
     return float(vals[0]), float(vals[-1])
 
 
@@ -93,7 +88,7 @@ def boundary_observability_constant(p: FluidParams, N: int, T: float, kind: str)
     terminal data of int_0^T |B* T*_{T-t} z|^2 dt / ||z||^2."""
     tab = build_branch_table(p, N, "Zmm")
     bv = boundary_observation_vector(tab, kind)
-    vals = gram_pencil_eigvals(kernel_gram(tab, T, bv), tab)
+    vals = eigh(kernel_gram(tab, T, bv), tab)
     return float(vals[0]), float(vals[-1])
 
 
@@ -174,13 +169,15 @@ def lack_experiment(
         logs -= logs.max()
         w = np.exp(logs)
         w /= np.sqrt(2.0 * np.sum(w**2))
-        idx = np.concatenate([ns, -ns])
-        w2 = np.concatenate([w, w]) ** 2
-        tab = spectral_table(p, idx)
+        # mode -n conjugates lambda, the adjoint triple and the transport
+        # exponent of mode n, and alinf is real, so both carry the same
+        # terms: solve n > 0 and count each twice
+        w2 = 2.0 * w**2
+        tab = spectral_table(p, ns)
         lam_b = np.conj(tab.lambdas[:, l_hat])
         al = tab.xi_star_coeffs[:, l_hat]
-        mu_exp = -what - 1j * bhat * idx  # transported-branch exponent
-        resid = np.zeros(idx.size)
+        mu_exp = -what - 1j * bhat * ns  # transported-branch exponent
+        resid = np.zeros(ns.size)
         for comp in range(3):
             t1 = np.abs(al[:, comp]) ** 2 * np.real(texp(2.0 * lam_b.real, T))
             t2 = np.abs(alinf[comp]) ** 2 * np.real(texp(2.0 * mu_exp.real, T))

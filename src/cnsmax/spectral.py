@@ -181,24 +181,6 @@ def asymptotic_frequencies(roots: CubicRoots, ns) -> np.ndarray:
     return -np.asarray(roots.omega)[None, :] + 1j * np.outer(ns, roots.beta)
 
 
-def mode_matrix(p: FluidParams, n: int) -> np.ndarray:
-    """Generator block of mode n in the weighted orthonormal Fourier frame."""
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    b = p.b_eff
-    sbr = np.sqrt(b * p.rho_s)
-    smr = np.sqrt(p.mu / (p.kappa * p.rho_s))
-    i_n = 1j * n
-    return np.array(
-        [
-            [-i_n * p.u_s, -i_n * sbr, 0.0],
-            [-i_n * sbr, -i_n * p.u_s, i_n * smr],
-            [0.0, i_n * smr, -1.0 / p.kappa],
-        ],
-        dtype=complex,
-    )
-
-
 _PERMS = np.array(list(permutations(range(3))))
 
 

@@ -29,6 +29,25 @@ def make_params(seed: int) -> FluidParams:
     )
 
 
+def mode_matrix(p: FluidParams, n: int) -> np.ndarray:
+    """Generator block of mode n in the weighted orthonormal Fourier frame:
+    the dense oracle of the spectral tables and the modal propagator."""
+    if n == 0:
+        raise ValueError("n must be nonzero")
+    b = p.b_eff
+    sbr = np.sqrt(b * p.rho_s)
+    smr = np.sqrt(p.mu / (p.kappa * p.rho_s))
+    i_n = 1j * n
+    return np.array(
+        [
+            [-i_n * p.u_s, -i_n * sbr, 0.0],
+            [-i_n * sbr, -i_n * p.u_s, i_n * smr],
+            [0.0, i_n * smr, -1.0 / p.kappa],
+        ],
+        dtype=complex,
+    )
+
+
 def state_of(N: int, modes: dict, subspace: str = "Z"):
     """SpectralState of truncation N from {n: triple}; other modes zero."""
     from cnsmax.dynamics import SpectralState

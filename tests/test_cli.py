@@ -180,6 +180,22 @@ def test_numerical_failure_exits_3(tmp_path):
     assert "condition" in summary["error"]
 
 
+def test_ill_conditioned_basis_change_exits_3(tmp_path, monkeypatch):
+    # the modal propagator has no second path: a Gamma_n past COND_LIMIT is
+    # a numerical failure (every nonzero mode of P1 has cond(Gamma_n) > 1)
+    from cnsmax import dynamics
+
+    monkeypatch.setattr(dynamics._ModePropagator, "COND_LIMIT", 1.0)
+    cfg = _write_cfg(tmp_path, "c.json",
+                     {"model": P1_MODEL, "simulate": {"N": 4, "T": 1.0, "seed": 0}})
+    out = tmp_path / "out"
+    assert run("simulate", cfg, str(out)) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "numerical-failure"
+    assert "condition number" in summary["error"]
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("command, block", [
     ("stabilize", {"N": 8, "omega": 1e18}),
     ("stabilize", {"N": 8, "omega": 1e19}),

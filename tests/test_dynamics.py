@@ -10,8 +10,8 @@ from cnsmax.dynamics import (
     synthesize_physical,
 )
 from cnsmax.errors import GridTooCoarse, ValidationError
-from cnsmax.spectral import TWO_PI, mode_matrix, mode_system, z_weights
-from conftest import complex_state, state_of
+from cnsmax.spectral import TWO_PI, mode_system, z_weights
+from conftest import complex_state, mode_matrix, state_of
 
 
 def test_energy_constant_density(p1):
@@ -68,8 +68,8 @@ def test_propagate_mode_identity_and_semigroup(p1):
 
 
 def test_expm_matches_scipy(p1):
-    # the fallback exponential against scipy.linalg.expm on the (m, k, 3, 3)
-    # stacks that _ModePropagator.flow builds, a Jordan block and zeros
+    # the Pade exponential against scipy.linalg.expm on (m, k, 3, 3) stacks
+    # of scaled generator blocks, a Jordan block and zeros
     from scipy.linalg import expm as scipy_expm
 
     from cnsmax.dynamics import expm
@@ -141,17 +141,12 @@ def test_forced_evolution_quadrature_self_convergence(p1, monkeypatch):
     assert diff < 1e-10
 
 
-@pytest.mark.parametrize("cond_limit", [None, 0.0])
-def test_forced_evolution_matches_van_loan(p1, monkeypatch, cond_limit):
+def test_forced_evolution_matches_van_loan(p1):
     """Forcing e^{mu_n t} v_n on every mode, n = 0 included: the final state
     is e^{T A_n} c_n + int_0^T e^{(T-s) A_n} v_n e^{mu_n s} ds, read off the
     augmented exponential expm([[A_n, v_n], [0, mu_n]]) (Van Loan)."""
     from scipy.linalg import expm
 
-    fallbacks = []
-    if cond_limit is not None:
-        monkeypatch.setattr(dyn._ModePropagator, "COND_LIMIT", cond_limit)
-        monkeypatch.setattr(dyn, "expm", lambda a: fallbacks.append(a) or expm(a))
     N, T = 4, 1.5
     state0 = complex_state(p1, N, seed=3)
     rng = np.random.default_rng(12)
@@ -173,7 +168,6 @@ def test_forced_evolution_matches_van_loan(p1, monkeypatch, cond_limit):
         want.append(expm(T * A) @ (sw * state0.coeffs[n + N]) + expm(T * aug)[:3, 3])
     want = np.array(want)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-    assert (len(fallbacks) > 0) == (cond_limit is not None)
 
 
 def test_evolve_empty_state_gives_complex_zeros(p1):
@@ -220,8 +214,6 @@ def test_duality_pairing_constant_with_rk4_oracle(p1):
     """<z(t), w(t)>_Z is constant when z flows forward and w solves the
     adjoint; the adjoint here is integrated independently by dense RK4 on
     the weighted mode blocks."""
-    from cnsmax.spectral import mode_matrix
-
     N, T = 2, 0.9
     z0 = complex_state(p1, N, seed=4)
     wT = complex_state(p1, N, seed=9)

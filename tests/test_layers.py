@@ -12,11 +12,13 @@ third-party module it imports is listed in pyproject.toml.  It holds no dead
 code: no module-level import goes unused, and every module-level function
 and class, and every method and property of those classes, is referenced
 from src/, the acceptance criteria (tests/test_acceptance.py) or
-perfbench/; a definition that only the other tests use is an orphan.  Nor
-does it hold a dead parameter: every parameter with a default is passed by
-some call there that names its function, so none only takes its default;
-and every dataclass field default is both left out by some constructor call
-there and passed by another, so it is neither a constant nor unused.
+perfbench/; a definition that only the other tests use is an orphan, and
+the definitions that only a perfbench string (the tracer's patch targets)
+keeps alive are exactly TRACER_ONLY.  Nor does it hold a dead parameter:
+every parameter with a default is passed by some call there that names its
+function, so none only takes its default; and every dataclass field default
+is both left out by some constructor call there and passed by another, so
+it is neither a constant nor unused.
 Per-mode data comes from the batched tables, never from a one-mode solve.
 """
 
@@ -32,6 +34,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "cnsmax"
+BENCH = ROOT / "perfbench"
+# definitions that only the benchmark tracer binds (by name): the Pade
+# exponential the modal propagator no longer calls, and the terminal Gram
+# that is Gamma Gamma^H on its mode blocks (a test oracle)
+TRACER_ONLY = {"expm", "terminal_gram"}
 
 LAYERS = [
     {"errors"},
@@ -184,28 +191,38 @@ def test_no_unused_module_imports(name):
     assert unused == []
 
 
-def _program_nodes():
-    """Every AST node of the program, the acceptance criteria and the
-    benchmark (src/, tests/test_acceptance.py, perfbench/).  The other tests
-    do not count, so code only they use shows as dead."""
+def _program_trees():
+    """(path, AST) of each file of the program, the acceptance criteria and
+    the benchmark (src/, tests/test_acceptance.py, perfbench/).  The other
+    tests do not count, so code only they use shows as dead."""
     paths = [*(ROOT / "src").rglob("*.py"), ROOT / "tests" / "test_acceptance.py",
-             *(ROOT / "perfbench").rglob("*.py")]
+             *BENCH.rglob("*.py")]
     for path in paths:
-        yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _program_nodes():
+    """Every AST node of the program trees."""
+    for _, tree in _program_trees():
+        yield from ast.walk(tree)
 
 
 def _references():
-    """Identifiers the program nodes read: names, attributes, and string
-    constants (the benchmark tracer patches functions by their name)."""
-    refs = set()
-    for node in _program_nodes():
-        if isinstance(node, ast.Name):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            refs.add(node.value)
-    return refs
+    """(program, bench strings): the identifiers the program trees read
+    (names, attributes, and string constants outside perfbench/, such as
+    `__all__`), and the string constants of perfbench/, by which the
+    benchmark tracer patches functions."""
+    program, bench = set(), set()
+    for path, tree in _program_trees():
+        strings = bench if BENCH in path.parents else program
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                program.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                program.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+    return program, bench
 
 
 def _definitions(name):
@@ -221,11 +238,21 @@ def _definitions(name):
 
 
 def test_every_module_level_definition_is_referenced():
-    refs = _references()
+    refs = set.union(*_references())
     orphans = [f"{name}.py:{line} {qual}"
                for name in _modules() for line, qual in _definitions(name)
                if qual.split(".")[-1] not in refs]
     assert orphans == []
+
+
+def test_tracer_only_definitions_are_the_named_ones():
+    # definitions that only a benchmark string keeps alive are debt the
+    # tracer pins: exactly TRACER_ONLY, so a change that orphans another
+    # one, or gives one of these a program caller, fails here
+    program, bench = _references()
+    only = {qual.split(".")[-1] for name in _modules() for _, qual in _definitions(name)
+            if qual.split(".")[-1] in bench - program}
+    assert only == TRACER_ONLY
 
 
 def _program_calls():

@@ -17,13 +17,14 @@ from cnsmax._gram import (
 from cnsmax.errors import HypothesisViolated, NumericalFailure
 from cnsmax.observability import (
     boundary_observability_constant,
+    eigh,
     exponential_gram,
-    gram_pencil_eigvals,
     ingham_frame_bounds,
     interior_observability_constant,
     lack_experiment,
 )
 from cnsmax.spectral import TWO_PI, minimal_time, mode_eigenvalues_batch, mode_system, z_weights
+from conftest import make_params
 
 
 def test_minimal_time(p1):
@@ -122,9 +123,10 @@ def test_boundary_observability_single_mode(p1):
 @pytest.mark.parametrize("N", [1, 8, 64])
 @pytest.mark.parametrize("f", [0.3, 1.2])
 def test_gram_pencil_eigvals_match_scipy(p1, subspace, N, f):
-    # the block Cholesky reduction against scipy's generalized eigh: boundary
-    # tables (Zmm) and interior ones with the trailing n = 0 row (Zm)
-    from scipy.linalg import eigh
+    # the Gamma^-1 reduction against scipy's generalized eigh on the explicit
+    # terminal Gram: boundary tables (Zmm) and interior ones with the
+    # trailing n = 0 row (Zm)
+    from scipy.linalg import eigh as scipy_eigh
 
     T = f * minimal_time(p1)
     tab = build_branch_table(p1, N, subspace)
@@ -133,9 +135,9 @@ def test_gram_pencil_eigvals_match_scipy(p1, subspace, N, f):
     else:
         M = windowed_gram(tab, T, tab.sigma_coeff, 0.0, np.pi)
     R = terminal_gram(tab)
-    got = gram_pencil_eigvals(M, tab)
-    want = np.maximum(eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T),
-                           eigvals_only=True), 0.0)
+    got = eigh(M, tab)
+    want = np.maximum(scipy_eigh(0.5 * (M + M.conj().T), 0.5 * (R + R.conj().T),
+                                 eigvals_only=True), 0.0)
     assert abs(got[-1] - want[-1]) <= 1e-13 * want[-1]
     if want[0] > 0:
         assert abs(got[0] - want[0]) <= 1e-6 * want[0]
@@ -214,6 +216,22 @@ def test_terminal_gram_is_the_masked_dense_form(p1):
     dense = TWO_PI * np.einsum("ap,p,cp->ca", star, z_weights(p1), np.conj(star))
     want = np.where(tab.idx_n[None, :] == tab.idx_n[:, None], dense, 0.0)
     assert np.max(np.abs(terminal_gram(tab) - want)) <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("params", ["p1", "pb", 3, 11])
+@pytest.mark.parametrize("N", [1, 8, 64])
+def test_terminal_gram_is_gamma_gamma_h(request, params, N):
+    # what lets eigh reduce its pencils by Gamma^-1: each mode block of the
+    # terminal Gram is Gamma_n Gamma_n^H, and the Zm n = 0 entry is 1
+    p = request.getfixturevalue(params) if isinstance(params, str) else make_params(params)
+    tab = build_branch_table(p, N, "Zm")
+    R = terminal_gram(tab)
+    m = tab.modes.ns.size
+    blocks = R[:3 * m, :3 * m].reshape(m, 3, m, 3)[np.arange(m), :, np.arange(m)]
+    gamma = tab.modes.gamma
+    want = gamma @ gamma.conj().transpose(0, 2, 1)
+    assert np.max(np.abs(blocks - want)) <= 1e-15 * np.abs(want).max()
+    assert abs(R[-1, -1] - 1.0) <= 1e-15
 
 
 def test_log_pn_matches_gammaln():

@@ -9,7 +9,6 @@ from cnsmax.spectral import (
     branch_residual_slope,
     gamma_matrix,
     mode_eigenvalues_batch,
-    mode_matrix,
     mode_system,
     nonzero_modes,
     solve_beta_cubic,
@@ -17,7 +16,7 @@ from cnsmax.spectral import (
     z_weights,
     TWO_PI,
 )
-from conftest import make_params
+from conftest import make_params, mode_matrix
 
 
 def test_beta_roots_p1(p1):
@@ -102,6 +101,21 @@ def test_mode_matrix(p1):
         dense = np.linalg.eigvals(np.stack([mode_matrix(p, n) for n in ns]))
         err = np.abs(lam[:, :, None] - dense[:, None, :]).min(axis=2)
         assert np.all(err <= 1e-10 * np.abs(lam))
+
+
+@pytest.mark.parametrize("params", ["p1", "pb", 3])
+def test_negative_modes_are_conjugate_rows(request, params):
+    # the system is real: the row of -n conjugates lambda, the adjoint triple
+    # and psi of n, which lets lack_experiment solve n > 0 only and count
+    # each term twice (and real_form pair n with -n)
+    p = request.getfixturevalue(params) if isinstance(params, str) else make_params(params)
+    ns = np.arange(1, 257)
+    plus, minus = spectral_table(p, ns), spectral_table(p, -ns)
+    for field in ("lambdas", "xi_star_coeffs", "psi"):
+        a, b = getattr(plus, field), np.conj(getattr(minus, field))
+        scale = np.abs(a).reshape(ns.size, -1).max(axis=1)
+        err = np.abs(a - b).reshape(ns.size, -1).max(axis=1)
+        assert np.all(err <= 1e-13 * scale), field
 
 
 def test_mode_eigenvalues_p1_n10(p1):
