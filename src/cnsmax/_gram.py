@@ -6,12 +6,13 @@ time integral of an exponential pair with a spatial overlap integral; both
 have closed forms collected here, with the boundary observation functional
 B* xi* that weights the boundary forms.  Each is assembled at the cost of
 its structure: the exponential Gram from the K exponentials e^{lam T} and
-the spatial overlaps from their distinct mode differences.  The terminal
-Gram is Gamma Gamma^H on each mode block, so no program path builds it;
-`terminal_gram` stays as the oracle of that identity.  The spectrum of the
-real system is closed under conjugation, so `real_form` turns a Hermitian
-form over a table into a real symmetric one of the same size by pairing
-mode n with -n.
+the spatial overlaps from their distinct mode differences.  There is one
+weighted product of that Gram, `kernel_gram`; the windowed form is it times
+the spatial overlaps.  The terminal Gram is Gamma Gamma^H on each mode
+block, so no program path builds it; `terminal_gram` stays as the oracle of
+that identity.  The spectrum of the real system is closed under
+conjugation, so `real_form` turns a Hermitian form over a table into a real
+symmetric one of the same size by pairing mode n with -n.
 """
 
 from __future__ import annotations
@@ -182,12 +183,7 @@ def windowed_gram(
 ) -> np.ndarray:
     """Gram of kernels w_a e^{conj(lam_a)(T-t)} e^{i n_a x} over (0,T)x(lo,hi)."""
     si = space_overlap(tab.idx_n[None, :] - tab.idx_n[:, None], lo, hi)
-    return (
-        np.conj(weights)[:, None]
-        * weights[None, :]
-        * exp_pair_integrals(tab, T)
-        * si
-    )
+    return kernel_gram(tab, T, weights) * si
 
 
 def real_form(h: np.ndarray, tab: BranchTable) -> np.ndarray:

@@ -1,37 +1,13 @@
-"""Vectorized NumPy cubic kernels.
+"""Vectorized NumPy cubic kernel.
 
-Both solvers operate on batches of monic cubics x^3 + a2 x^2 + a1 x + a0:
-every mode of every run needs one characteristic-cubic solve.
+One solver for batches of monic complex cubics x^3 + a2 x^2 + a1 x + a0:
+every mode of every run needs one characteristic-cubic solve, and the real
+slope cubic of the parameters is the same solve on a real row.
 """
 
 import numpy as np
 
 _W = np.exp(2j * np.pi / 3.0)
-
-
-def real_cubic_roots(a2, a1, a0):
-    """Roots of monic real cubics known to have three real roots.
-
-    Trigonometric three-real-root formula followed by two Newton sweeps.
-    Returns shape (m, 3), each row sorted descending.
-    """
-    a2 = np.atleast_1d(np.asarray(a2, dtype=float))
-    a1 = np.atleast_1d(np.asarray(a1, dtype=float))
-    a0 = np.atleast_1d(np.asarray(a0, dtype=float))
-    p = a1 - a2 * a2 / 3.0
-    q = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
-    # three real roots <=> 4p^3 + 27q^2 <= 0, hence p < 0 here
-    mp = np.sqrt(np.maximum(-p / 3.0, 0.0))
-    arg = np.clip(3.0 * q / (2.0 * p * np.where(mp > 0, mp, 1.0)), -1.0, 1.0)
-    phi = np.arccos(arg)
-    k = np.arange(3.0)
-    t = 2.0 * mp[:, None] * np.cos((phi[:, None] - 2.0 * np.pi * k[None, :]) / 3.0)
-    r = t - (a2 / 3.0)[:, None]
-    for _ in range(2):
-        f = ((r + a2[:, None]) * r + a1[:, None]) * r + a0[:, None]
-        df = (3.0 * r + 2.0 * a2[:, None]) * r + a1[:, None]
-        r = r - f / np.where(df != 0.0, df, 1.0)
-    return -np.sort(-r, axis=1)
 
 
 def char_roots_batch(a2, a1, a0):

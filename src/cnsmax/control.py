@@ -36,7 +36,7 @@ from ._gram import (
 from .dynamics import SpectralState, energy_norm, evolve
 from .errors import IllConditioned, ValidationError
 from .model import FluidParams
-from .spectral import TWO_PI, ModeEigenSystem, minimal_time, mode_system
+from .spectral import TWO_PI, ModeEigenSystem, gamma_inverse, minimal_time, mode_system
 
 # mode_system stays importable from here: the perfbench tracer patches it by
 # name in every module that holds it
@@ -73,6 +73,10 @@ def mode_control_operator(p: FluidParams, mode: ModeEigenSystem | BranchTable) -
 def _gramian_blocks(p: FluidParams, lam, psi, T: float) -> np.ndarray:
     """Closed-form controllability Gramians over [0, T] of the everywhere
     actuator from eigenvalue and normalizer rows (..., k): (..., k, k)."""
+    # texp on the pair sums, not exponential_gram's e_c conj(e_a) - 1: that
+    # difference cancels at small |zT|, and the everywhere control at
+    # T = 1e-6, N = 2, seed 0 then exits 0 instead of 3
+    # (tests/test_cli.py::test_numerical_failure_exits_3_in_time)
     z = lam[..., :, None] + np.conj(lam)[..., None, :]
     W = TWO_PI * p.b_eff**2 * texp(z, T) / (np.conj(psi)[..., :, None] * psi[..., None, :])
     # strip rounding skew; the exact form is Hermitian
@@ -214,7 +218,7 @@ def synthesize_boundary_control(
     # independent verification through the quadrature evolution oracle; the
     # Zmm rows are the three branches of each mode in turn, and each mode's
     # forcing is Gamma_n^{-1} (conj(B* xi*_n) q(t)); the n = 0 row stays zero
-    actuated = np.einsum("mij,mj->mi", np.linalg.inv(tab.modes.gamma),
+    actuated = np.einsum("mij,mj->mi", gamma_inverse(tab.modes),
                          np.conj(bv).reshape(-1, 3))
     rows = tab.modes.ns + N
 

@@ -5,7 +5,8 @@ States hold Fourier coefficients of (rho, u, S) in the orthonormal scalar
 basis e^{inx}/sqrt(2*pi).  The generator is block diagonal over modes, so
 propagation is exact modal exponentiation, done for all modes at once by
 diagonalizing each 3x3 block through its basis-change matrix Gamma_n; an
-ill-conditioned Gamma_n is a NumericalFailure, with no second path.  Time
+ill-conditioned Gamma_n is a NumericalFailure raised by
+`spectral.gamma_inverse` (past GAMMA_COND_LIMIT), with no second path.  Time
 grids exist only for recording trajectories and for the
 variation-of-constants quadrature of forced runs.  A forcing is
 array-valued: evolve samples it once per record interval on that interval's
@@ -21,9 +22,9 @@ from math import factorial
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import GridTooCoarse, NumericalFailure, ValidationError
+from .errors import GridTooCoarse, ValidationError
 from .model import SUBSPACES, FluidParams
-from .spectral import TWO_PI, spectral_table, z_weights
+from .spectral import TWO_PI, gamma_inverse, spectral_table, z_weights
 
 # Composite Gauss-Legendre quadrature of a forced evolve: PANELS_PER_UNIT
 # panels per unit time, GL_POINTS nodes a panel.  MAX_PANELS bounds the panels
@@ -124,12 +125,10 @@ class _ModePropagator:
 
     Every mode is diagonalized through its basis-change matrix Gamma_n.  The
     n = 0 block is diagonal already (mean density and velocity frozen,
-    stress relaxing): Gamma_0 = I with eigenvalues (0, 0, -1/kappa).  A
-    Gamma_n with condition number above COND_LIMIT (not expected for valid
-    parameters) raises NumericalFailure, so the flow is never silently wrong.
+    stress relaxing): Gamma_0 = I with eigenvalues (0, 0, -1/kappa).  The
+    other inverses come from `gamma_inverse`, so an ill-conditioned Gamma_n
+    raises NumericalFailure and the flow is never silently wrong.
     """
-
-    COND_LIMIT = 1e8
 
     def __init__(self, p: FluidParams, ns):
         ns = np.asarray(ns, dtype=int)
@@ -137,15 +136,11 @@ class _ModePropagator:
         self.lambdas = np.tile(np.array([0.0, 0.0, -1.0 / p.kappa], dtype=complex),
                                (ns.size, 1))
         self.gamma = np.tile(np.eye(3, dtype=complex), (ns.size, 1, 1))
+        self.gamma_inv = self.gamma.copy()
         tab = spectral_table(p, ns[nz]).require_simple()
         self.lambdas[nz] = tab.lambdas
         self.gamma[nz] = tab.gamma
-        cond = np.linalg.cond(self.gamma)
-        if np.any(cond > self.COND_LIMIT):
-            i = int(np.argmax(cond))
-            raise NumericalFailure(f"basis change of mode n={ns[i]} has condition "
-                                   f"number {cond[i]:.3e} > {self.COND_LIMIT:.0e}")
-        self.gamma_inv = np.linalg.inv(self.gamma)
+        self.gamma_inv[nz] = gamma_inverse(tab)
 
     def flow(self, g: np.ndarray, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] e^{taus[k] A_n} g[n, :, k] for every mode n.

@@ -27,7 +27,7 @@ from ._gram import (
 )
 from .errors import HypothesisViolated, NumericalFailure, ValidationError
 from .model import FluidParams
-from .spectral import TWO_PI, solve_beta_cubic, spectral_table, z_weights
+from .spectral import TWO_PI, gamma_inverse, solve_beta_cubic, spectral_table, z_weights
 
 BUMP_GRID = 1 << 14  # grid points of the bump profile's FFT
 
@@ -63,7 +63,7 @@ def eigh(a: np.ndarray, tab) -> np.ndarray:
     Van Loan 8.7).  The pencil is positive semidefinite, so a negative
     eigenvalue is rounding noise."""
     m = tab.modes.ns.size
-    ginv = np.linalg.inv(tab.modes.gamma)
+    ginv = gamma_inverse(tab.modes)
     for _ in range(2):  # a <- (Gamma^-1 a)^H, so twice gives Gamma^-1 a Gamma^-H
         a = np.vstack([(ginv @ a[:3 * m].reshape(m, 3, -1)).reshape(3 * m, -1),
                        a[3 * m:]]).conj().T

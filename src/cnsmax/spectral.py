@@ -10,7 +10,8 @@ coefficient triples with their biorthogonal normalization, the basis-change
 matrix between the weighted Fourier frame and the eigenbasis, and the
 eigenvalue-multiplicity flags used to reject degenerate parameter sets.
 Every per-mode quantity comes from `spectral_table`, batched over an array
-of modes; `mode_system` and `gamma_matrix` read one row of it.
+of modes; `mode_system` and `gamma_matrix` read one row of it, and
+`gamma_inverse` is the one guarded inverse of its Gamma_n.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ TWO_PI = 2.0 * np.pi
 TOL_MULT = 1e-8
 TOL_PSI = 1e-10
 TOL_RC = 1e-8
+# largest condition number of a basis change Gamma_n that gamma_inverse
+# inverts (not expected for valid parameters)
+GAMMA_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,8 @@ def solve_beta_cubic(p: FluidParams) -> CubicRoots:
     sign, which contradicts the negativity of the spectrum's real parts).
     """
     a2, a1, a0 = _beta_cubic_coeffs(p)
-    beta = _kernels.real_cubic_roots([a2], [a1], [a0])[0]
+    # a real cubic with three real roots: the complex solve's real parts
+    beta = -np.sort(-_kernels.char_roots_batch([a2], [a1], [a0])[0].real)
     res = np.abs(((beta + a2) * beta + a1) * beta + a0)
     if not np.all(res <= 1e-12 * (1.0 + np.abs(beta) ** 3)):
         raise NumericalFailure(f"slope cubic residual too large: {res}")
@@ -347,6 +352,22 @@ def biorthogonality_matrix(p: FluidParams, mode) -> np.ndarray:
     w = z_weights(p)
     star = mode.xi_star_coeffs / mode.psi[..., None]
     return TWO_PI * np.einsum("...lp,p,...qp->...lq", mode.xi_coeffs, w, np.conj(star))
+
+
+def gamma_inverse(tab: SpectralTable) -> np.ndarray:
+    """Inverses of the basis changes Gamma_n of a table, (m, 3, 3), by LU.
+
+    The closed-form inverse from the eigenvector triples is not used: it is
+    only as biorthogonal as the triples.  A Gamma_n with condition number
+    above GAMMA_COND_LIMIT raises NumericalFailure, so no flow, forcing or
+    pencil built on it is silently wrong.
+    """
+    cond = np.linalg.cond(tab.gamma)
+    if np.any(cond > GAMMA_COND_LIMIT):
+        i = int(np.argmax(cond))
+        raise NumericalFailure(f"basis change of mode n={tab.ns[i]} has condition "
+                               f"number {cond[i]:.3e} > {GAMMA_COND_LIMIT:.0e}")
+    return np.linalg.inv(tab.gamma)
 
 
 def gamma_matrix(p: FluidParams, mode: ModeEigenSystem) -> GammaMatrix:

@@ -181,11 +181,12 @@ def test_numerical_failure_exits_3(tmp_path):
 
 
 def test_ill_conditioned_basis_change_exits_3(tmp_path, monkeypatch):
-    # the modal propagator has no second path: a Gamma_n past COND_LIMIT is
-    # a numerical failure (every nonzero mode of P1 has cond(Gamma_n) > 1)
-    from cnsmax import dynamics
+    # the modal propagator has no second path: a Gamma_n past
+    # GAMMA_COND_LIMIT is a numerical failure (every nonzero mode of P1 has
+    # cond(Gamma_n) > 1)
+    from cnsmax import spectral
 
-    monkeypatch.setattr(dynamics._ModePropagator, "COND_LIMIT", 1.0)
+    monkeypatch.setattr(spectral, "GAMMA_COND_LIMIT", 1.0)
     cfg = _write_cfg(tmp_path, "c.json",
                      {"model": P1_MODEL, "simulate": {"N": 4, "T": 1.0, "seed": 0}})
     out = tmp_path / "out"
@@ -194,6 +195,32 @@ def test_ill_conditioned_basis_change_exits_3(tmp_path, monkeypatch):
     assert summary["status"] == "numerical-failure"
     assert "condition number" in summary["error"]
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, block, artifact", [
+    ("observability", {"N": 2, "kind": "density"}, "observability.json"),
+    ("observability", {"N": 2, "interval": [0.0, np.pi]}, "observability.json"),
+    ("control", {"variant": "boundary", "N": 2, "T": 1.2 * T0_P1}, "control.csv"),
+])
+def test_ill_conditioned_basis_change_guards_pencils_and_forcing(
+        tmp_path, monkeypatch, command, block, artifact):
+    # the observability pencils and the boundary forcing invert Gamma_n
+    # through the same guard as the modal propagator; the control fails
+    # before its verification evolve, so no forcing is built
+    from cnsmax import control, spectral
+
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve called past an ill-conditioned basis change")
+
+    monkeypatch.setattr(spectral, "GAMMA_COND_LIMIT", 1.0)
+    monkeypatch.setattr(control, "evolve", no_evolve)
+    cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
+    out = tmp_path / "out"
+    assert run(command, cfg, str(out)) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "numerical-failure"
+    assert "condition number" in summary["error"]
+    assert not (out / artifact).exists()
 
 
 @pytest.mark.parametrize("command, block", [

@@ -14,9 +14,12 @@ def _random_real_cubics(m, seed):
 
 
 def test_real_cubic_reference_solver():
+    # the one kernel also solves real cubics with three real roots (the
+    # slope cubic): real parts sorted descending, imaginary parts rounding
     a2, a1, a0, roots = _random_real_cubics(200, 11)
-    got = _kernels.real_cubic_roots(a2, a1, a0)
-    assert np.allclose(got, roots, atol=1e-9)
+    got = _kernels.char_roots_batch(a2, a1, a0)
+    assert np.allclose(-np.sort(-got.real, axis=1), roots, atol=1e-9)
+    assert np.all(np.abs(got.imag) <= 1e-9)
 
 
 def test_complex_cubic_reference_solver():

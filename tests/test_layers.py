@@ -19,7 +19,9 @@ every parameter with a default is passed by some call there that names its
 function, so none only takes its default; and every dataclass field default
 is both left out by some constructor call there and passed by another, so
 it is neither a constant nor unused.
-Per-mode data comes from the batched tables, never from a one-mode solve.
+Per-mode data comes from the batched tables, never from a one-mode solve,
+and each per-mode primitive has one owner: `_kernels` holds the one cubic
+solver, and only `spectral.gamma_inverse` inverts a basis change.
 """
 
 import ast
@@ -362,3 +364,22 @@ def test_per_mode_data_comes_from_the_batched_tables():
                         and getattr(top, "name", None) != "mode_system"):
                     bad.append(f"{name}.py:{node.lineno} calls {callee}")
     assert bad == []
+
+
+def test_one_cubic_kernel():
+    # the characteristic and the slope cubic share one solver
+    public = [node.name for node in _tree("_kernels").body
+              if isinstance(node, ast.FunctionDef) and not _private(node.name)]
+    assert public == ["char_roots_batch"]
+
+
+def test_only_gamma_inverse_inverts():
+    # every Gamma_n^-1 passes the condition-number guard of
+    # spectral.gamma_inverse: no other function calls np.linalg.inv
+    owners = [(name, getattr(top, "name", None))
+              for name in _modules() for top in _tree(name).body
+              for node in ast.walk(top)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "inv"
+              and getattr(node.func.value, "attr", None) == "linalg"]
+    assert owners == [("spectral", "gamma_inverse")]

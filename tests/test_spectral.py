@@ -1,12 +1,14 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from cnsmax import FluidParams
-from cnsmax.errors import MultiplicityDetected
+from cnsmax.errors import MultiplicityDetected, NumericalFailure
 from cnsmax.spectral import (
     asymptotic_frequencies,
     biorthogonality_matrix,
     branch_residual_slope,
+    gamma_inverse,
     gamma_matrix,
     mode_eigenvalues_batch,
     mode_system,
@@ -25,6 +27,36 @@ def test_beta_roots_p1(p1):
     # Vieta: sum = -2 u_s, product = mu u_s / (kappa rho_s)
     assert sum(r.beta) == pytest.approx(-2.0, abs=1e-12)
     assert np.prod(r.beta) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_beta_roots_match_mp_oracle():
+    # log-uniform parameter sets over six decades against mpmath's polyroots
+    # at 50 digits, root by root; the residual check, which scales with
+    # 1 + |beta|^3 and not with the cubic's terms, refuses a few extreme sets
+    rng = np.random.default_rng(0)
+    refused = 0
+    with mp.workdps(50):
+        for v in np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(200, 5))):
+            p = FluidParams(*map(float, v))
+            try:
+                beta = np.asarray(solve_beta_cubic(p).beta)
+            except NumericalFailure as exc:
+                assert "residual" in str(exc)
+                refused += 1
+                continue
+            r, u, k, m, b = map(mp.mpf, (p.rho_s, p.u_s, p.kappa, p.mu, p.b_eff))
+            roots = mp.polyroots([1, 2 * u, u**2 - b * r - m / (k * r), -m * u / (k * r)],
+                                 maxsteps=200, extraprec=200)
+            want = np.array(sorted((float(mp.re(x)) for x in roots), reverse=True))
+            assert np.all(np.abs(beta - want) <= 1e-11 * np.abs(want))
+    assert refused <= 10
+
+
+@pytest.mark.parametrize("params", ["p1", "pb", 3, 11])
+def test_gamma_inverse_is_the_lu_inverse(request, params):
+    p = request.getfixturevalue(params) if isinstance(params, str) else make_params(params)
+    tab = spectral_table(p, nonzero_modes(64))
+    assert np.array_equal(gamma_inverse(tab), np.linalg.inv(tab.gamma))
 
 
 def test_omega_p1_against_large_n_eigensolve(p1):
