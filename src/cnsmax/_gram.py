@@ -147,17 +147,25 @@ def terminal_gram(tab: BranchTable) -> np.ndarray:
 
 def exponential_gram(lams, T: float) -> np.ndarray:
     """Gram of {e^{conj(lam_a)(T-t)}} in L^2(0, T), closed form, from the K
-    exponentials e_a = e^{lam_a T}: (e_c conj(e_a) - 1) / (lam_c + conj(lam_a)),
-    and T where that denominator is below 1e-14.  NumericalFailure if some
-    Re lam > 0, where e could overflow."""
+    exponentials e_a = e^{lam_a T}: (e_c conj(e_a) - 1) / z with
+    z = lam_c + conj(lam_a), and T where |z| is below 1e-14.  That
+    difference cancels where |z T| is small, so below 1e-3 the entry is
+    expm1(z T) / z instead.  NumericalFailure if some Re lam > 0, where e
+    could overflow."""
     lams = np.asarray(lams, dtype=complex)
     if np.any(lams.real > 0):
         raise NumericalFailure("exponential Gram of a growing exponential (Re lambda > 0)")
     e = np.exp(lams * T)
     z = np.conj(lams)[None, :] + lams[:, None]
-    small = np.abs(z) < 1e-14
-    return np.where(small, T, (e[:, None] * np.conj(e)[None, :] - 1.0)
-                    / np.where(small, 1.0, z))
+    az = np.abs(z)
+    near = az < max(1e-3 / T, 1e-14)
+    g = e[:, None] * np.conj(e)[None, :]
+    g -= 1.0
+    g /= np.where(near, 1.0, z)
+    i = np.flatnonzero(near)
+    zn, small = z.flat[i], az.flat[i] < 1e-14
+    g.flat[i] = np.where(small, T, np.expm1(zn * T) / np.where(small, 1.0, zn))
+    return g
 
 
 def exp_pair_integrals(tab: BranchTable, T: float) -> np.ndarray:

@@ -145,8 +145,10 @@ def solve_beta_cubic(p: FluidParams) -> CubicRoots:
     a2, a1, a0 = _beta_cubic_coeffs(p)
     # a real cubic with three real roots: the complex solve's real parts
     beta = -np.sort(-_kernels.char_roots_batch([a2], [a1], [a0])[0].real)
+    # the residual against the largest term |a_k beta^k| of the cubic
     res = np.abs(((beta + a2) * beta + a1) * beta + a0)
-    if not np.all(res <= 1e-12 * (1.0 + np.abs(beta) ** 3)):
+    terms = np.abs([beta ** 3, a2 * beta ** 2, a1 * beta, np.full(3, a0)])
+    if not np.all(res <= 1e-12 * (1.0 + terms.max(axis=0))):
         raise NumericalFailure(f"slope cubic residual too large: {res}")
     gaps = [abs(beta[i] - beta[j]) for i in range(3) for j in range(i + 1, 3)]
     if min(gaps) <= 1e-9 * (1.0 + np.max(np.abs(beta))):

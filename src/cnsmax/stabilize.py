@@ -28,13 +28,13 @@ rectangular Gramian [M; M_e] applied to the same x(t).
 
 `_exact_loop` works in Python integers through `cnsmax._exact`, which
 solves x0 = M^{-1} c0 and rounds its exact sums (`rounded_product`).
-x(t_j) = x0 e^{r t_j} on the uniform sample grid is x(t_{j-1}) times the
-factor of that step, w e^{r (d_j - d_{j-1})} with w = e^{r s} and d the
-grid's rounding residues: the residue part is a short Taylor series, formed
-once per mode and distinct step (a linspace grid has few), and each mode
-keeps its own int64 exponent (`_mode_exponentials`; rates too large for
-either raise NumericalFailure).  mpmath is left with one exponential per
-mode and the rows M_e: no mp.lu_solve and nothing per sample.
+It owns its sample grid, the exact times t_j = j T_end / (samples - 1):
+x(t_j) = x0 e^{r t_j} is x(t_{j-1}) times w = e^{r T_end / (samples - 1)},
+and each mode keeps its own int64 exponent (`_mode_exponentials`; rates
+too large for it raise NumericalFailure).  Callers record the t_j rounded
+to double (np.linspace), like every other column.  mpmath is left with one
+exponential per mode and the rows M_e: no mp.lu_solve and nothing per
+sample.
 
 The double-precision route (`_integrate`) steps the closed loop with a
 second-order exponential integrator, a few NumPy vector operations per
@@ -44,7 +44,6 @@ dt/2 state of its self-convergence check is one matrix power.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -106,51 +105,23 @@ def _bits(re, im) -> np.ndarray:
     return _bit_length(np.maximum(np.abs(re), np.abs(im))).astype(np.int64)
 
 
-def _grid_residues(times):
-    """Step s = times[1] and integers d with times[j] = j s + d[j] 2^e
-    exactly.  ValueError unless every |d[j] 2^e| <= 1e-12 max|t|: the grid
-    must be uniform from 0 up to rounding, as np.linspace rounds it."""
-    s = float(times[1]) if len(times) > 1 else 0.0
-    n_s, d_s = s.as_integer_ratio()
-    ratios = [float(t).as_integer_ratio() for t in times]
-    den = max([d_s] + [dt for _, dt in ratios])
-    d = np.array([n * (den // dt) - j * n_s * (den // d_s)
-                  for j, (n, dt) in enumerate(ratios)], dtype=object)
-    if max(abs(v) for v in d) / den > 1e-12 * float(np.abs(times).max()):
-        raise ValueError("the closed form needs a uniform grid times[j] = j * times[1]")
-    return s, d, 1 - den.bit_length()
+def _mode_exponentials(y0, rates, T_end: float, samples: int, bits: int):
+    """y0_a e^{rates_a t_j} at the exact times t_j = j T_end / (samples - 1),
+    yielded in blocks of SAMPLE_BLOCK samples as integer arrays re, im and
+    exponents, shape (len(rates), SAMPLE_BLOCK); each mode and sample has
+    its own exponent.
 
-
-def _mode_exponentials(y0, rates, grid, bits: int):
-    """y0_a e^{rates_a t_j} on the uniform grid t_j = j s + d_j, yielded in
-    blocks of SAMPLE_BLOCK samples as integer arrays re, im and exponents,
-    shape (len(rates), SAMPLE_BLOCK); each mode and sample has its own
-    exponent.
-
-    y0 = (re, im, exp) integers and grid = `_grid_residues(times)`.
-    w_a = e^{rates_a s} is the only mp.exp per mode.  The step from t_{j-1}
-    to t_j is s + (d_j - d_{j-1}), and the exact rounding residues d of a
-    linspace grid give few distinct differences (11 over 451 samples on
-    [0, 40]; one on a grid with no residues), so each mode and distinct
-    step gets one factor w_a e^{rates_a (d_j - d_{j-1})}, the residue part
-    a short Taylor series (|rates d| ~ 1e-13) and no sample time moves.
-    Sample 0 is y0_a e^{rates_a d_0} and sample j is sample j - 1 times
-    its step's factor, cut back to `bits` + a few bits after each product.
-
-    Exponents are int64 and the Taylor series is short only for small
-    |rates d|, so NumericalFailure is raised when |rates t| over the grid
-    reaches 2^60 or |rates d| exceeds 1: the double-precision time grid
-    then cannot resolve the rates.
+    y0 = (re, im, exp) integers.  w_a = e^{rates_a T_end / (samples - 1)},
+    formed in mp at `bits` + a few bits, is the only mp.exp per mode.
+    Sample 0 is y0 and sample j is sample j - 1 times w_a, cut back to
+    `bits` + a few bits after each product.  Exponents are int64, so
+    NumericalFailure is raised when |rates| T_end reaches 2^60.
     """
-    s, d, d_exp = grid
-    r_max = float(np.abs(rates).max())
-    if r_max * s * len(d) >= 2.0 ** 60:
-        raise NumericalFailure(f"closed-loop exponent |r t| = {r_max * s * len(d):.3e} "
+    r_t = float(np.abs(rates).max()) * T_end
+    if r_t >= 2.0 ** 60:
+        raise NumericalFailure(f"closed-loop exponent |r t| = {r_t:.3e} "
                                "is out of the evaluator's exponent range")
-    r_d = r_max * math.ldexp(float(max(map(abs, d))), d_exp)
-    if r_d > 1:
-        raise NumericalFailure(f"the time grid's rounding moves e^(rt) by |r d| = {r_d:.3e}")
-    work = bits + len(d).bit_length()   # covers the error growth of the products
+    work = bits + samples.bit_length()   # covers the error growth of the products
 
     def renorm(a, b, e):
         shift = np.maximum(_bits(a, b) - work, 0)
@@ -158,50 +129,32 @@ def _mode_exponentials(y0, rates, grid, bits: int):
 
     ws = []
     with mp.workprec(work + 8):
+        step = mp.mpf(T_end) / (samples - 1)
         for r in rates:
-            parts = mp.exp(mp.mpc(r) * s)._mpc_
+            parts = mp.exp(mp.mpc(r) * step)._mpc_
             low = max(e + bc for _, m, e, bc in parts if m) - work
             ws.append((*fixed_point(parts, low), low))
-    w_re = np.array([w[0] for w in ws], dtype=object)[:, None]
-    w_im = np.array([w[1] for w in ws], dtype=object)[:, None]
+    w_re = np.array([w[0] for w in ws], dtype=object)
+    w_im = np.array([w[1] for w in ws], dtype=object)
     w_exp = np.array([w[2] for w in ws], dtype=np.int64)
-    # the residue d_0 of sample 0, then each distinct step residue once
-    step_of = {}
-    kinds = [step_of.setdefault(v, len(step_of)) for v in np.diff(d)]
-    ds = np.array([d[0], *step_of], dtype=object)
-    r_int = fixed_point(mantissas(rates), -work - d_exp).reshape(-1, 2)
-    # u = rates ds at 2^-work; e^u = sum u^k / k! until a term is below 1
-    u_re, u_im = r_int[:, :1] * ds, r_int[:, 1:] * ds
-    s_re, s_im = u_re + (1 << work), u_im
-    t_re, t_im, k = u_re, u_im, 2
-    while max(np.abs(t_re).max(), np.abs(t_im).max()) > 1:
-        t_re, t_im = (((t_re * u_re - t_im * u_im) >> work) // k,
-                      ((t_re * u_im + t_im * u_re) >> work) // k)
-        s_re, s_im, k = s_re + t_re, s_im + t_im, k + 1
-    f_re = (w_re * s_re[:, 1:] - w_im * s_im[:, 1:]) >> work
-    f_im = (w_re * s_im[:, 1:] + w_im * s_re[:, 1:]) >> work
-    factors = list(zip(f_re.T, f_im.T))
     a, b, e = renorm(*y0)
-    if d[0]:
-        a, b = ((a * s_re[:, 0] - b * s_im[:, 0]) >> work,
-                (a * s_im[:, 0] + b * s_re[:, 0]) >> work)
-    for start in range(0, len(d), SAMPLE_BLOCK):
-        n = min(SAMPLE_BLOCK, len(d) - start)
+    for start in range(0, samples, SAMPLE_BLOCK):
+        n = min(SAMPLE_BLOCK, samples - start)
         re, im = (np.empty((len(rates), n), dtype=object) for _ in range(2))
         ex = np.empty((len(rates), n), dtype=np.int64)
         for j in range(n):
             if start + j:
-                fr, fi = factors[kinds[start + j - 1]]
-                a, b, e = renorm(a * fr - b * fi, a * fi + b * fr, e + w_exp)
+                a, b, e = renorm(a * w_re - b * w_im, a * w_im + b * w_re, e + w_exp)
             re[:, j], im[:, j], ex[:, j] = a, b, e
         yield re, im, ex
 
 
-def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
+def _exact_loop(law: FeedbackLaw, c0, T_end: float, samples: int, dps: int,
+                extra=None):
     """Closed-form closed loop of `law` at dps digits (see the module
     docstring): x0 = M^{-1} c0 once, then x(t) = x0 e^{rt} with
-    r = -(2 omega + conj lambda), c(t) = M x(t) and q(t) = -b . x(t).
-    times must be a uniform grid from 0 (np.linspace); ValueError otherwise.
+    r = -(2 omega + conj lambda), c(t) = M x(t) and q(t) = -b . x(t), at
+    the exact times t_j = j T_end / (samples - 1), j < samples.
 
     extra = (lam_e, b_e, c0_e) appends E open-loop modes driven by q; their
     rows are M_e x(t) + e^{lam_e t} (c0_e - M_e x0) (Sylvester identity),
@@ -216,13 +169,12 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     prec + 64 bits below its largest x(t) entry; only bits that far below
     are dropped.  Every entry of R y(t) is the exact sum rounded as mp.fdot
     rounds it (`rounded_product`).  Returns the states, shape
-    (len(times), K + E), and the controls, shape (len(times),).
+    (samples, K + E), and the controls, shape (samples,).
     """
     lam, bv = law.lam, law.b_vec
     K = lam.size
     E = 0 if extra is None else len(extra[0])
     rates = -(2.0 * law.omega) - np.conj(lam)
-    grid = _grid_residues(times)
     with mp.workdps(dps):
         prec = mp.mp.prec
         m_parts = mantissas(law.M)
@@ -249,9 +201,9 @@ def _exact_loop(law: FeedbackLaw, c0, times, dps: int, extra=None):
     r_low = min((e for _, m, e, _ in parts if m), default=0)
     r_int = fixed_point(parts, r_low).reshape(K + E + 1, K + E, 2)
     product = rounded_product(r_int[..., 0], r_int[..., 1], prec)
-    out = np.empty((K + E + 1, len(times)), dtype=complex)
+    out = np.empty((K + E + 1, samples), dtype=complex)
     start = 0
-    for y_re, y_im, y_exp in _mode_exponentials(y0, rates, grid, prec + 64):
+    for y_re, y_im, y_exp in _mode_exponentials(y0, rates, T_end, samples, prec + 64):
         # every row reads x(t); the free responses set the scale only
         # when x(t) = 0
         nz = (y_re != 0) | (y_im != 0)
@@ -350,7 +302,8 @@ def closed_loop_simulate(
     Lyapunov identity makes x = M^{-1} c evolve by pure modal decay
     e^{-(2 omega + conj lambda)t}, so the trajectory is evaluated in closed
     form with exact integer sums (`_exact_loop`) and there is no time-step
-    error; it is sampled about every RECORD_STRIDE steps dt.
+    error; it is sampled about every RECORD_STRIDE steps dt, at the exact
+    times j T_end / nrec, and `times` holds them rounded to double.
     Either route holds only the recorded samples in memory, and a horizon
     needing more than MAX_STEPS steps or MAX_SAMPLES exact samples is a
     ValidationError.
@@ -366,7 +319,7 @@ def closed_loop_simulate(
     if exact:
         nrec = max(int(np.ceil(count)), 64)
         times = np.linspace(0.0, T_end, nrec + 1)
-        states, qs = _exact_loop(law, c0, times, law.precision_dps)
+        states, qs = _exact_loop(law, c0, T_end, nrec + 1, law.precision_dps)
     else:
         states, qs, times = _integrate(law, c0, T_end, dt)
     energies, comp = _state_norms(p, law.table.modes.xi_coeffs, states)
@@ -461,7 +414,7 @@ def spillover_report(
     c0 = eigen_coefficients(tab2, z0)
     times = np.linspace(0.0, T_end, 129)
     K = law.lam.size
-    cs, _ = _exact_loop(law, c0[~extra], times, law.precision_dps or 30,
+    cs, _ = _exact_loop(law, c0[~extra], T_end, times.size, law.precision_dps or 30,
                         extra=(tab2.lam[extra], bv2[extra], c0[extra]))
 
     e_design = _state_norms(p, law.table.modes.xi_coeffs, cs[:, :K])[0]

@@ -237,16 +237,16 @@ def test_ill_conditioned_basis_change_guards_pencils_and_forcing(
 ])
 def test_numerical_failure_exits_3_in_time(tmp_path, command, block):
     # huge omega leaves the exact evaluator's exponent range, or (at 1e15,
-    # inside that range) makes the time grid's rounding residues move
-    # e^(rt) too far; a tiny horizon gives a control no better than none,
-    # or observation ratios <= 0
+    # inside that range) makes every energy past t = 0 underflow, so the
+    # decay-rate fit has no usable sample; a tiny horizon gives a control
+    # no better than none, or observation ratios <= 0
     code, text = _cli_child(tmp_path, command, block)
     assert code == 3
     summary = json.loads(text)
     assert summary["status"] == "numerical-failure"
     assert "Infinity" not in text and "NaN" not in text
     if block.get("omega") == 1e15:
-        assert "the time grid's rounding moves e^(rt)" in summary["error"]
+        assert "fewer than two usable samples" in summary["error"]
 
 
 @pytest.mark.parametrize("command, block", [
@@ -280,6 +280,18 @@ def test_lower_bounds_never_negative(tmp_path, command, block, key):
         text = (out / name).read_text()
         assert "Infinity" not in text and "NaN" not in text
         assert json.loads(text)[key] >= 0
+
+
+def test_ingham_exits_0_where_the_exponential_gram_cancels(tmp_path):
+    # a branch at Re lambda = -1.6e-10 puts Gram entries at 0 < |z T| << 1,
+    # where e_c conj(e_a) - 1 cancels by 7 digits, enough to fail the
+    # Gram's Hermitian check (exit 3) unless those entries take expm1
+    model = {"rho_s": 0.00287, "u_s": 1.605, "kappa": 0.00987, "mu": 69.66, "b": 0.00137}
+    cfg = _write_cfg(tmp_path, "c.json", {"model": model, "ingham": {}})
+    out = tmp_path / "out"
+    assert run("ingham", cfg, str(out)) == 0
+    bounds = json.loads((out / "ingham.json").read_text())
+    assert 0 < bounds["C1_hat"] <= bounds["C2_hat"]
 
 
 def test_control_everywhere_cli(tmp_path):

@@ -210,6 +210,25 @@ def test_exponential_gram_from_the_exponentials(p1):
         exponential_gram(np.array([-1.0 + 2j, 1e-300 - 1j]), 1.0)
 
 
+def test_exponential_gram_matches_mpmath_where_zt_is_small():
+    # a branch of this set has Re lambda = -1.6e-10, so e_c conj(e_a) - 1
+    # cancels where 0 < |z T| << 1; every entry of `ingham`'s default Gram
+    # (N = 12, T = 1.1 T0) against expm1(z T) / z at 40 digits
+    import mpmath as mp
+
+    p = FluidParams(0.00287, 1.605, 0.00987, 69.66, 0.00137)
+    tab = build_branch_table(p, 12, "Zmm")
+    T = 1.1 * minimal_time(p)
+    g = exponential_gram(tab.lam, T)
+    z = np.conj(tab.lam)[None, :] + tab.lam[:, None]
+    assert np.any(np.abs(z) * T < 1e-3)
+    with mp.workdps(40):
+        lam = [mp.mpc(v) for v in tab.lam]
+        want = np.array([[complex(mp.expm1((lc + mp.conj(la)) * T) / (lc + mp.conj(la)))
+                          for la in lam] for lc in lam])
+    np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
+
+
 def test_terminal_gram_is_the_masked_dense_form(p1):
     tab = build_branch_table(p1, 4, "Zm")
     star = tab.alpha / tab.psi[:, None]

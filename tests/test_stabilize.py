@@ -267,10 +267,9 @@ def test_closed_loop_mp_calls_independent_of_samples(p1, monkeypatch):
 
 
 @pytest.mark.parametrize("spillover", [False, True])
-def test_exact_loop_mp_exponentials_on_residue_grid(p1, monkeypatch, spillover):
-    # the 451-sample grid of `stabilize` at T_end = 40 has 441 nonzero
-    # rounding residues in 11 distinct steps; they cost integer step
-    # factors only, so mp.exp runs once per design and extra mode
+def test_exact_loop_mp_exponentials_once_per_mode(p1, monkeypatch, spillover):
+    # the 451 samples of `stabilize` at T_end = 40 cost one integer step
+    # factor per mode, so mp.exp runs once per design and extra mode
     from cnsmax._gram import build_branch_table, boundary_observation_vector, eigen_coefficients
     from cnsmax.stabilize import _exact_loop
 
@@ -285,7 +284,7 @@ def test_exact_loop_mp_exponentials_on_residue_grid(p1, monkeypatch, spillover):
         extra = (tab2.lam[ex], boundary_observation_vector(tab2, law.kind)[ex],
                  eigen_coefficients(tab2, z0)[ex])
     calls = _count_mp_calls(monkeypatch, ("exp",))
-    states, _ = _exact_loop(law, c0, np.linspace(0.0, 40.0, 451), 30, extra=extra)
+    states, _ = _exact_loop(law, c0, 40.0, 451, 30, extra=extra)
     K, E = law.lam.size, states.shape[1] - law.lam.size
     assert E == (12 if spillover else 0)
     assert calls == {"exp": K + E}
@@ -376,49 +375,35 @@ def test_int_solve_pivots_and_guards():
 def test_mode_exponentials_relative_accuracy():
     # every mode keeps its own exponent: a mode that starts 1e-30 below the
     # others and dominates later, and a step with |rate s| ~ 23, are both
-    # accurate relative to their own size at every sample; the linspace
-    # rounding residues of this grid are not zero, so the Taylor factor counts
+    # accurate relative to their own size at every sample t_j = 40 j / 450,
+    # whose doubles np.linspace rounds
     import mpmath as mp
 
-    from cnsmax.stabilize import _grid_residues, _mode_exponentials
+    from cnsmax.stabilize import _mode_exponentials
 
     rates = np.array([-0.3 + 0.1j, -5.0 + 7.0j, -256.0 + 3.0j])
-    times = np.linspace(0.0, 40.0, 451)
-    grid = _grid_residues(times)
-    assert any(grid[1])
     y0 = (np.array([1, 3 << 200, -(5 << 200)], dtype=object),
           np.array([-1, 1 << 200, 1 << 190], dtype=object),
           np.array([-120, -200, -200]))
-    blocks = list(_mode_exponentials(y0, rates, grid, 120))
+    blocks = list(_mode_exponentials(y0, rates, 40.0, 451, 120))
     assert [b[0].shape for b in blocks] == [(3, 64)] * 7 + [(3, 3)]
     re, im, exp = (np.concatenate(part, axis=1) for part in zip(*blocks))
     with mp.workprec(400):
         for a, r in enumerate(rates):
             start = mp.mpc(mp.ldexp(y0[0][a], int(y0[2][a])),
                            mp.ldexp(y0[1][a], int(y0[2][a])))
-            for j, t in enumerate(times):
-                want = start * mp.exp(mp.mpc(r) * mp.mpf(t))
+            for j in range(451):
+                want = start * mp.exp(mp.mpc(r) * mp.mpf(40) * j / 450)
                 got = mp.mpc(mp.ldexp(re[a, j], int(exp[a, j])),
                              mp.ldexp(im[a, j], int(exp[a, j])))
                 assert abs(got - want) <= 2.0 ** -110 * abs(want)
 
 
-def test_exact_loop_needs_uniform_grid(p1):
-    from cnsmax._gram import eigen_coefficients
-    from cnsmax.stabilize import _exact_loop
-
-    law = build_feedback(p1, 1, 2.0)
-    c0 = eigen_coefficients(law.table, random_state(p1, 1, "Zmm", seed=0))
-    for times in ([0.0, 1.0, 3.0], np.geomspace(1.0, 2.0, 5) - 1.0,
-                  np.linspace(1.0, 5.0, 9)):
-        with pytest.raises(ValueError):
-            _exact_loop(law, c0, np.asarray(times), 30)
-
-
-def _mp_closed_form(law, c0, times, dps, extra=None):
+def _mp_closed_form(law, c0, T_end, samples, dps, extra=None):
     """The mpmath closed form as an oracle for `_exact_loop`: one mp.matrix
-    mat-vec [M; M_e] x(t) per sample (each entry an mp.fdot), the free
-    responses added in mp, and the control summed by mp.fsum at dps + 20."""
+    mat-vec [M; M_e] x(t) per sample t = T_end j / (samples - 1), formed in
+    mp (each entry an mp.fdot), the free responses added in mp, and the
+    control summed by mp.fsum at dps + 20."""
     import mpmath as mp
 
     lam, bv = law.lam, law.b_vec
@@ -439,7 +424,8 @@ def _mp_closed_form(law, c0, times, dps, extra=None):
                 free.append(mp.mpc(c0_e[e])
                             - mp.fsum(A[K + e, a] * x0[a] for a in range(K)))
         states, qs = [], []
-        for t in times:
+        for j in range(samples):
+            t = mp.mpf(T_end) * j / (samples - 1)
             xt = mp.matrix([x0[a] * mp.exp(rates[a] * t) for a in range(K)])
             ct = A * xt
             for e in range(len(lam_x)):
@@ -456,20 +442,23 @@ def _mp_closed_form(law, c0, times, dps, extra=None):
 def test_exact_loop_matches_mp_oracle(p1, N, seed, samples):
     # integer mat-vecs round the same exact sums as mp.fdot: identical
     # states.  q(t) = -b . x(t) cancels heavily (at N=8, |x_a| ~ 1e17 for
-    # |q| ~ 1e8), so it too must be the exact sum rounded once.  Every
-    # rounding residue of the 33-sample grid is 0; the 46-sample grid has
-    # 35 nonzero residues and 6 distinct steps, so its step factors carry
-    # the residue correction
+    # |q| ~ 1e8), so it too must be the exact sum rounded once.  The oracle
+    # samples the exact times 40 j / (samples - 1): every 40 j / 32 is a
+    # double, while 40 of the 46 times 40 j / 45 are not, and np.linspace
+    # rounds them
+    from fractions import Fraction
+
     from cnsmax._gram import eigen_coefficients
-    from cnsmax.stabilize import _exact_loop, _grid_residues
+    from cnsmax.stabilize import _exact_loop
 
     law = build_feedback(p1, N, 2.0)
     assert law.precision_dps > 0
     c0 = eigen_coefficients(law.table, random_state(p1, N, "Zmm", seed=seed))
-    times = np.linspace(0.0, 40.0, samples)
-    assert any(_grid_residues(times)[1]) == (samples == 46)
-    states, q = _exact_loop(law, c0, times, law.precision_dps)
-    want, want_q = _mp_closed_form(law, c0, times, law.precision_dps)
+    rounded = sum(Fraction(t) != Fraction(40 * j, samples - 1)
+                  for j, t in enumerate(np.linspace(0.0, 40.0, samples).tolist()))
+    assert rounded == (40 if samples == 46 else 0)
+    states, q = _exact_loop(law, c0, 40.0, samples, law.precision_dps)
+    want, want_q = _mp_closed_form(law, c0, 40.0, samples, law.precision_dps)
     assert np.array_equal(states, want)
     np.testing.assert_allclose(q.real, want_q.real, rtol=1e-12, atol=0)
     np.testing.assert_allclose(q.imag, want_q.imag, rtol=1e-12, atol=0)
@@ -489,9 +478,8 @@ def test_exact_loop_spillover_rows_match_oracle(p1, seed):
     c0 = eigen_coefficients(law.table, design)
     extra = (tab2.lam[ex], boundary_observation_vector(tab2, law.kind)[ex],
              eigen_coefficients(tab2, z0)[ex])
-    times = np.linspace(0.0, 40.0, 129)
-    states, _ = _exact_loop(law, c0, times, 30, extra=extra)
-    want, _ = _mp_closed_form(law, c0, times, 30, extra=extra)
+    states, _ = _exact_loop(law, c0, 40.0, 129, 30, extra=extra)
+    want, _ = _mp_closed_form(law, c0, 40.0, 129, 30, extra=extra)
     assert states.shape == (129, law.lam.size + extra[0].size)
     assert np.array_equal(states, want)
 
@@ -873,7 +861,7 @@ def test_exact_loop_rounds_few_entries_exactly(p1, monkeypatch):
     law = build_feedback(p1, 8, 2.0)
     c0 = eigen_coefficients(law.table, random_state(p1, 8, "Zmm", seed=0))
     exact = _count_exact_roundings(monkeypatch)
-    states, q = stab._exact_loop(law, c0, np.linspace(0.0, 40.0, 451), law.precision_dps)
+    states, q = stab._exact_loop(law, c0, 40.0, 451, law.precision_dps)
     outputs = 2 * (states.size + q.size)
     assert outputs == 44_198
     assert 0 < len(exact) <= outputs // 100
