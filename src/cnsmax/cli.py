@@ -29,7 +29,7 @@ MAX_MODES = 1 << 17      # spectrum n_max (about 5 KiB a mode, 700 MiB)
                          # and simulate N (430 MiB)
 MAX_GRAM_N = 256         # Gram commands hold (6N+1)^2 complex entries, a few
                          # copies: 290 MiB for observability; control's
-                         # forced evolve at MAX_PANELS stays below 1 GiB too
+                         # forced evolve peaks near 320 MiB at MAX_PANELS
 MAX_RECORDS = 1 << 18    # simulate record_points: about 450 B a row
 MAX_GRID = 1 << 20       # simulate grid: about 400 B a point
 MAX_LACK_N = 1 << 14     # lack N_list entries, with band_mult <= MAX_BAND:
@@ -498,7 +498,7 @@ def run(command: str, config_path: str, out_dir: str | None = None,
         summary["error"] = str(exc)
         print(f"validation error: {exc}", file=sys.stderr)
         code = 2
-    except (NumericalFailure, CnsmaxError) as exc:
+    except CnsmaxError as exc:
         summary["status"] = "numerical-failure"
         summary["error"] = str(exc)
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -9,11 +9,13 @@ exactly when no entry of the actuator column B_n vanishes.
 Localized and boundary controls share one solve of the HUM moment problem
 on a dense Hermitian Gramian over all retained modal indices.  Every control
 is re-verified by independently evolving the truncated system with it as a
-sampled forcing: `evolve` gets a forcing that evaluates the control on an
-array of times, returning the modal forcing triples of modes -N..N in
-weighted Fourier coordinates (2N+1, 3, len(ts)), and the control samples
-come from the same array evaluation.  `evolve` integrates that sampled
-forcing by quadrature; it never sees the closed form of the control.
+sampled forcing.  Each control has one actuator: `evolve` gets a forcing
+that returns each mode's actuator column in weighted Fourier coordinates
+(sqrt(b) on the density for the interior controls, Gamma_n^{-1}
+conj(B* xi*_n) for the boundary one) and the control's scalar signal per
+mode evaluated on an array of times, and the control samples come from
+the same array evaluation.  `evolve` integrates that sampled signal by
+quadrature; it never sees the closed form of the control.
 """
 
 from __future__ import annotations
@@ -106,11 +108,19 @@ def _steer(B, lam, W, d0, d1, T: float):
     return controls
 
 
+def _density_forcing(p: FluidParams, N: int, signal):
+    """`evolve` forcing of an interior density control: the actuator column
+    sqrt(b) on the density of every mode -N..N (weighted Fourier
+    coordinates), driven by the modal coefficients signal(ts)."""
+    columns = np.outer(np.full(2 * N + 1, np.sqrt(p.b_eff)), (1, 0, 0))
+    return lambda ts: (columns, signal(ts))
+
+
 def _verify(p: FluidParams, state0: SpectralState, T: float, forcing,
             target: SpectralState | None = None):
-    """Evolve state0 under forcing by the independent quadrature; returns the
-    energy distance of the final state from target (default rest) relative
-    to the energy of state0, and the final state."""
+    """Evolve state0 under an `evolve` forcing by the independent quadrature;
+    returns the energy distance of the final state from target (default
+    rest) relative to the energy of state0, and the final state."""
     _, final = evolve(p, state0, T, forcing=forcing)
     diff = final.coeffs
     if target is not None:
@@ -145,18 +155,12 @@ def synthesize_everywhere_control(
 
     # the 3x3 blocks of modes -N..-1, 1..N, then the 1x1 block of n = 0
     mode_controls, zero_control = steer(np.s_[:-1], 3), steer(np.s_[-1:], 1)
-    sb = np.sqrt(p.b_eff)
 
     def coeffs(ts):
         # rows -N..-1, then n = 0, then 1..N
         return np.insert(mode_controls(ts), N, zero_control(ts)[0], axis=0)
 
-    def forcing(ts):
-        out = np.zeros((2 * N + 1, 3, len(ts)), dtype=complex)
-        out[:, 0] = sb * coeffs(ts)
-        return out
-
-    resid, final = _verify(p, state0, T, forcing, target)
+    resid, final = _verify(p, state0, T, _density_forcing(p, N, coeffs), target)
     times = np.linspace(0.0, T, 2048)
     samp = coeffs(times)
     # a horizon too short for any control overflows here; the infinite norm
@@ -217,17 +221,13 @@ def synthesize_boundary_control(
 
     # independent verification through the quadrature evolution oracle; the
     # Zmm rows are the three branches of each mode in turn, and each mode's
-    # forcing is Gamma_n^{-1} (conj(B* xi*_n) q(t)); the n = 0 row stays zero
-    actuated = np.einsum("mij,mj->mi", gamma_inverse(tab.modes),
-                         np.conj(bv).reshape(-1, 3))
-    rows = tab.modes.ns + N
-
-    def forcing(ts):
-        out = np.zeros((2 * N + 1, 3, len(ts)), dtype=complex)
-        out[rows] = actuated[:, :, None] * q(ts)
-        return out
-
-    resid, final = _verify(p, state0, T, forcing)
+    # actuator column is Gamma_n^{-1} conj(B* xi*_n), driven by q(t) alone;
+    # the n = 0 column stays zero
+    columns = np.zeros((2 * N + 1, 3), dtype=complex)
+    columns[tab.modes.ns + N] = np.einsum("mij,mj->mi", gamma_inverse(tab.modes),
+                                          np.conj(bv).reshape(-1, 3))
+    resid, final = _verify(p, state0, T, lambda ts: (
+        columns, np.broadcast_to(q(ts), (2 * N + 1, len(ts)))))
     times = np.linspace(0.0, T, 2048)
     sig = ControlSignal(times=times, samples=q(times), norm_l2=norm)
     return sig, resid, cond, final
@@ -268,14 +268,7 @@ def synthesize_localized_control(
         ker = x * weights * np.exp(np.conj(tab.lam) * (T - ts[:, None]))
         return (si @ ker[:, :, None])[:, :, 0].T / np.sqrt(TWO_PI)
 
-    sb = np.sqrt(p.b_eff)
-
-    def forcing(ts):
-        out = np.zeros((all_n.size, 3, len(ts)), dtype=complex)
-        out[:, 0] = sb * coeff_rows(ts)
-        return out
-
-    resid, final = _verify(p, state0, T, forcing)
+    resid, final = _verify(p, state0, T, _density_forcing(p, N, coeff_rows))
     times = np.linspace(0.0, T, 512)
     sig = ControlSignal(times=times, samples=coeff_rows(times), mode_labels=all_n.tolist(),
                         norm_l2=norm)

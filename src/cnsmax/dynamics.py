@@ -8,10 +8,11 @@ diagonalizing each 3x3 block through its basis-change matrix Gamma_n; an
 ill-conditioned Gamma_n is a NumericalFailure raised by
 `spectral.gamma_inverse` (past GAMMA_COND_LIMIT), with no second path.  Time
 grids exist only for recording trajectories and for the
-variation-of-constants quadrature of forced runs.  A forcing is
-array-valued: evolve samples it once per record interval on that interval's
-whole composite Gauss-Legendre grid, as an array (2N+1, 3, nodes) over modes
--N..N, and sums the quadrature over modes and nodes in one batch.
+variation-of-constants quadrature of forced runs.  A forcing is one
+actuator column per mode times a sampled scalar signal per mode: evolve
+samples the signal once per record interval on that interval's whole
+composite Gauss-Legendre grid, takes the columns to eigen-coordinates once
+per interval, and sums the quadrature over modes and nodes in one batch.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .spectral import TWO_PI, gamma_inverse, spectral_table, z_weights
 # Composite Gauss-Legendre quadrature of a forced evolve: PANELS_PER_UNIT
 # panels per unit time, GL_POINTS nodes a panel.  MAX_PANELS bounds the panels
 # of one record interval.  The largest case in use needs 27; each panel adds
-# GL_POINTS samples to the forcing array (2N+1, 3, nodes) and to its
-# propagated terms, so one such array at the bound is about 190 MiB for
-# N = 256.
+# GL_POINTS nodes to the signal (2N+1 per node) and to the quadrature kernel
+# e^{lambda (t1 - s)} (3 (2N+1) per node), so one forced evolve over an
+# interval at the bound peaks at about 320 MiB for N = 256 (tracemalloc).
 PANELS_PER_UNIT = 64
 GL_POINTS = 8
 MAX_PANELS = 1024
@@ -120,36 +121,23 @@ def energy_norm(state: SpectralState, p: FluidParams) -> float:
     return float(np.sqrt(np.sum(z_weights(p) * np.abs(state.coeffs) ** 2)))
 
 
-class _ModePropagator:
-    """Flow of the modes ns (n = 0 allowed) in weighted Fourier coordinates.
+def _modal_basis(p: FluidParams, N: int):
+    """Eigenvalues (2N+1, 3), basis changes Gamma_n and their inverses
+    (2N+1, 3, 3) of the modes -N..N in weighted Fourier coordinates.
 
-    Every mode is diagonalized through its basis-change matrix Gamma_n.  The
-    n = 0 block is diagonal already (mean density and velocity frozen,
+    The n = 0 block is diagonal already (mean density and velocity frozen,
     stress relaxing): Gamma_0 = I with eigenvalues (0, 0, -1/kappa).  The
     other inverses come from `gamma_inverse`, so an ill-conditioned Gamma_n
     raises NumericalFailure and the flow is never silently wrong.
     """
-
-    def __init__(self, p: FluidParams, ns):
-        ns = np.asarray(ns, dtype=int)
-        nz = ns != 0
-        self.lambdas = np.tile(np.array([0.0, 0.0, -1.0 / p.kappa], dtype=complex),
-                               (ns.size, 1))
-        self.gamma = np.tile(np.eye(3, dtype=complex), (ns.size, 1, 1))
-        self.gamma_inv = self.gamma.copy()
-        tab = spectral_table(p, ns[nz]).require_simple()
-        self.lambdas[nz] = tab.lambdas
-        self.gamma[nz] = tab.gamma
-        self.gamma_inv[nz] = gamma_inverse(tab)
-
-    def flow(self, g: np.ndarray, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_k weights[k] e^{taus[k] A_n} g[n, :, k] for every mode n.
-
-        g is (modes, 3, len(taus)); the result is (modes, 3).
-        """
-        e = np.exp(self.lambdas[:, :, None] * taus) * weights
-        d = np.einsum("mij,mjk,mik->mi", self.gamma, g, e)
-        return np.einsum("mij,mj->mi", self.gamma_inv, d)
+    ns = np.arange(-N, N + 1)
+    nz = ns != 0
+    lam = np.tile(np.array([0.0, 0.0, -1.0 / p.kappa], dtype=complex), (ns.size, 1))
+    gamma = np.tile(np.eye(3, dtype=complex), (ns.size, 1, 1))
+    gamma_inv = gamma.copy()
+    tab = spectral_table(p, ns[nz]).require_simple()
+    lam[nz], gamma[nz], gamma_inv[nz] = tab.lambdas, tab.gamma, gamma_inverse(tab)
+    return lam, gamma, gamma_inv
 
 
 def evolve(
@@ -161,14 +149,16 @@ def evolve(
 ):
     """Propagate a state over [0, T], optionally with modal forcing.
 
-    forcing(ts) must return an array (2N+1, 3, len(ts)): row i holds the
-    forcing triples of mode i - N, in weighted Fourier coordinates, at the
-    times ts.  It is called once per record interval [t0, t1] with dt > 0,
+    The forcing of mode n is a fixed actuator column times a scalar signal.
+    forcing(ts) returns the pair (columns, signal): columns (2N+1, 3) holds
+    each mode's actuator in weighted Fourier coordinates and signal
+    (2N+1, len(ts)) each mode's signal at the times ts, row i for mode
+    i - N.  It is called once per record interval [t0, t1] with dt > 0,
     with that interval's composite Gauss-Legendre nodes
     (ceil(dt * PANELS_PER_UNIT) panels of GL_POINTS nodes each, at most
-    MAX_PANELS), and the variation-of-constants integral is summed over the
-    nodes for all modes at once.  Returns (TrajectoryRecord, final
-    SpectralState).
+    MAX_PANELS), and the variation-of-constants integral of every mode is
+    summed over the nodes in eigen-coordinates.  Returns
+    (TrajectoryRecord, final SpectralState).
     """
     if record_times is None:
         record_times = np.linspace(0.0, T, 65)
@@ -182,30 +172,32 @@ def evolve(
                               f"{panels:.3e} quadrature panels, more than {MAX_PANELS}")
 
     N = state0.N
-    prop = _ModePropagator(p, np.arange(-N, N + 1))
+    lam, gamma, gamma_inv = _modal_basis(p, N)
     xs, ws = leggauss(GL_POINTS)
     sw = np.sqrt(z_weights(p))
-    one = np.ones(1)
 
     current = state0.coeffs * sw
     power = np.empty((len(record_times), 3))
     power[0] = np.sum(np.abs(current) ** 2, axis=0)
     for k, dt in enumerate(dts, start=1):
         t0, t1 = record_times[k - 1], record_times[k]
-        cnew = prop.flow(current[:, :, None], np.array([dt]), one)
+        d = np.exp(lam * dt) * np.einsum("mij,mj->mi", gamma, current)
         if forcing is not None and dt > 0:
             npan = max(1, int(np.ceil(dt * PANELS_PER_UNIT)))
             half = dt / (2 * npan)
             mids = t0 + dt * np.arange(npan) / npan + half
             s = (mids[:, None] + half * xs).ravel()
-            g = np.asarray(forcing(s), dtype=complex)
-            if g.shape != (2 * N + 1, 3, s.size):
+            columns, signal = (np.asarray(a, dtype=complex) for a in forcing(s))
+            if columns.shape != (2 * N + 1, 3) or signal.shape != (2 * N + 1, s.size):
                 raise ValidationError(
-                    f"forcing returned shape {g.shape}, expected "
-                    f"{(2 * N + 1, 3, s.size)}"
+                    f"forcing returned shapes {columns.shape} and {signal.shape}, "
+                    f"expected {(2 * N + 1, 3)} and {(2 * N + 1, s.size)}"
                 )
-            cnew += prop.flow(g, t1 - s, np.tile(half * ws, npan))
-        current = cnew
+            e = lam[:, :, None] * (t1 - s)
+            np.exp(e, out=e)
+            d += (np.einsum("mij,mj->mi", gamma, columns)
+                  * np.einsum("mik,mk->mi", e, signal * np.tile(half * ws, npan)))
+        current = np.einsum("mij,mj->mi", gamma_inv, d)
         power[k] = np.sum(np.abs(current) ** 2, axis=0)
 
     final = SpectralState(N=N, coeffs=current / sw)

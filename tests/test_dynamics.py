@@ -129,9 +129,7 @@ def test_forced_evolution_quadrature_self_convergence(p1, monkeypatch):
     state0 = random_state(p1, 4, "Zm", seed=2)
 
     def forcing(ts):
-        out = np.zeros((9, 3, len(ts)), dtype=complex)
-        out[:, 0] = np.sin(ts)
-        return out
+        return np.outer(np.ones(9), (1, 0, 0)), np.broadcast_to(np.sin(ts), (9, len(ts)))
 
     monkeypatch.setattr(dyn, "PANELS_PER_UNIT", 32)
     _, f1 = evolve(p1, state0, 1.5, forcing=forcing)
@@ -142,9 +140,10 @@ def test_forced_evolution_quadrature_self_convergence(p1, monkeypatch):
 
 
 def test_forced_evolution_matches_van_loan(p1):
-    """Forcing e^{mu_n t} v_n on every mode, n = 0 included: the final state
-    is e^{T A_n} c_n + int_0^T e^{(T-s) A_n} v_n e^{mu_n s} ds, read off the
-    augmented exponential expm([[A_n, v_n], [0, mu_n]]) (Van Loan)."""
+    """Forcing v_n e^{mu_n t} on every mode, n = 0 included, as the columns
+    v_n and the signals e^{mu_n t}: the final state is e^{T A_n} c_n +
+    int_0^T e^{(T-s) A_n} v_n e^{mu_n s} ds, read off the augmented
+    exponential expm([[A_n, v_n], [0, mu_n]]) (Van Loan)."""
     from scipy.linalg import expm
 
     N, T = 4, 1.5
@@ -155,7 +154,7 @@ def test_forced_evolution_matches_van_loan(p1):
     mu = -0.4 + 0.9j * ns
 
     def forcing(ts):
-        return v[:, :, None] * np.exp(mu[:, None, None] * ts)
+        return v, np.exp(mu[:, None] * ts)
 
     _, final = evolve(p1, state0, T, forcing=forcing)
     sw = np.sqrt(z_weights(p1))
@@ -179,7 +178,7 @@ def test_evolve_empty_state_gives_complex_zeros(p1):
         assert final.coeffs.dtype == complex and np.all(final.coeffs == 0)
         assert np.all(rec.energies == 0) and np.all(rec.norm_S == 0)
         rec, final = evolve(p1, state_of(2, {}), 1.0,
-                            forcing=lambda ts: np.zeros((5, 3, len(ts))))
+                            forcing=lambda ts: (np.zeros((5, 3)), np.zeros((5, len(ts)))))
     assert final.coeffs.shape == (5, 3)
     assert final.coeffs.dtype == complex and np.all(final.coeffs == 0)
     assert np.all(rec.energies == 0)
@@ -194,7 +193,7 @@ def test_forcing_called_once_per_record_interval(p1, monkeypatch):
 
     def forcing(s):
         calls.append(np.array(s))
-        return np.zeros((2 * N + 1, 3, len(s)), dtype=complex)
+        return np.zeros((2 * N + 1, 3)), np.zeros((2 * N + 1, len(s)), dtype=complex)
 
     monkeypatch.setattr(dyn, "PANELS_PER_UNIT", ppu)
     monkeypatch.setattr(dyn, "GL_POINTS", gl)
@@ -205,9 +204,11 @@ def test_forcing_called_once_per_record_interval(p1, monkeypatch):
         assert s.shape == (int(np.ceil((b - a) * ppu)) * gl,)
         assert np.all((s > a) & (s < b))
 
-    with pytest.raises(ValidationError):
-        evolve(p1, random_state(p1, N, seed=1), 1.0,
-               forcing=lambda s: np.zeros((2 * N, 3, len(s))))
+    # a signal, then a column array, with one mode too few
+    for bad in (lambda s: (np.zeros((2 * N + 1, 3)), np.zeros((2 * N, len(s)))),
+                lambda s: (np.zeros((2 * N, 3)), np.zeros((2 * N + 1, len(s))))):
+        with pytest.raises(ValidationError):
+            evolve(p1, random_state(p1, N, seed=1), 1.0, forcing=bad)
 
 
 def test_duality_pairing_constant_with_rk4_oracle(p1):
