@@ -4,13 +4,15 @@ Exact-control synthesis, observability constants, Ingham frame bounds and
 the feedback Gramian all reduce to Hermitian forms whose entries combine a
 time integral of an exponential pair with a spatial overlap integral; both
 have closed forms collected here, with the boundary observation functional
-B* xi* that weights the boundary forms.  Each is assembled at the cost of
-its structure: the exponential Gram from the K exponentials e^{lam T} and
-the spatial overlaps from their distinct mode differences.  There is one
-weighted product of that Gram, `kernel_gram`; the windowed form is it times
-the spatial overlaps.  The terminal Gram is Gamma Gamma^H on each mode
-block, so no program path builds it; `terminal_gram` stays as the oracle of
-that identity.  The spectrum of the real system is closed under
+B* xi* that weights the boundary forms, read from one real trace c per
+kind (`boundary_trace`), which is also the boundary control's actuator.
+Each is assembled at the cost of its structure: the exponential Gram from
+the K exponentials e^{lam T} and the spatial overlaps from their distinct
+mode differences.  There is one weighted product of that Gram,
+`kernel_gram`; the windowed form is it times the spatial overlaps, over a
+window that `window` checks.  The terminal Gram is Gamma Gamma^H on each
+mode block, so no program path builds it; `terminal_gram` stays as the
+oracle of that identity.  The spectrum of the real system is closed under
 conjugation, so `real_form` turns a Hermitian form over a table into a real
 symmetric one of the same size by pairing mode n with -n.
 """
@@ -42,6 +44,15 @@ def texp(z, T: float):
     small = np.abs(z) < 1e-14
     zs = np.where(small, 1j, z)
     return np.where(small, T, (np.exp(zs * T) - 1.0) / zs)
+
+
+def window(interval) -> tuple[float, float]:
+    """The window (l1, l2) of an interior observation or control;
+    ValidationError unless 0 <= l1 < l2 <= 2 pi."""
+    lo, hi = interval
+    if not (0.0 <= lo < hi <= TWO_PI):
+        raise ValidationError("interval must satisfy 0 <= l1 < l2 <= 2*pi")
+    return lo, hi
 
 
 def space_overlap(dn, lo: float, hi: float):
@@ -111,18 +122,21 @@ def build_branch_table(p: FluidParams, N: int, subspace: str = "Zmm", *,
                        psi=psi, modes=modes)
 
 
-def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
-    """B* xi*_a over a branch table (boundary placements; no n=0 rows)."""
+def boundary_trace(p: FluidParams, kind: str) -> np.ndarray:
+    """Real weights c of the boundary functional of kind on a coefficient
+    triple: B* xi*_a = c . alpha_a / psi_a, and the boundary control's
+    actuator is c / sqrt(2 pi w) in weighted Fourier coordinates."""
     if kind not in BOUNDARY_KINDS:
         raise ValidationError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
-    p, a, psi = tab.p, tab.alpha, tab.psi
     b = p.b_eff
-    if kind == "density":
-        vals = (b * p.u_s * a[:, 0] + b * p.rho_s * a[:, 1]) / psi
-    elif kind == "velocity":
-        vals = (b * p.rho_s * a[:, 0] + p.rho_s * p.u_s * a[:, 1] - a[:, 2]) / psi
-    else:
-        vals = -a[:, 1] / psi
+    return np.array({"density": (b * p.u_s, b * p.rho_s, 0.0),
+                     "velocity": (b * p.rho_s, p.rho_s * p.u_s, -1.0),
+                     "stress": (0.0, -1.0, 0.0)}[kind])
+
+
+def boundary_observation_vector(tab: BranchTable, kind: str) -> np.ndarray:
+    """B* xi*_a over a branch table (boundary placements; no n=0 rows)."""
+    vals = np.sum(tab.alpha * boundary_trace(tab.p, kind), axis=1) / tab.psi
     small = np.abs(vals) < 1e-13
     if np.any(small):
         i = int(np.argmax(small))

@@ -193,17 +193,6 @@ def _waiting_time(p) -> float:
     return minimal_time(p)
 
 
-def _lack_horizon(p, v) -> float:
-    from .spectral import solve_beta_cubic
-
-    hi = v["interval"][1]
-    if hi == 2 * np.pi:
-        raise ValidationError(f"the default T is 0 as interval {v['interval']} "
-                              "reaches 2*pi; give T")
-    bhat = min(abs(b) for b in solve_beta_cubic(p).beta)
-    return float(0.8 * (2 * np.pi - hi) / bhat)
-
-
 MODEL_FIELDS = {key: (POSITIVE, None) for key in
                 ("rho_s", "u_s", "kappa", "mu", "b", "a", "gamma")}
 CONTROL_VARIANTS = ("everywhere", "boundary", "localized")
@@ -239,7 +228,7 @@ _BLOCKS = {
     "lack": {"N_list": (COUNTS, [4, 8, 16, 32], 1, MAX_LACK_N),
              "interval": _INTERVAL,
              "band_mult": (COUNT, 4, 2, MAX_BAND),
-             "T": (POSITIVE, _lack_horizon)},
+             "T": (POSITIVE, None)},
     "stabilize": {"N": (COUNT, 8, 1, MAX_STABILIZE_N),
                   "omega": (POSITIVE, 2.0),
                   "kind": _KIND,
@@ -395,11 +384,11 @@ def _run_ingham(p, v, out, summary):
 def _run_lack(p, v, out, summary):
     from .observability import lack_experiment
 
-    N_list, T, (lo, hi) = v["N_list"], v["T"], v["interval"]
-    res = lack_experiment(p, N_list, T, (lo, hi), band_mult=v["band_mult"])
+    N_list, (lo, hi) = v["N_list"], v["interval"]
+    res = lack_experiment(p, N_list, v["T"], (lo, hi), band_mult=v["band_mult"])
     write_csv(out / "lack.csv", ["N", "ratio", "slope"],
               [res.N_list, res.ratios, np.full(len(res.ratios), res.slope)])
-    summary.update({"N_list": N_list, "T": T, "interval": [lo, hi],
+    summary.update({"N_list": N_list, "T": res.T, "interval": [lo, hi],
                     "ratios": res.ratios, "slope": res.slope})
     summary["artifacts"] = ["lack.csv"]
 

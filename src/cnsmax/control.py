@@ -11,11 +11,12 @@ on a dense Hermitian Gramian over all retained modal indices.  Every control
 is re-verified by independently evolving the truncated system with it as a
 sampled forcing.  Each control has one actuator: `evolve` gets a forcing
 that returns each mode's actuator column in weighted Fourier coordinates
-(sqrt(b) on the density for the interior controls, Gamma_n^{-1}
-conj(B* xi*_n) for the boundary one) and the control's scalar signal per
-mode evaluated on an array of times, and the control samples come from
-the same array evaluation.  `evolve` integrates that sampled signal by
-quadrature; it never sees the closed form of the control.
+(sqrt(b) on the density for the interior controls, the boundary trace
+c / sqrt(2 pi w) for the boundary one, which reads nothing of the table
+the HUM solved) and the control's scalar signal per mode evaluated on an
+array of times, and the control samples come from the same array
+evaluation.  `evolve` integrates that sampled signal by quadrature; it
+never sees the closed form of the control.
 """
 
 from __future__ import annotations
@@ -28,17 +29,19 @@ import numpy as np
 from ._gram import (
     BranchTable,
     boundary_observation_vector,
+    boundary_trace,
     build_branch_table,
     eigen_coefficients,
     kernel_gram,
     space_overlap,
     texp,
+    window,
     windowed_gram,
 )
 from .dynamics import SpectralState, energy_norm, evolve
-from .errors import IllConditioned, ValidationError
+from .errors import IllConditioned
 from .model import FluidParams
-from .spectral import TWO_PI, ModeEigenSystem, gamma_inverse, minimal_time, mode_system
+from .spectral import TWO_PI, ModeEigenSystem, minimal_time, mode_system, z_weights
 
 # mode_system stays importable from here: the perfbench tracer patches it by
 # name in every module that holds it
@@ -219,13 +222,11 @@ def synthesize_boundary_control(
         # same whatever the batch; a BLAS matrix-vector product would not
         return np.sum(x * bv * np.exp(np.conj(tab.lam) * (T - ts[:, None])), axis=1)
 
-    # independent verification through the quadrature evolution oracle; the
-    # Zmm rows are the three branches of each mode in turn, and each mode's
-    # actuator column is Gamma_n^{-1} conj(B* xi*_n), driven by q(t) alone;
-    # the n = 0 column stays zero
+    # independent verification through the quadrature evolution oracle:
+    # every mode n != 0 carries the boundary trace as its actuator column,
+    # driven by q(t) alone; the n = 0 column stays zero
     columns = np.zeros((2 * N + 1, 3), dtype=complex)
-    columns[tab.modes.ns + N] = np.einsum("mij,mj->mi", gamma_inverse(tab.modes),
-                                          np.conj(bv).reshape(-1, 3))
+    columns[tab.modes.ns + N] = boundary_trace(p, kind) / np.sqrt(TWO_PI * z_weights(p))
     resid, final = _verify(p, state0, T, lambda ts: (
         columns, np.broadcast_to(q(ts), (2 * N + 1, len(ts)))))
     times = np.linspace(0.0, T, 2048)
@@ -247,9 +248,7 @@ def synthesize_localized_control(
     are the modal coefficients of the actuated forcing restricted to the
     truncation.
     """
-    lo, hi = interval
-    if not (0.0 <= lo < hi <= TWO_PI):
-        raise ValidationError("interval must satisfy 0 <= l1 < l2 <= 2*pi")
+    lo, hi = window(interval)
     if (hi - lo) < TWO_PI - 1e-12:  # the full circle has no waiting time
         _warn_below_waiting_time(p, T)
     tab = build_branch_table(p, N, "Zm")

@@ -23,9 +23,10 @@ from ._gram import (
     kernel_gram,
     real_form,
     texp,
+    window,
     windowed_gram,
 )
-from .errors import HypothesisViolated, NumericalFailure, ValidationError
+from .errors import HypothesisViolated, NumericalFailure
 from .model import FluidParams
 from .spectral import TWO_PI, gamma_inverse, solve_beta_cubic, spectral_table, z_weights
 
@@ -37,6 +38,7 @@ class LackResult:
     N_list: list[int]
     ratios: list[float]
     slope: float
+    T: float                      # the horizon used
 
 
 def ingham_frame_bounds(p: FluidParams, N: int, T: float) -> tuple[float, float]:
@@ -76,7 +78,7 @@ def interior_observability_constant(
     """Smallest generalized eigenvalue of the windowed density observation
     against the terminal energy Gram, over modes |n| <= N in the mean-free
     velocity/stress subspace.  Returns (lambda_min, lambda_max)."""
-    lo, hi = interval
+    lo, hi = window(interval)
     tab = build_branch_table(p, N, "Zm")
     vals = eigh(windowed_gram(tab, T, tab.sigma_coeff, lo, hi), tab)
     return float(vals[0]), float(vals[-1])
@@ -110,7 +112,7 @@ def _log_pn(ns: np.ndarray, N: int) -> np.ndarray:
 def lack_experiment(
     p: FluidParams,
     N_list,
-    T: float,
+    T: float | None,
     interval: tuple[float, float],
     band_mult: int = 4,
 ) -> LackResult:
@@ -123,22 +125,29 @@ def lack_experiment(
     O = (l1, l2) and the end of [0, 2 pi] from which the slow branch
     transports it toward O, |beta_hat| T plus a pad from O, so its
     characteristic strip over (0, T) stops that pad short of O;
-    HypothesisViolated unless |beta_hat| T is below the clearance.  The
+    HypothesisViolated unless |beta_hat| T is below the clearance, so for no
+    T where the window reaches that end.  T = None takes 0.8 clearance /
+    |beta_hat|.  The
     observation energy over (0,T) x O is evaluated through its
     transport-comparison majorant in closed form: the transported profile
     vanishes on O, which leaves a full-circle Parseval residual of the exact
     minus asymptotic exponentials.  The reported ratio divides by the
     terminal energy norm squared, so the statistic is scale invariant.
     """
-    lo, hi = interval
-    if not (0.0 <= lo < hi <= TWO_PI):
-        raise ValidationError("interval must satisfy 0 <= l1 < l2 <= 2*pi")
+    lo, hi = window(interval)
     roots = solve_beta_cubic(p)
     beta = np.asarray(roots.beta)
     l_hat = int(np.argmin(np.abs(beta)))
     bhat = float(beta[l_hat])
     what = float(np.asarray(roots.omega)[l_hat])
     clearance = (TWO_PI - hi) if bhat < 0 else lo
+    if T is None:
+        if clearance == 0.0:
+            raise HypothesisViolated(
+                f"the default T is 0 as the interval [{lo:g}, {hi:g}] reaches "
+                f"{'2*pi' if bhat < 0 else '0'}, where the slow branch comes from, "
+                "and no T fits there; move the window off that end")
+        T = 0.8 * clearance / abs(bhat)
     if abs(bhat) * T >= clearance:
         raise HypothesisViolated(
             "the slow branch sweeps toward the wrong side of the window "
@@ -177,14 +186,13 @@ def lack_experiment(
         lam_b = np.conj(tab.lambdas[:, l_hat])
         al = tab.xi_star_coeffs[:, l_hat]
         mu_exp = -what - 1j * bhat * ns  # transported-branch exponent
-        resid = np.zeros(ns.size)
-        for comp in range(3):
-            t1 = np.abs(al[:, comp]) ** 2 * np.real(texp(2.0 * lam_b.real, T))
-            t2 = np.abs(alinf[comp]) ** 2 * np.real(texp(2.0 * mu_exp.real, T))
-            t12 = -2.0 * np.real(
-                al[:, comp] * np.conj(alinf[comp]) * texp(lam_b + np.conj(mu_exp), T)
-            )
-            resid += t1 + t2 + t12
+        # the integral over (0, T) of |al e^{lam_b t} - alinf e^{mu t}|^2,
+        # one column per component, summed in component order
+        resid = np.sum(
+            np.abs(al) ** 2 * np.real(texp(2.0 * lam_b.real, T))[:, None]
+            + np.abs(alinf) ** 2 * np.real(texp(2.0 * mu_exp.real, T))[:, None]
+            - 2.0 * np.real(al * np.conj(alinf) * texp(lam_b + np.conj(mu_exp), T)[:, None]),
+            axis=1)
         obs = 2.0 * float(np.sum(w2 * resid))
         den = TWO_PI * float(np.sum(w2 * (np.abs(al) ** 2 @ wz)))
         ratios.append(obs / den)
@@ -192,4 +200,4 @@ def lack_experiment(
     if not all(0.0 < r < np.inf for r in ratios):
         raise NumericalFailure(f"observation ratios {ratios} are not all positive and finite")
     slope = float(np.polyfit(np.log(np.asarray(N_list, float)), np.log(ratios), 1)[0])
-    return LackResult(N_list=list(N_list), ratios=ratios, slope=slope)
+    return LackResult(N_list=list(N_list), ratios=ratios, slope=slope, T=T)

@@ -207,34 +207,19 @@ def _pair_to_predictions(lam: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return lam[rows, _PERMS[best]]
 
 
-def _rc_identities_ok(p: FluidParams, ns, lam) -> bool:
-    """All six root-coefficient identities, relative to 1 + |rhs|."""
-    ns = np.asarray(ns, dtype=float)
-    b = p.b_eff
-    eta, tau = lam.real, lam.imag
-    e1, e2, e3 = eta.T
-    t1, t2, t3 = tau.T
-    # (terms of the lhs, rhs); the tolerance scales with the term magnitudes,
-    # since several identities cancel large products down to a small rhs
-    items = [
-        ([e1, e2, e3], -1.0 / p.kappa * np.ones_like(ns)),
-        ([t1, t2, t3], -2.0 * p.u_s * ns),
-        (
-            [e1 * e2, e1 * e3, e2 * e3, -t1 * t2, -t1 * t3, -t2 * t3],
-            (b * p.rho_s + p.mu / (p.kappa * p.rho_s) - p.u_s**2) * ns**2,
-        ),
-        (
-            [e1 * (t2 + t3), e2 * (t1 + t3), e3 * (t1 + t2)],
-            2.0 * p.u_s * ns / p.kappa,
-        ),
-        (
-            [e1 * e2 * e3, -e1 * t2 * t3, -e2 * t1 * t3, -e3 * t1 * t2],
-            (p.u_s**2 - b * p.rho_s) * ns**2 / p.kappa,
-        ),
-        (
-            [t1 * t2 * t3, -t1 * e2 * e3, -e1 * t2 * e3, -e1 * e2 * t3],
-            p.mu * p.u_s * ns**3 / (p.kappa * p.rho_s),
-        ),
+def _rc_identities_ok(lam, a2, a1, a0) -> bool:
+    """Vieta's identities of the cubics (a2, a1, a0) at their roots lam,
+    (m, 3), as six real ones, each relative to 1 + |rhs| + its terms'
+    magnitudes: several cancel large products down to a small rhs."""
+    e1, e2, e3 = lam.real.T
+    t1, t2, t3 = lam.imag.T
+    items = [  # sum, sum of pairs and product of the roots, Re and Im
+        ([e1, e2, e3], -a2.real),
+        ([t1, t2, t3], -a2.imag),
+        ([e1 * e2, e1 * e3, e2 * e3, -t1 * t2, -t1 * t3, -t2 * t3], a1.real),
+        ([e1 * (t2 + t3), e2 * (t1 + t3), e3 * (t1 + t2)], a1.imag),
+        ([e1 * e2 * e3, -e1 * t2 * t3, -e2 * t1 * t3, -e3 * t1 * t2], -a0.real),
+        ([t1 * t2 * t3, -t1 * e2 * e3, -e1 * t2 * e3, -e1 * e2 * t3], a0.imag),
     ]
     for terms, rhs in items:
         lhs = np.sum(terms, axis=0)
@@ -259,7 +244,7 @@ def mode_eigenvalues_batch(p: FluidParams, ns) -> np.ndarray:
     if not np.all(resid <= 1e-11 * np.maximum(scale, 1.0)):
         raise NumericalFailure("characteristic cubic residual overflow")
     lam = _pair_to_predictions(lam, asymptotic_frequencies(solve_beta_cubic(p), ns))
-    if not _rc_identities_ok(p, ns, lam):
+    if not _rc_identities_ok(lam, a2, a1, a0):
         raise NumericalFailure("root-coefficient identities violated")
     return lam
 

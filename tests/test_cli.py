@@ -204,16 +204,13 @@ def test_ill_conditioned_basis_change_exits_3(tmp_path, monkeypatch):
 ])
 def test_ill_conditioned_basis_change_guards_pencils_and_forcing(
         tmp_path, monkeypatch, command, block, artifact):
-    # the observability pencils and the boundary forcing invert Gamma_n
-    # through the same guard as the modal propagator; the control fails
-    # before its verification evolve, so no forcing is built
-    from cnsmax import control, spectral
-
-    def no_evolve(*args, **kwargs):
-        raise AssertionError("evolve called past an ill-conditioned basis change")
+    # the observability pencils invert Gamma_n through the same guard as
+    # the modal propagator; the boundary control's forcing column is its
+    # boundary trace and inverts none, so the guard stops the control in
+    # its verification evolve, before any control.csv is written
+    from cnsmax import spectral
 
     monkeypatch.setattr(spectral, "GAMMA_COND_LIMIT", 1.0)
-    monkeypatch.setattr(control, "evolve", no_evolve)
     cfg = _write_cfg(tmp_path, "c.json", {"model": P1_MODEL, command: block})
     out = tmp_path / "out"
     assert run(command, cfg, str(out)) == 3
@@ -506,3 +503,30 @@ def test_lack_default_horizon_error_names_its_cause(tmp_path):
     assert run("lack", cfg, str(out)) == 2
     error = json.loads((out / "summary.json").read_text())["error"]
     assert "default T is 0" in error and "2*pi" in error and "np." not in error
+
+
+@pytest.mark.parametrize("interval", [[2.0, 3.0], [3.0, 2 * np.pi]])
+def test_lack_default_horizon_measures_the_side_the_slow_branch_comes_from(
+        tmp_path, interval):
+    # at u_s = 2 the slowest slope is positive, so the clearance is l1, not
+    # 2 pi - l2: the window may reach 2 pi, and the default T is 0.8 l1 / beta
+    from cnsmax.spectral import solve_beta_cubic
+
+    model = {**P1_MODEL, "u_s": 2.0}
+    bhat = min(solve_beta_cubic(cnsmax.FluidParams(**model)).beta, key=abs)
+    assert bhat > 0
+    cfg = _write_cfg(tmp_path, "c.json",
+                     {"model": model, "lack": {"N_list": [4, 8], "interval": interval}})
+    out = tmp_path / "out"
+    assert run("lack", cfg, str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["T"] == 0.8 * interval[0] / abs(bhat)
+
+
+def test_lack_default_horizon_error_names_the_zero_side(tmp_path):
+    cfg = _write_cfg(tmp_path, "c.json", {"model": {**P1_MODEL, "u_s": 2.0},
+                                          "lack": {"interval": [0.0, 3.0]}})
+    out = tmp_path / "out"
+    assert run("lack", cfg, str(out)) == 2
+    error = json.loads((out / "summary.json").read_text())["error"]
+    assert "default T is 0" in error and "reaches 0" in error and "2*pi" not in error

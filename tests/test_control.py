@@ -6,6 +6,7 @@ from numpy.polynomial.legendre import leggauss
 
 from cnsmax._gram import (
     boundary_observation_vector,
+    boundary_trace,
     build_branch_table,
     kernel_gram,
 )
@@ -21,8 +22,15 @@ from cnsmax.control import (
 from cnsmax.dynamics import energy_norm, random_state
 from cnsmax.errors import IllConditioned, ValidationError
 from cnsmax.observability import boundary_observability_constant
-from cnsmax.spectral import TWO_PI, minimal_time, mode_system, solve_beta_cubic, spectral_table
-from conftest import state_of
+from cnsmax.spectral import (
+    TWO_PI,
+    minimal_time,
+    mode_system,
+    solve_beta_cubic,
+    spectral_table,
+    z_weights,
+)
+from conftest import make_params, state_of
 
 
 def test_hautus_ranks(p1, pb):
@@ -203,6 +211,21 @@ def test_boundary_observation_identities(p1):
     gots = boundary_observation_vector(tab, "stress")
     assert np.allclose(gots, -tab.alpha[:, 1] / psi, rtol=1e-12, atol=0)
     assert np.all(np.abs(gots) > 0)
+
+
+@pytest.mark.parametrize("seed", [None, "pb", 3, 11, 29])
+@pytest.mark.parametrize("kind", ["density", "velocity", "stress"])
+def test_boundary_trace_is_the_boundary_actuator(request, seed, kind):
+    # the boundary control's actuator c / sqrt(2 pi w) has the eigen
+    # coordinates conj(B* xi*_n): it is Gamma_n^-1 conj(B* xi*_n) without
+    # the inverse
+    p = (request.getfixturevalue("p1") if seed is None else
+         request.getfixturevalue("pb") if seed == "pb" else make_params(seed))
+    tab = build_branch_table(p, 12, "Zmm")
+    want = np.einsum("mij,mj->mi", np.linalg.inv(tab.modes.gamma),
+                     np.conj(boundary_observation_vector(tab, kind)).reshape(-1, 3))
+    got = boundary_trace(p, kind) / np.sqrt(TWO_PI * z_weights(p))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=1, keepdims=True))
 
 
 def test_boundary_observation_rejects_unknown_kind(p1):

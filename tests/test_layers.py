@@ -21,7 +21,8 @@ is both left out by some constructor call there and passed by another, so
 it is neither a constant nor unused.
 Per-mode data comes from the batched tables, never from a one-mode solve,
 and each per-mode primitive has one owner: `_kernels` holds the one cubic
-solver, and only `spectral.gamma_inverse` inverts a basis change.
+solver, and only `spectral.gamma_inverse` inverts a basis change, called
+by the modal propagator and the observability pencils alone.
 """
 
 import ast
@@ -383,3 +384,14 @@ def test_only_gamma_inverse_inverts():
               and node.func.attr == "inv"
               and getattr(node.func.value, "attr", None) == "linalg"]
     assert owners == [("spectral", "gamma_inverse")]
+
+
+def test_gamma_inverse_has_two_callers():
+    # the modal propagator and the observability pencils work in eigen
+    # coordinates; the boundary control's actuator is its boundary trace
+    callers = sorted((name, getattr(top, "name", None))
+                     for name in _modules() for top in _tree(name).body
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "gamma_inverse")
+    assert callers == [("dynamics", "_modal_basis"), ("observability", "eigh")]

@@ -14,7 +14,8 @@ from cnsmax._gram import (
     texp,
     windowed_gram,
 )
-from cnsmax.errors import HypothesisViolated, NumericalFailure
+from cnsmax.control import synthesize_localized_control
+from cnsmax.errors import HypothesisViolated, NumericalFailure, ValidationError
 from cnsmax.observability import (
     boundary_observability_constant,
     eigh,
@@ -24,7 +25,7 @@ from cnsmax.observability import (
     lack_experiment,
 )
 from cnsmax.spectral import TWO_PI, minimal_time, mode_eigenvalues_batch, mode_system, z_weights
-from conftest import make_params
+from conftest import make_params, state_of
 
 
 def test_minimal_time(p1):
@@ -279,6 +280,22 @@ def test_lack_experiment_scaling(p1):
     res = lack_experiment(p1, [4, 8, 16, 32], T, (0.0, np.pi))
     assert all(r > 0 for r in res.ratios)
     assert -2.5 <= res.slope <= -1.5
+
+
+@pytest.mark.parametrize("interval", [(3.0, 1.0), (-1.0, 9.0), (1.0, 1.0),
+                                      (0.0, 7.0), (np.nan, 1.0)])
+def test_every_window_takes_one_check(p1, interval):
+    # the interior observability constant, the localized control and the
+    # lack experiment share one window check and its message
+    state0 = state_of(1, {}, "Zm")
+    calls = [
+        lambda: interior_observability_constant(p1, 2, 30.0, interval),
+        lambda: synthesize_localized_control(p1, state0, 30.0, 1, interval),
+        lambda: lack_experiment(p1, [2, 4], 1.0, interval),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"interval must satisfy 0 <= l1 < l2 <= 2\*pi"):
+            call()
 
 
 def test_lack_experiment_hypothesis_guard(p1):
